@@ -54,6 +54,7 @@ from .errors import (
     NoRealFactorization,
     RangeInfeasible,
     UnknownKind,
+    VerificationFailed,
 )
 from .fileio import (
     format_box_correlators,
@@ -143,6 +144,7 @@ __all__ = [
     "TableReport",
     "UnknownKind",
     "ValidationReport",
+    "VerificationFailed",
     "XorGame",
     "adaptive_search_max",
     "affine_factorize",

@@ -53,6 +53,9 @@ from .xorboxes import MultipartiteXorBox, xor_value
 
 _CORRELATOR_FIELDS = ("alpha", "beta", "gamma", "omega", "d1", "d2", "d3", "eps")
 
+_AXIS_OPTIONS = ("--alpha", "--beta", "--delta", "--eps")
+_NUMBER_STARTS = frozenset("0123456789.")
+
 
 class _CliError(Exception):
     """A failure with a chosen exit code; the message goes to stderr."""
@@ -106,6 +109,37 @@ def _parse_axis(option: str, text: str):
     if values is None or not all(math.isfinite(v) for v in values):
         raise _CliError(2, f"{option} expects VALUE or START:STOP:STEP, got {text!r}")
     return values[0] if len(values) == 1 else tuple(values)
+
+
+def _is_axis_option(token) -> bool:
+    """True for --alpha, --beta, --delta, --eps and the abbreviations argparse accepts."""
+    return (
+        isinstance(token, str)
+        and len(token) > 2
+        and any(option.startswith(token) for option in _AXIS_OPTIONS)
+    )
+
+
+def _fuse_negative_values(argv: Sequence) -> list:
+    """Rewrite `--eps -1:1:0.5` as `--eps=-1:1:0.5`, for every axis option.
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    plain negative number, so a negative range given as its own token would
+    be rejected.
+    """
+    out: list = []
+    for token in argv:
+        if (
+            out
+            and _is_axis_option(out[-1])
+            and isinstance(token, str)
+            and token[:1] == "-"
+            and token[1:2] in _NUMBER_STARTS
+        ):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _emit_box(box, out: str | None) -> None:
@@ -362,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_fuse_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -35,7 +35,12 @@ from .boxes import (
     make_named_box,
     validate_box,
 )
-from .errors import InvalidConstructedBox, NoRealFactorization, RangeInfeasible
+from .errors import (
+    InvalidConstructedBox,
+    NoRealFactorization,
+    RangeInfeasible,
+    VerificationFailed,
+)
 from .wirings import (
     AdaptiveTwoCopyProtocol,
     apply_adaptive,
@@ -217,7 +222,8 @@ def factor_affine_target(
     product = _product_coefficients(factors)
     padded = coeffs + [0.0] * (len(product) - len(coeffs))
     drift = max(abs(p - t) for p, t in zip(product, padded))
-    assert drift <= PRODUCT_TOL, f"factor product drifted from the target by {drift:.3g}"
+    if not drift <= PRODUCT_TOL:
+        raise VerificationFailed(f"factor product drifted from the target by {drift:.3g}")
     return tuple(factors)
 
 

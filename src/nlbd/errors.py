@@ -42,3 +42,7 @@ class RangeInfeasible(NlbdError):
 
 class InvalidConstructedBox(NlbdError):
     """A factor assignment produced a box that fails validation at some sampled parameter."""
+
+
+class VerificationFailed(NlbdError):
+    """A computed result failed its own check: a replay, a postcondition or an identity."""

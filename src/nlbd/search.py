@@ -61,7 +61,7 @@ from .boxes import (
     chsh_value_of_box,
     validate_box,
 )
-from .errors import ArityMismatch, BudgetExceeded, InvalidBox, UnknownKind
+from .errors import ArityMismatch, BudgetExceeded, InvalidBox, UnknownKind, VerificationFailed
 from .wirings import (
     AdaptiveTwoCopyProtocol,
     AllcockParams,
@@ -381,7 +381,7 @@ def enumerate_nonadaptive_max(
         frac, (g, h) = _exact_input_free_two(box, m)
         exact_value = float(frac)
         if abs(exact_value - value) > 1e-9:
-            raise AssertionError(
+            raise VerificationFailed(
                 f"rational oracle {exact_value} disagrees with float search {value}"
             )
         value = exact_value
@@ -392,7 +392,10 @@ def enumerate_nonadaptive_max(
 
     proto = NonAdaptiveProtocol.decode(n, m, result.best_protocol)
     replay = _resimulate_nonadaptive(box, proto)
-    assert abs(replay - result.best_value) <= 1e-9, (replay, result.best_value)
+    if not abs(replay - result.best_value) <= 1e-9:
+        raise VerificationFailed(
+            f"replay of the best protocol gives {replay!r}, search found {result.best_value!r}"
+        )
     return result
 
 
@@ -495,11 +498,15 @@ def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
             )
             packed = block_a | (_pack_adaptive_player(pb0, pb1) << 12)
             break
-    assert packed is not None
+    if packed is None:
+        raise VerificationFailed(f"no adaptive protocol attains the maximum {best!r}")
 
     proto = AdaptiveTwoCopyProtocol.decode(packed)
     replay = chsh_value_of_box(apply_adaptive(box, box, proto))
-    assert abs(replay - best) <= 1e-9, (replay, best)
+    if not abs(replay - best) <= 1e-9:
+        raise VerificationFailed(
+            f"replay of the best protocol gives {replay!r}, search found {best!r}"
+        )
     return SearchResult(best, packed, 4096 * 4096, "adaptive2", 2, 2)
 
 
@@ -524,13 +531,47 @@ CSV_HEADER = "alpha,beta,delta,eps,valid,V,V_parity,V_OR,V_A_fit,winner,collapse
 
 _PROTOCOL_LABELS = ("PARITY", "OR", "A")
 
+# Cells computed, formatted and written at a time, so memory is O(chunk)
+# whatever the grid. On a 10^6-cell scan, 1024-cell chunks were a third
+# slower; 16384- and 65536-cell chunks were no faster and raised peak RSS by
+# 12 and 58 MB.
+SCAN_CHUNK = 4096
+
+
+def _format_floats(col: np.ndarray) -> list:
+    """`f"{v:.12g}"` of every value.
+
+    A column with few distinct values (an axis, or V when delta is fixed) is
+    formatted once per distinct bit pattern. Patterns, not values:
+    deduplicating by value would merge -0.0 with 0.0, which print as "-0"
+    and "0".
+    """
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(col):
+        return [f"{v:.12g}" for v in col.tolist()]
+    text = np.array([f"{v:.12g}" for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
 
 class RegionScanResult(Sequence):
-    """Column-oriented scan result; indexes like a sequence of RegionRow."""
+    """Lazy scan result; indexes like a sequence of RegionRow.
 
-    def __init__(self, columns: dict):
-        self._c = columns
-        self._len = len(columns["alpha"])
+    Cells are computed on demand from the validated axes. write_csv streams
+    the grid in SCAN_CHUNK-cell chunks and never holds it whole; column()
+    and indexing compute every column once and cache them.
+    """
+
+    def __init__(self, axes: dict, protocols: tuple, allcock, threads: int) -> None:
+        self._tracked_beta = axes["beta"] is None
+        self._axes = [axes["alpha"]] + ([] if self._tracked_beta else [axes["beta"]])
+        self._axes += [axes["delta"], axes["eps"]]
+        self._shape = tuple(len(ax) for ax in self._axes)
+        self._len = math.prod(self._shape)
+        self._protocols = protocols
+        self._labels = np.array(("none",) + protocols)
+        self._allcock = allcock
+        self._threads = threads
+        self._columns: dict | None = None
 
     def __len__(self) -> int:
         return self._len
@@ -538,7 +579,7 @@ class RegionScanResult(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(self._len))]
-        c = self._c
+        c = self._full_columns()
         return RegionRow(
             float(c["alpha"][i]),
             float(c["beta"][i]),
@@ -549,24 +590,99 @@ class RegionScanResult(Sequence):
             float(c["V_parity"][i]),
             float(c["V_OR"][i]),
             float(c["V_A_fit"][i]),
-            str(c["winner"][i]),
+            str(self._labels[c["winner"][i]]),
             bool(c["collapses_cc"][i]),
         )
 
     def column(self, name: str) -> np.ndarray:
-        return self._c[name]
+        """One full column; "winner" holds the labels, not their codes."""
+        col = self._full_columns()[name]
+        return self._labels[col] if name == "winner" else col
+
+    def _bounds(self) -> list:
+        return [(i, min(i + SCAN_CHUNK, self._len)) for i in range(0, self._len, SCAN_CHUNK)]
+
+    def _full_columns(self) -> dict:
+        if self._columns is None:
+            parts = _map_chunks(lambda b: self._scan_chunk(*b), self._bounds(), self._threads)
+            self._columns = {
+                name: np.concatenate([part[name] for part in parts]) for name in parts[0]
+            }
+        return self._columns
+
+    def _scan_chunk(self, lo: int, hi: int) -> dict:
+        """The 11 columns of cells lo:hi; winner is a uint8 code into the labels."""
+        index = np.unravel_index(np.arange(lo, hi), self._shape)
+        coords = [ax[i] for ax, i in zip(self._axes, index)]
+        if self._tracked_beta:
+            a, d, e = coords
+            bt = a
+        else:
+            a, bt, d, e = coords
+        entries = np.stack(
+            [
+                1 + 2 * a + d, 1 - d, 1 - d, 1 - 2 * a + d,
+                1 + a + bt + d, 1 + a - bt - d, 1 + bt - a - d, 1 - a - bt + d,
+                1 + 2 * bt + e, 1 - e, 1 - e, 1 - 2 * bt + e,
+            ]
+        ) / 4.0
+        valid = entries.min(axis=0) >= -VALIDITY_TOL
+        v_single = 3 * d - e
+        v_parity = 3 * d * d - e * e
+        p00_00 = (1 + 2 * a + d) / 4
+        p00_01 = (1 + a + bt + d) / 4
+        p00_11 = (1 + 2 * bt + e) / 4
+        m0 = (1 + a) / 2
+        m1 = (1 + bt) / 2
+        e_00 = 4 * p00_00**2 - 4 * m0**2 + 1
+        e_01 = 4 * p00_01**2 - 2 * m0**2 - 2 * m1**2 + 1
+        e_11 = 4 * p00_11**2 - 4 * m1**2 + 1
+        v_or = e_00 + 2 * e_01 - e_11
+        allcock = self._allcock
+        if allcock is None:
+            comb = -2 * a
+        elif isinstance(allcock, AllcockParams):
+            comb = np.full_like(a, allcock.combination)
+        else:
+            comb = np.array([allcock(*cell).combination for cell in zip(a, bt, d, e)])
+        v_a = 0.25 * (11 * d * d + 2 * d - 2 * e * d - 2 * e - e * e + comb * (d - e))
+        by_label = {"PARITY": v_parity, "OR": v_or, "A": v_a}
+        stack = np.stack([v_single] + [by_label[lb] for lb in self._protocols])
+        return {
+            "alpha": a,
+            "beta": bt,
+            "delta": d,
+            "eps": e,
+            "valid": valid,
+            "V": v_single,
+            "V_parity": v_parity,
+            "V_OR": v_or,
+            "V_A_fit": v_a,
+            "winner": stack.argmax(axis=0).astype(np.uint8),
+            "collapses_cc": valid & (stack.max(axis=0) > CC_COLLAPSE_THRESHOLD),
+        }
+
+    def _csv_chunk(self, bounds) -> str:
+        """CSV rows of one chunk, built one column at a time."""
+        c = self._scan_chunk(*bounds)
+        fields = []
+        for name, col in c.items():
+            if col.dtype == bool:
+                fields.append(np.where(col, "true", "false").tolist())
+            elif name == "winner":
+                fields.append(self._labels[col].tolist())
+            else:
+                fields.append(_format_floats(col))
+        return "\n".join(map(",".join, zip(*fields))) + "\n"
 
     def write_csv(self, stream) -> None:
+        """Header, then one line per cell; batches of `threads` chunks at a time."""
         stream.write(CSV_HEADER + "\n")
-        c = self._c
-        for i in range(self._len):
-            stream.write(
-                f"{c['alpha'][i]:.12g},{c['beta'][i]:.12g},{c['delta'][i]:.12g},"
-                f"{c['eps'][i]:.12g},{'true' if c['valid'][i] else 'false'},"
-                f"{c['V'][i]:.12g},{c['V_parity'][i]:.12g},{c['V_OR'][i]:.12g},"
-                f"{c['V_A_fit'][i]:.12g},{c['winner'][i]},"
-                f"{'true' if c['collapses_cc'][i] else 'false'}\n"
-            )
+        bounds = self._bounds()
+        for start in range(0, len(bounds), self._threads):
+            batch = bounds[start : start + self._threads]
+            for text in _map_chunks(self._csv_chunk, batch, self._threads):
+                stream.write(text)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -600,6 +716,10 @@ def region_scan(
     adaptive closed form's free parameters: None uses the combination
     -2*alpha per cell, an AllcockParams applies everywhere, and a callable
     (alpha, beta, delta, eps) -> AllcockParams is evaluated per cell.
+
+    Labels, axes and the grid budget are checked here; the cells are
+    computed lazily by the returned result, cells ordered with alpha
+    slowest and eps fastest.
     """
     for label in protocols:
         if label not in _PROTOCOL_LABELS:
@@ -613,83 +733,10 @@ def region_scan(
             raise ValueError(f"grid is missing the {name!r} axis")
         else:
             axes[name] = _axis(spec)
-    tracked_beta = axes["beta"] is None
-    mesh_axes = [axes["alpha"]] + ([] if tracked_beta else [axes["beta"]])
-    mesh_axes += [axes["delta"], axes["eps"]]
-    cells = 1
-    for ax in mesh_axes:
-        cells *= len(ax)
-    if cells > GRID_BUDGET:
-        raise BudgetExceeded(f"{cells} grid cells exceed the {GRID_BUDGET} budget")
-    mesh = np.meshgrid(*mesh_axes, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    if tracked_beta:
-        alpha, delta, eps = flat
-        beta = alpha
-    else:
-        alpha, beta, delta, eps = flat
-
-    labels = ("none",) + tuple(protocols)
-    chunk = 1 << 16
-    bounds = [(i, min(i + chunk, cells)) for i in range(0, cells, chunk)]
-    columns = {
-        "alpha": alpha,
-        "beta": beta,
-        "delta": delta,
-        "eps": eps,
-        "valid": np.empty(cells, dtype=bool),
-        "V": np.empty(cells),
-        "V_parity": np.empty(cells),
-        "V_OR": np.empty(cells),
-        "V_A_fit": np.empty(cells),
-        "winner": np.empty(cells, dtype=object),
-        "collapses_cc": np.empty(cells, dtype=bool),
-    }
-
-    def worker(b):
-        lo, hi = b
-        a, bt, d, e = alpha[lo:hi], beta[lo:hi], delta[lo:hi], eps[lo:hi]
-        entries = np.stack(
-            [
-                1 + 2 * a + d, 1 - d, 1 - d, 1 - 2 * a + d,
-                1 + a + bt + d, 1 + a - bt - d, 1 + bt - a - d, 1 - a - bt + d,
-                1 + 2 * bt + e, 1 - e, 1 - e, 1 - 2 * bt + e,
-            ]
-        ) / 4.0
-        valid = entries.min(axis=0) >= -VALIDITY_TOL
-        v_single = 3 * d - e
-        v_parity = 3 * d * d - e * e
-        p00_00 = (1 + 2 * a + d) / 4
-        p00_01 = (1 + a + bt + d) / 4
-        p00_11 = (1 + 2 * bt + e) / 4
-        m0 = (1 + a) / 2
-        m1 = (1 + bt) / 2
-        e_00 = 4 * p00_00**2 - 4 * m0**2 + 1
-        e_01 = 4 * p00_01**2 - 2 * m0**2 - 2 * m1**2 + 1
-        e_11 = 4 * p00_11**2 - 4 * m1**2 + 1
-        v_or = e_00 + 2 * e_01 - e_11
-        if allcock is None:
-            comb = -2 * a
-        elif isinstance(allcock, AllcockParams):
-            comb = np.full_like(a, allcock.combination)
-        else:
-            comb = np.array(
-                [allcock(*cell).combination for cell in zip(a, bt, d, e)]
-            )
-        v_a = 0.25 * (11 * d * d + 2 * d - 2 * e * d - 2 * e - e * e + comb * (d - e))
-        by_label = {"PARITY": v_parity, "OR": v_or, "A": v_a}
-        stack = np.stack([v_single] + [by_label[lb] for lb in protocols])
-        winner_idx = stack.argmax(axis=0)
-        columns["valid"][lo:hi] = valid
-        columns["V"][lo:hi] = v_single
-        columns["V_parity"][lo:hi] = v_parity
-        columns["V_OR"][lo:hi] = v_or
-        columns["V_A_fit"][lo:hi] = v_a
-        columns["winner"][lo:hi] = np.array(labels, dtype=object)[winner_idx]
-        columns["collapses_cc"][lo:hi] = valid & (stack.max(axis=0) > CC_COLLAPSE_THRESHOLD)
-
-    _map_chunks(worker, bounds, threads)
-    return RegionScanResult(columns)
+    result = RegionScanResult(axes, tuple(protocols), allcock, threads)
+    if len(result) > GRID_BUDGET:
+        raise BudgetExceeded(f"{len(result)} grid cells exceed the {GRID_BUDGET} budget")
+    return result
 
 
 # ------------------------------------------------------------ reference tables

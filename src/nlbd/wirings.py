@@ -17,9 +17,9 @@ Bob bits 12-23.
 
 Application is by exact enumeration of every intermediate outcome, so the
 results are oracle-grade: apply_nonadaptive sums all 4^m joint outcomes per
-input, apply_adaptive the 16 intermediate outcome combinations. Both assert
+input, apply_adaptive the 16 intermediate outcome combinations. Both check
 that the output passes box validation (local wirings cannot create
-signalling).
+signalling) and raise VerificationFailed if it does not.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .boxes import BipartiteBox, CorrelatorForm, box_from_correlators, validate_box
-from .errors import ArityMismatch, FormatError, InvalidBox
+from .errors import ArityMismatch, FormatError, InvalidBox, VerificationFailed
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,10 @@ def apply_nonadaptive(
         assert weight.shape == (size, size)
     result = BipartiteBox(out)
     report = validate_box(result, max(tol, 1e-9))
-    assert report.valid, f"non-adaptive wiring produced an invalid box: {report.violations}"
+    if not report.valid:
+        raise VerificationFailed(
+            f"non-adaptive wiring produced an invalid box: {report.violations}"
+        )
     return result
 
 
@@ -293,7 +296,8 @@ def apply_adaptive(
                         out[row, (a << 1) | b] += w1 * w2
     result = BipartiteBox(out)
     report = validate_box(result, max(tol, 1e-9))
-    assert report.valid, f"adaptive wiring produced an invalid box: {report.violations}"
+    if not report.valid:
+        raise VerificationFailed(f"adaptive wiring produced an invalid box: {report.violations}")
     return result
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, BudgetExceeded
+from .errors import ArityMismatch, BudgetExceeded, VerificationFailed
 
 # Enumeration ceiling for the oracle: 2^24 outcome tuples per input.
 PARITY_BUDGET_BITS = 24
@@ -151,11 +151,12 @@ def simulate_parity(b: MultipartiteXorBox, m: int) -> MultipartiteXorBox:
     tuples (copies independent, each copy distributed per the even-parity
     bias delta_x), grouping them by the players' XOR outputs. The resulting
     distribution is again of even-parity-bias form; its bias is returned as
-    the distilled box. Also asserts, from the same enumeration, that every
+    the distilled box. Also checks, from the same enumeration, that every
     player's output is unbiased and that the distribution is uniform within
     each parity class (to 1e-12), which is what makes the return type sound.
 
-    Raises BudgetExceeded when n*m > 24.
+    Raises BudgetExceeded when n*m > 24 and VerificationFailed when a check
+    fails.
     """
     if m < 1:
         raise ValueError(f"copies m must be >= 1, got {m}")
@@ -196,10 +197,12 @@ def simulate_parity(b: MultipartiteXorBox, m: int) -> MultipartiteXorBox:
     for x in range(1 << n):
         for j in range(n):
             bias = float(dist[x] @ (1.0 - 2.0 * out_bits[:, j]))
-            assert abs(bias) < 1e-12, f"parity distillate has biased player {j} on input {x}"
+            if not abs(bias) < 1e-12:
+                raise VerificationFailed(f"parity distillate has biased player {j} on input {x}")
         for parity in (0, 1):
             cls = dist[x][out_parity == parity]
-            assert np.ptp(cls) < 1e-12, "parity distillate not uniform within a parity class"
+            if not np.ptp(cls) < 1e-12:
+                raise VerificationFailed("parity distillate not uniform within a parity class")
 
     new_delta = tuple(float(dist[x] @ (1.0 - 2.0 * out_parity)) for x in range(1 << n))
     # Guard against enumeration noise pushing a bias epsilon past 1.

@@ -16,6 +16,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import nlbd.equivalence
+import nlbd.search
+import nlbd.wirings
 from nlbd import (
     bs_output_box,
     chsh_value_of_box,
@@ -24,6 +27,7 @@ from nlbd import (
     parse_box_text,
     read_box_file,
 )
+from nlbd.boxes import ValidationReport
 from nlbd.cli import main
 
 XOR_TEXT = "kind=xor\nn=2\nf=0001\ndelta=0.9,0.9,0.9,-0.9\n"
@@ -314,6 +318,36 @@ def test_scan_write_failure_is_io_error(tmp_path, capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--eps", "-1:1:0.5"), ("--alpha", "-0.5:0:0.25"), ("--beta", "-.5:0:0.25"),
+     ("--delta", "-1:-0.5:0.25"), ("--eps", "-0.16")],
+)
+def test_scan_negative_value_as_own_token(capsys, option, value):
+    axes = {"--alpha": "0:0.5:0.1", "--eps": "0.01", option: value}
+    flat = [token for pair in axes.items() for token in pair]
+    own_token = run(capsys, "scan", *flat, "--out", "-")
+    fused = [f"{k}={v}" for k, v in axes.items()]
+    with_equals = run(capsys, "scan", *fused, "--out", "-")
+    assert own_token[0] == 0 and own_token[2] == ""
+    assert own_token == with_equals
+    assert len(own_token[1].splitlines()) > 1
+
+
+def test_scan_negative_value_after_abbreviated_option(capsys):
+    abbreviated = run(capsys, "scan", "--alpha", "0.3", "--ep", "-1:1:0.5", "--del", "-0.5",
+                      "--out", "-")
+    full = run(capsys, "scan", "--alpha", "0.3", "--eps=-1:1:0.5", "--delta=-0.5", "--out", "-")
+    assert abbreviated[0] == 0
+    assert abbreviated == full
+
+
+def test_scan_option_missing_its_value_is_still_usage(capsys):
+    code, out, err = run(capsys, "scan", "--alpha", "0.1", "--eps", "--out", "-")
+    assert code == 2
+    assert "--eps" in err
+
+
 def test_tables_match(capsys):
     code, out, err = run(capsys, "tables", "--which", 2)
     assert (code, err) == (0, "")
@@ -406,3 +440,79 @@ def test_module_entry_point(boxdir):
     )
     assert proc.returncode == 0
     assert proc.stdout == "2.99\n"
+
+
+# ------------------------------------------------------- failed self-checks
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--class", "nonadaptive", "--m", "2"),
+        ("search", "--class", "nonadaptive", "--m", "2", "--input-dependent"),
+        ("search", "--class", "adaptive"),
+    ],
+)
+def test_search_replay_disagreement_exits_one(boxdir, capsys, monkeypatch, argv):
+    real_value = nlbd.search.chsh_value_of_box
+    monkeypatch.setattr(nlbd.search, "chsh_value_of_box", lambda box: real_value(box) + 0.5)
+    code, out, err = run(capsys, *argv, boxdir / "correlated.box")
+    assert code == 1
+    assert err.startswith("nlbd: replay of the best protocol gives ")
+
+
+def test_exact_oracle_disagreement_exits_one(boxdir, capsys, monkeypatch):
+    real_exact = nlbd.search._exact_input_free_two
+
+    def off_by_one(box, m):
+        value, tables = real_exact(box, m)
+        return value + 1, tables
+
+    monkeypatch.setattr(nlbd.search, "_exact_input_free_two", off_by_one)
+    code, out, err = run(capsys, "search", "--class", "nonadaptive", "--m", "2", "--exact",
+                         boxdir / "correlated.box")
+    assert code == 1
+    assert err.startswith("nlbd: rational oracle ")
+
+
+def test_invalid_wiring_output_exits_one(boxdir, capsys, monkeypatch):
+    # the input boxes pass; the wiring's output fails validation
+    monkeypatch.setattr(nlbd.wirings, "_validated", lambda box, tol=1e-9: box)
+    failing = ValidationReport(False, (("signalling", 0.25),))
+    monkeypatch.setattr(nlbd.wirings, "validate_box", lambda box, tol: failing)
+    for protocol in ("or", "adaptive:33333c"):
+        code, out, err = run(capsys, "distill", "--protocol", protocol, "--copies", "2",
+                             boxdir / "correlated.box")
+        assert code == 1
+        assert err.startswith("nlbd: ") and "invalid box" in err
+
+
+def test_equiv_factor_drift_exits_one(capsys, monkeypatch):
+    real_product = nlbd.equivalence._product_coefficients
+    monkeypatch.setattr(
+        nlbd.equivalence, "_product_coefficients",
+        lambda factors: tuple(c + 1e-3 for c in real_product(factors)),
+    )
+    code, out, err = run(capsys, "equiv", "--delta", "0.5")
+    assert code == 1
+    assert err.startswith("nlbd: ") and "drifted" in err
+
+
+def test_checks_survive_python_optimize(boxdir):
+    # under -O a bare assert would vanish and the wrong value would print
+    script = (
+        "import sys, nlbd.search as s\n"
+        "s._resimulate_nonadaptive = lambda box, proto: -1.0\n"
+        "from nlbd.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "search", "--class", "nonadaptive", "--m", "1",
+         str(boxdir / "correlated.box")],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("nlbd: replay of the best protocol gives -1.0")

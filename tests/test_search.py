@@ -5,18 +5,24 @@ tolerance: closed-form values for named protocols, the proven input-free
 characterization max_k |T_k|, and frozen reference numbers.
 """
 
+import hashlib
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from nlbd.boxes import box_from_correlators, chsh_value_of_box, make_named_box
+from nlbd.cli import main as cli_main
 from nlbd.errors import BudgetExceeded, InvalidBox, UnknownKind
 from nlbd.fourier import parity_bound
 from nlbd.search import (
     CC_COLLAPSE_THRESHOLD,
     CSV_HEADER,
+    SCAN_CHUNK,
+    RegionScanResult,
+    _format_floats,
     adaptive_search_max,
     enumerate_nonadaptive_max,
     format_table_report,
@@ -362,6 +368,138 @@ def test_region_scan_errors():
         region_scan(
             {"alpha": (0.0, 1.0, 1e-4), "delta": 1.0, "eps": (-1.0, 1.0, 1e-4)}
         )
+
+
+# ------------------------------------------------- streamed CSV byte identity
+
+
+def reference_csv(scan) -> str:
+    """The row-wise f-string writer the streamed one replaced, kept as the reference."""
+    c = {name: scan.column(name) for name in CSV_HEADER.split(",")}
+    lines = [CSV_HEADER + "\n"]
+    for i in range(len(scan)):
+        lines.append(
+            f"{c['alpha'][i]:.12g},{c['beta'][i]:.12g},{c['delta'][i]:.12g},"
+            f"{c['eps'][i]:.12g},{'true' if c['valid'][i] else 'false'},"
+            f"{c['V'][i]:.12g},{c['V_parity'][i]:.12g},{c['V_OR'][i]:.12g},"
+            f"{c['V_A_fit'][i]:.12g},{c['winner'][i]},"
+            f"{'true' if c['collapses_cc'][i] else 'false'}\n"
+        )
+    return "".join(lines)
+
+
+PLANE_GRID = {"alpha": (0.0, 0.5, 0.01), "delta": 0.93, "eps": (-1.0, 1.0, 0.01)}
+CUBE_GRID = {
+    "alpha": (0.0, 0.48, 0.024),
+    "beta": (0.01, 0.49, 0.024),
+    "delta": (0.88, 0.98, 0.02),
+    "eps": (-1.0, 0.9, 0.095),
+}
+SIGNED_ZERO_GRID = {
+    "alpha": (-0.5, 0.5, 0.25), "beta": -0.0, "delta": (-0.0, 0.0, 1.0), "eps": (-1.0, 1.0, 0.5)
+}
+
+
+@pytest.mark.parametrize(
+    "grid, protocols, rows, digest",
+    [
+        # SHA-256 of the CSV the row-wise writer printed for these grids
+        (PLANE_GRID, ("PARITY", "OR"), 10251,
+         "74d8a8276d94b2cfc31f1f2744649a6c790527f3a2ff0a6ae08c69b3acafaa33"),
+        (CUBE_GRID, ("PARITY", "OR", "A"), 55566,
+         "1f9f2a5a3f1f90f5abb4e9d4524029e7410c878ff3869593934f100874e56ba2"),
+        (SIGNED_ZERO_GRID, ("A",), 25,
+         "8b3a8b9d188a05e42385e0202f8959407e4e4f8b8e1b18d8ed12b154e83db62b"),
+    ],
+    ids=["plane", "cube", "signed-zero"],
+)
+def test_region_scan_csv_bytes_match_row_wise_writer(grid, protocols, rows, digest):
+    scan = region_scan(grid, protocols=protocols)
+    text = scan.to_csv()
+    assert len(scan) == rows
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert text == reference_csv(scan)
+
+
+def _plane(alpha_count: int, eps_count: int) -> dict:
+    # binary-exact steps, so the axis lengths are exactly the counts
+    return {
+        "alpha": (0.0, (alpha_count - 1) / 256, 1 / 256),
+        "delta": 0.96875,
+        "eps": (-1.0, -1.0 + (eps_count - 1) / 128, 1 / 128),
+    }
+
+
+@pytest.mark.parametrize("alpha_count, eps_count", [(63, 65), (64, 64), (17, 241)])
+def test_region_scan_csv_across_the_chunk_edge(alpha_count, eps_count):
+    scan = region_scan(_plane(alpha_count, eps_count), protocols=("PARITY", "OR", "A"))
+    assert len(scan) - SCAN_CHUNK in (-1, 0, 1)
+    assert scan.to_csv() == reference_csv(scan)
+
+
+def test_region_scan_csv_4d_grid_spanning_chunks():
+    scan = region_scan(
+        {"alpha": (0.1, 0.4, 0.05), "beta": (0.0, 0.45, 0.05), "delta": (0.7, 1.0, 0.1),
+         "eps": (-0.5, 0.5, 0.025)},
+        protocols=("OR", "A"),
+    )
+    assert len(scan) > 2 * SCAN_CHUNK
+    assert scan.to_csv() == reference_csv(scan)
+
+
+def test_format_floats_keeps_both_signed_zeros():
+    col = np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5, -2.0e-13])
+    # deduplicating by value would print the first zero for both
+    assert len(np.unique(col)) == 3
+    assert _format_floats(col) == ["0", "-0", "1.5", "-0", "0", "1.5", "-2e-13"]
+
+
+def test_region_scan_csv_signed_zero_scalars():
+    scan = region_scan({"alpha": -0.0, "delta": 1.0, "eps": -0.0})
+    text = scan.to_csv()
+    assert text.splitlines()[1].startswith("-0,-0,1,-0,")
+    assert text == reference_csv(scan)
+
+
+@pytest.mark.parametrize(
+    "protocols",
+    [p for k in range(4) for p in itertools.permutations(("PARITY", "OR", "A"), k)],
+    ids=lambda p: ",".join(p) or "none",
+)
+def test_region_scan_csv_every_protocol_list(protocols):
+    scan = region_scan(
+        {"alpha": (0.2, 0.5, 0.02), "delta": (0.9, 1.0, 0.05), "eps": (-0.4, 0.4, 0.02)},
+        protocols=protocols,
+    )
+    assert set(scan.column("winner")) <= {"none", *protocols}
+    assert scan.to_csv() == reference_csv(scan)
+
+
+def test_region_scan_write_csv_streams_fixed_chunks(monkeypatch):
+    seen = []
+    original = RegionScanResult._scan_chunk
+
+    def recording(self, lo, hi):
+        seen.append((lo, hi))
+        return original(self, lo, hi)
+
+    monkeypatch.setattr(RegionScanResult, "_scan_chunk", recording)
+    scan = region_scan(_plane(64, 129), threads=2)
+    scan.write_csv(io.StringIO())
+    assert seen == [(lo, min(lo + SCAN_CHUNK, len(scan))) for lo in range(0, len(scan), SCAN_CHUNK)]
+
+
+def test_scan_cli_threads_print_same_bytes(capsys):
+    argv = ["scan", "--alpha", "0:0.5:0.01", "--eps=-1:1:0.01", "--delta", "0.9:1:0.05",
+            "--protocols", "PARITY,OR,A", "--out", "-"]
+    printed = []
+    for threads in ("1", "2", "3"):
+        assert cli_main(argv + ["--threads", threads]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed.append(captured.out)
+    assert len(printed[0].splitlines()) == 1 + 51 * 201 * 3
+    assert printed[1] == printed[0] and printed[2] == printed[0]
 
 
 def test_region_scan_deterministic_across_threads():

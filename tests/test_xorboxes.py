@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nlbd.errors import BudgetExceeded
+import nlbd.xorboxes
+from nlbd.errors import BudgetExceeded, VerificationFailed
 from nlbd.xorboxes import (
     MultipartiteXorBox,
     XorGame,
@@ -52,6 +53,16 @@ def test_simulate_parity_matches_powers():
     box = MultipartiteXorBox(CHSH, (1, 1, 1, 0.3))
     distilled = simulate_parity(box, 2)
     assert np.allclose(distilled.delta, (1, 1, 1, 0.09), atol=1e-12)
+
+
+def test_simulate_parity_reports_a_biased_distillate(monkeypatch):
+    # every player outputs 0 whatever the outcomes, so the unbiasedness check must fire
+    monkeypatch.setattr(
+        nlbd.xorboxes, "_player_parities",
+        lambda outcomes, n, m: np.zeros((outcomes.shape[0], n), dtype=np.uint8),
+    )
+    with pytest.raises(VerificationFailed, match="biased player"):
+        simulate_parity(MultipartiteXorBox(CHSH, (1, 1, 1, 0.3)), 2)
 
 
 def test_simulate_parity_three_players():
