@@ -11,16 +11,18 @@ Three protocol classes are searched exactly (no heuristics, no sampling):
   player, 4096^2 pairs).
 
 All searches return the exact maximum over the class together with the
-achieving protocol of smallest canonical encoding, so results are unique and
-reproducible. The enumeration is algebraic rather than literal: a protocol's
-value is multilinear in per-player sign vectors, so the maximum over all
-pairs is a matrix problem. For the input-dependent and adaptive classes the
-maximum over the second player factors into two independent maxima (her two
-table choices never meet in the same product), which keeps the largest
-classes cheap without approximating anything. Floating-point max/argmax over
-identically computed arrays is deterministic, and worker chunks are fixed
-independently of the thread count, so any `threads` value gives bit-identical
-results.
+achieving protocol of smallest canonical encoding among those whose float
+value equals the float maximum. The enumeration is algebraic: the two-player
+classes share one chunked core that maximises sum_{x,y} K_xy[a_x, b_y] over
+the players' per-input tables, with one kernel S(sum_x s_x W_x)S^T for the
+input-free class, four S(s_xy W_xy)S^T for the input-dependent class and
+four 64x64 branch-pair kernels for the adaptive one. The second player's
+inputs never meet in one product, so her maxima are taken separately. Each
+player's packed block is a sum of per-input codes on disjoint bits, so one
+vectorised rule over those codes finds the smallest encoding. The
+three-player class keeps its own einsum kernel. Worker chunks are fixed
+independently of the thread count, so any `threads` value gives
+bit-identical results.
 
 Supported sizes: m <= 3 copies throughout (the protocol count doubles per
 outcome bit; beyond three copies enumeration is out of scope), n in {2, 3}
@@ -70,6 +72,7 @@ from .wirings import (
     apply_nonadaptive,
     apply_nonadaptive_xor,
     closed_form_values,
+    or_value_simulated,
     symmetric_box,
 )
 from .xorboxes import MultipartiteXorBox
@@ -79,6 +82,10 @@ GRID_BUDGET = 10_000_000
 MAX_COPIES = 3
 
 CC_COLLAPSE_THRESHOLD = 4.0 * math.sqrt(2.0 / 3.0)
+
+# Cells one chunk of a two-player search adds up at once (16 MB of float64).
+# Chunk bounds follow from the class alone, never from the thread count.
+_CHUNK_CELLS = 1 << 21
 
 _CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
@@ -117,25 +124,11 @@ def _sign_matrix(m: int) -> np.ndarray:
     return 1.0 - 2.0 * ((g >> s) & 1)
 
 
-def _joint_weights_bipartite(box: BipartiteBox, m: int) -> list[np.ndarray]:
-    """Per input pair, the 2^m x 2^m joint weight over both outcome strings."""
+def _joint_weights(per_input: np.ndarray, m: int) -> list[np.ndarray]:
+    """Per input pair, the 2^m x 2^m joint weight; per_input[row] is one copy's p(ab|xy)."""
     out = []
-    for row in range(4):
-        per_copy = box.p[row].reshape(2, 2)
-        w = np.array([[1.0]])
-        for _ in range(m):
-            w = np.kron(w, per_copy)
-        out.append(w)
-    return out
-
-
-def _joint_weights_xor2(xbox: MultipartiteXorBox, m: int) -> list[np.ndarray]:
-    """Same weights for a two-player parity-bias box (inputs in game order)."""
-    out = []
-    for delta in xbox.delta:
-        per_copy = np.array(
-            [[1 + delta, 1 - delta], [1 - delta, 1 + delta]]
-        ) / 4.0
+    for row in per_input:
+        per_copy = row.reshape(2, 2)
         w = np.array([[1.0]])
         for _ in range(m):
             w = np.kron(w, per_copy)
@@ -149,25 +142,15 @@ def _input_weights_and_signs(box, m: int):
         report = validate_box(box)
         if not report.valid:
             raise InvalidBox(f"search input fails validation: {report.violations}")
-        return _joint_weights_bipartite(box, m), np.array(_CHSH_SIGNS)
+        return _joint_weights(box.p, m), np.array(_CHSH_SIGNS)
     if isinstance(box, MultipartiteXorBox):
         if box.n != 2:
             raise ArityMismatch("per-input weights are a two-player construction")
-        return _joint_weights_xor2(box, m), box.game.signs().astype(float)
+        # the bipartite box with trivial marginals, rows in game order
+        d = box.delta_array()[:, None]
+        per_input = np.hstack([1 + d, 1 - d, 1 - d, 1 + d]) / 4.0
+        return _joint_weights(per_input, m), box.game.signs().astype(float)
     raise TypeError(f"expected BipartiteBox or MultipartiteXorBox, got {type(box).__name__}")
-
-
-def _encode_input_free(n: int, m: int, tables: Sequence[int]) -> int:
-    width = 1 << m
-    packed = 0
-    for j, t in enumerate(tables):
-        packed |= (t | (t << width)) << (j * 2 * width)
-    return packed
-
-
-def _encode_input_dep(m: int, g0: int, g1: int, h0: int, h1: int) -> int:
-    width = 1 << m
-    return g0 | (g1 << width) | (h0 << (2 * width)) | (h1 << (3 * width))
 
 
 def _check_budget(examined: int, m: int) -> None:
@@ -186,68 +169,64 @@ def _resimulate_nonadaptive(box, proto: NonAdaptiveProtocol) -> float:
     return value
 
 
-def _search_input_free_two(weights, signs, m: int, threads: int):
-    size = 1 << m
-    count = 1 << size
-    core = np.zeros((size, size))
-    for s, w in zip(signs, weights):
-        core = core + s * w
-    smat = _sign_matrix(m)
-    half = smat @ core
-    chunk_rows = 64
-    chunks = [(i, min(i + chunk_rows, count)) for i in range(0, count, chunk_rows)]
+def _smallest_pair_code(r0, r1, best, codes0, codes1) -> np.ndarray:
+    """Per row, the smallest codes0[b0] + codes1[b1] with r0[b0] + r1[b1] == best.
+
+    A pair can round to best with an entry an ulp below its row maximum, so
+    the first candidates of each input are checked as a pair, and rows
+    where they fall short try every candidate pair.
+    """
+    c0 = (r0 + r1.max(-1)[:, None]) == best
+    c1 = (r0.max(-1)[:, None] + r1) == best
+    f0 = c0.argmax(-1)
+    f1 = c1.argmax(-1)
+    rows = np.arange(len(r0))
+    code = codes0[f0] + codes1[f1]
+    for i in np.flatnonzero(r0[rows, f0] + r1[rows, f1] != best):
+        i0 = np.flatnonzero(c0[i])
+        i1 = np.flatnonzero(c1[i])
+        hit = (r0[i, i0][:, None] + r1[i, i1][None, :]) == best
+        code[i] = (codes0[i0][:, None] + codes1[i1][None, :])[hit].min()
+    return code
+
+
+def _two_player_max(kernels, codes_a, codes_b, shift: int, threads: int):
+    """Max of sum_{x,y} kernels[x][y][a_x, b_y] and its smallest packed key.
+
+    a_x (b_y) is player A's (B's) table on own input x (y), with block code
+    sum_x codes_a[x][a_x]; B's codes increase along the kernel columns. The
+    key is (code_B << shift) + code_A, minimised over every choice whose
+    float value equals the maximum.
+    """
+    rows = len(codes_a[0])
+    per_row = math.prod(len(c) for c in codes_a[1:]) * max(len(c) for c in codes_b)
+    step = max(1, _CHUNK_CELLS // per_row)
+    chunks = [(i, min(i + step, rows)) for i in range(0, rows, step)]
 
     def worker(bounds):
         lo, hi = bounds
-        block = half[lo:hi] @ smat.T  # [g, h]
-        mx = block.max()
-        # smallest canonical encoding among this chunk's maxima: h owns the
-        # higher bits of the packing, so keys are h-major
-        hs, gs = np.nonzero(block.T == mx)
-        key = int((hs * count + (gs + lo)).min())
-        return mx, key
+        values = []
+        for y in range(len(codes_b)):
+            v = kernels[0][y][lo:hi]  # [a_0, b_y]
+            if len(kernels) == 2:
+                v = v[:, None, :] + kernels[1][y][None, :, :]  # [a_0, a_1, b_y]
+            values.append(v)
+        total = values[0].max(-1)
+        if len(values) == 2:
+            total = total + values[1].max(-1)
+        best = total.max()
+        at = np.nonzero(total == best)
+        code_a = sum(c[i] for c, i in zip(codes_a, (at[0] + lo,) + at[1:]))
+        if len(values) == 1:
+            # argmax returns the first maximum, the smallest code
+            code_b = codes_b[0][values[0][at].argmax(-1)]
+        else:
+            code_b = _smallest_pair_code(values[0][at], values[1][at], best, *codes_b)
+        return best, int(((code_b << shift) + code_a).min())
 
     results = _map_chunks(worker, chunks, threads)
     best = max(mx for mx, _ in results)
-    best_key = min(key for mx, key in results if mx == best)
-    h, g = divmod(best_key, count)
-    return float(best), (g, h)
-
-
-def _search_input_dep_two(weights, signs, m: int, threads: int):
-    size = 1 << m
-    count = 1 << size
-    smat = _sign_matrix(m)
-    k = [smat @ (s * w) @ smat.T for s, w in zip(signs, weights)]
-    chunk_rows = 32
-    chunks = [(i, min(i + chunk_rows, count)) for i in range(0, count, chunk_rows)]
-    umax = np.empty((count, count))
-    uarg = np.empty((count, count), dtype=np.int64)
-    wmax = np.empty((count, count))
-    warg = np.empty((count, count), dtype=np.int64)
-
-    def worker(bounds):
-        lo, hi = bounds
-        # kernels carry the game signs already, so both partial sums are
-        # plain additions; h0 only ever meets (g0 on input 00, g1 on 10)
-        # and h1 only (g0 on 01, g1 on 11), hence the separable maxima
-        u = k[0][lo:hi, None, :] + k[2][None, :, :]  # [g0, g1, h0]
-        w = k[1][lo:hi, None, :] + k[3][None, :, :]  # [g0, g1, h1]
-        umax[lo:hi] = u.max(-1)
-        uarg[lo:hi] = u.argmax(-1)
-        wmax[lo:hi] = w.max(-1)
-        warg[lo:hi] = w.argmax(-1)
-
-    _map_chunks(worker, chunks, threads)
-    best_grid = umax + wmax
-    best = best_grid.max()
-    g0s, g1s = np.nonzero(best_grid == best)
-    h0s = uarg[g0s, g1s]
-    h1s = warg[g0s, g1s]
-    # canonical packing puts h1 in the highest bits, then h0, g1, g0
-    keys = ((h1s * count + h0s) * count + g1s) * count + g0s
-    at = int(keys.argmin())
-    return float(best), (int(g0s[at]), int(g1s[at]), int(h0s[at]), int(h1s[at]))
+    return float(best), min(key for mx, key in results if mx == best)
 
 
 def _search_input_free_three(xbox: MultipartiteXorBox, m: int, threads: int):
@@ -276,19 +255,18 @@ def _search_input_free_three(xbox: MultipartiteXorBox, m: int, threads: int):
         mx = block.max()
         # the third player owns the highest bits of the packing
         gs, hs, ks = np.nonzero(block == mx)
-        key = int(((ks * count + hs) * count + (gs + lo)).min())
-        return mx, key
+        key = ((code[ks] << (4 * size)) + (code[hs] << (2 * size)) + code[gs + lo]).min()
+        return mx, int(key)
 
+    tables = np.arange(count, dtype=np.int64)
+    code = tables | tables << size
     results = _map_chunks(worker, chunks, threads)
     best = max(mx for mx, _ in results)
-    best_key = min(key for mx, key in results if mx == best)
-    kh, g = divmod(best_key, count)
-    k3, h = divmod(kh, count)
-    return float(best), (g, h, k3)
+    return float(best), min(key for mx, key in results if mx == best)
 
 
-def _exact_input_free_two(box, m: int) -> tuple[Fraction, tuple[int, int]]:
-    """Rational-arithmetic oracle over the n=2 input-free class, m <= 2."""
+def _exact_input_free_two(box, m: int) -> tuple[Fraction, int]:
+    """Rational oracle over the n=2 input-free class, m <= 2: (max, packed achiever)."""
     if isinstance(box, BipartiteBox):
         per_input = [
             [[Fraction(float(box.p[row, (a << 1) | b])) for b in (0, 1)] for a in (0, 1)]
@@ -318,7 +296,7 @@ def _exact_input_free_two(box, m: int) -> tuple[Fraction, tuple[int, int]]:
         weights.append(w)
     sign_of = [[1 - 2 * ((g >> s) & 1) for s in range(size)] for g in range(count)]
     best = None
-    best_pair = None
+    packed = None
     for h in range(count):
         for g in range(count):
             total = Fraction(0)
@@ -328,8 +306,8 @@ def _exact_input_free_two(box, m: int) -> tuple[Fraction, tuple[int, int]]:
                     acc += wt * (sign_of[g][sa] * sign_of[h][sb])
                 total += sx * acc
             if best is None or total > best:
-                best, best_pair = total, (g, h)
-    return best, best_pair
+                best, packed = total, (g | g << size) | (h | h << size) << (2 * size)
+    return best, packed
 
 
 def enumerate_nonadaptive_max(
@@ -357,35 +335,42 @@ def enumerate_nonadaptive_max(
         class_name = "nonadaptive-input-free"
     _check_budget(examined, m)
 
-    if input_dependent:
-        if n != 2:
-            raise BudgetExceeded("input-dependent enumeration is implemented for two players")
+    if input_dependent and n != 2:
+        raise BudgetExceeded("input-dependent enumeration is implemented for two players")
+    if n == 2:
         weights, signs = _input_weights_and_signs(box, m)
-        value, (g0, g1, h0, h1) = _search_input_dep_two(weights, signs, m, threads)
-        packed = _encode_input_dep(m, g0, g1, h0, h1)
-    elif n == 2:
-        weights, signs = _input_weights_and_signs(box, m)
-        value, (g, h) = _search_input_free_two(weights, signs, m, threads)
-        packed = _encode_input_free(2, m, (g, h))
+        size = 1 << m
+        smat = _sign_matrix(m)
+        tables = np.arange(1 << size, dtype=np.int64)
+        if input_dependent:
+            # per-input kernels with the game signs folded in, x-major
+            k = [smat @ (s * w) @ smat.T for s, w in zip(signs, weights)]
+            kernels = [[k[0], k[1]], [k[2], k[3]]]
+            codes = (tables, tables << size)
+        else:
+            core = np.zeros((size, size))
+            for s, w in zip(signs, weights):
+                core = core + s * w
+            kernels = [[(smat @ core) @ smat.T]]
+            codes = (tables | tables << size,)
+        value, packed = _two_player_max(kernels, codes, codes, 2 * size, threads)
     elif n == 3:
         if not isinstance(box, MultipartiteXorBox):
             raise ArityMismatch("three-player search needs a parity-bias box")
-        value, tables = _search_input_free_three(box, m, threads)
-        packed = _encode_input_free(3, m, tables)
+        value, packed = _search_input_free_three(box, m, threads)
     else:
         raise BudgetExceeded(f"enumeration for n={n} players is out of scope")
 
     if exact:
         if input_dependent or n != 2 or m > 2:
             raise ValueError("exact mode covers the two-player input-free class with m <= 2")
-        frac, (g, h) = _exact_input_free_two(box, m)
+        frac, packed = _exact_input_free_two(box, m)
         exact_value = float(frac)
         if abs(exact_value - value) > 1e-9:
             raise VerificationFailed(
                 f"rational oracle {exact_value} disagrees with float search {value}"
             )
         value = exact_value
-        packed = _encode_input_free(2, m, (g, h))
         result = SearchResult(value, packed, examined, class_name, n, m, best_exact=frac)
     else:
         result = SearchResult(value, packed, examined, class_name, n, m)
@@ -425,10 +410,10 @@ def _adaptive_kernel(box2: BipartiteBox) -> np.ndarray:
     return g
 
 
-def _adaptive_q_matrices(box1: BipartiteBox, g: np.ndarray) -> list[np.ndarray]:
-    """Q_xy over branch pairs P = beh(o1=0)*8 + beh(o1=1), one 64x64 per input."""
-    first = np.arange(64) >> 3
-    second = np.arange(64) & 7
+def _adaptive_q_matrices(box1: BipartiteBox, g: np.ndarray, pairs: np.ndarray) -> list:
+    """Q_xy[P_A, P_B], P = beh(o1=0)*8 + beh(o1=1) listed as in `pairs`, one per input."""
+    first = pairs >> 3
+    second = pairs & 7
     g00 = g[np.ix_(first, first)]
     g01 = g[np.ix_(first, second)]
     g10 = g[np.ix_(second, first)]
@@ -451,55 +436,23 @@ def _pack_adaptive_player(pair0: int, pair1: int) -> int:
     return block
 
 
-_ADAPTIVE_BLOCK_ORDER = sorted(
-    range(4096), key=lambda idx: _pack_adaptive_player(idx >> 6, idx & 63)
-)
-
-
 def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
     """Exact maximum CHSH-style value over all adaptive two-copy wirings.
 
-    Both copies are `box`. The maximum over the second player's strategy
-    splits into independent maxima over her two per-input branch pairs, so
-    the full 4096^2 class is covered by 64^3 tensors. The tie-break pass
-    then walks candidate second-player blocks in canonical order and stops
-    at the first one that still attains the maximum.
+    Both copies are `box`. A player picks a branch pair per own input; her
+    12-bit block is the sum of its codes on the disjoint bits {0,1,4-7}
+    (input 0) and {2,3,8-11} (input 1), which order the 64 pairs alike. The
+    two-player core runs on Q_xy built in that order, CHSH sign folded into
+    Q_11, and covers the 4096^2 class with 64^3 tensors.
     """
     report = validate_box(box)
     if not report.valid:
         raise InvalidBox(f"search input fails validation: {report.violations}")
-    g = _adaptive_kernel(box)
-    q = _adaptive_q_matrices(box, g)
-    chunk_rows = 8
-    chunks = [(i, min(i + chunk_rows, 64)) for i in range(0, 64, chunk_rows)]
-    umax = np.empty((64, 64))
-    wmax = np.empty((64, 64))
-
-    def worker(bounds):
-        lo, hi = bounds
-        u = q[0][lo:hi, None, :] + q[2][None, :, :]  # [PA0, PA1, PB0]
-        w = q[1][lo:hi, None, :] - q[3][None, :, :]  # [PA0, PA1, PB1]
-        umax[lo:hi] = u.max(-1)
-        wmax[lo:hi] = w.max(-1)
-
-    _map_chunks(worker, chunks, threads)
-    best = float((umax + wmax).max())
-
-    packed = None
-    for idx in _ADAPTIVE_BLOCK_ORDER:
-        pb0, pb1 = idx >> 6, idx & 63
-        grid = (q[0][:, pb0][:, None] + q[2][:, pb0][None, :]) + (
-            q[1][:, pb1][:, None] - q[3][:, pb1][None, :]
-        )
-        if grid.max() == best:
-            pa0s, pa1s = np.nonzero(grid == best)
-            block_a = min(
-                _pack_adaptive_player(int(a0), int(a1)) for a0, a1 in zip(pa0s, pa1s)
-            )
-            packed = block_a | (_pack_adaptive_player(pb0, pb1) << 12)
-            break
-    if packed is None:
-        raise VerificationFailed(f"no adaptive protocol attains the maximum {best!r}")
+    code0 = np.array([_pack_adaptive_player(p, 0) for p in range(64)])
+    pairs = np.argsort(code0)
+    codes = (code0[pairs], np.array([_pack_adaptive_player(0, p) for p in pairs]))
+    q = _adaptive_q_matrices(box, _adaptive_kernel(box), pairs)
+    best, packed = _two_player_max([[q[0], q[1]], [q[2], -q[3]]], codes, codes, 12, threads)
 
     proto = AdaptiveTwoCopyProtocol.decode(packed)
     replay = chsh_value_of_box(apply_adaptive(box, box, proto))
@@ -809,13 +762,6 @@ def _fitted_combination(v_a_printed: float, delta: float, eps: float) -> float:
     return (4 * v_a_printed - base) / (delta - eps)
 
 
-def _simulated_or_value(alpha: float, beta: float, delta: float, eps: float) -> float:
-    from .wirings import or_protocol
-
-    box = box_from_correlators(symmetric_box(alpha, beta, delta, eps))
-    return chsh_value_of_box(apply_nonadaptive(box, or_protocol()))
-
-
 def _simulated_parity_value(alpha: float, beta: float, delta: float, eps: float) -> float:
     from .wirings import parity_protocol
 
@@ -859,49 +805,31 @@ def reproduce_tables(which: int, audit_adaptive: bool = False) -> TableReport:
 
     for i, row in enumerate(printed_rows):
         rec = dict(zip(columns, row))
+        delta, eps = float(rec["delta"]), float(rec["eps"])
+        computed = {"V": 3 * delta - eps}
         if which == 1:
-            delta, eps = float(rec["delta"]), float(rec["eps"])
+            alpha = 0.0
             params = AllcockParams(
                 float(rec["a"]), float(rec["b"]), float(rec["c"]), float(rec["d"])
             )
-            v = 3 * delta - eps
-            v_a = closed_form_values(0.0, 0.0, delta, eps, params).v_a
-            computed = {"V": v, "V_A": v_a}
-            fitted.append(_fitted_combination(float(rec["V_A"]), delta, eps))
-            if audit_adaptive:
-                computed["V_search"] = audited(0.0, 0.0, delta, eps)
-        elif which == 2:
-            alpha, delta, eps = float(rec["alpha"]), float(rec["delta"]), float(rec["eps"])
-            computed = {
-                "eps_lo": max(1 - 4 * alpha, 2 * alpha - 1),
-                "eps_hi": (4 * alpha - 1) / 3,
-                "V": 3 * delta - eps,
-                "V_parity": _simulated_parity_value(alpha, alpha, delta, eps),
-                "V_OR": _simulated_or_value(alpha, alpha, delta, eps),
-                "V_A": closed_form_values(
-                    alpha, alpha, delta, eps, AllcockParams(a=2 * alpha)
-                ).v_a,
-            }
-            fitted.append(_fitted_combination(float(rec["V_A"]), delta, eps))
-            if audit_adaptive:
-                computed["V_search"] = audited(alpha, alpha, delta, eps)
         else:
-            alpha, delta, eps = float(rec["alpha"]), float(rec["delta"]), float(rec["eps"])
-            computed = {
-                "V": 3 * delta - eps,
-                "V_parity": _simulated_parity_value(alpha, alpha, delta, eps),
-                "V_A": closed_form_values(
-                    alpha, alpha, delta, eps, AllcockParams(a=2 * alpha)
-                ).v_a,
-                "V_OR": _simulated_or_value(alpha, alpha, delta, eps),
-            }
-            fitted.append(_fitted_combination(float(rec["V_A"]), delta, eps))
-            if audit_adaptive:
-                computed["V_search"] = audited(alpha, alpha, delta, eps)
+            alpha = float(rec["alpha"])
+            params = AllcockParams(a=2 * alpha)
+            computed["V_parity"] = _simulated_parity_value(alpha, alpha, delta, eps)
+            computed["V_OR"] = or_value_simulated(alpha, alpha, delta, eps)
+            if which == 2:
+                computed["eps_lo"] = max(1 - 4 * alpha, 2 * alpha - 1)
+                computed["eps_hi"] = (4 * alpha - 1) / 3
+        computed["V_A"] = closed_form_values(alpha, alpha, delta, eps, params).v_a
+        fitted.append(_fitted_combination(float(rec["V_A"]), delta, eps))
+        if audit_adaptive:
+            computed["V_search"] = audited(alpha, alpha, delta, eps)
         computed_rows.append(computed)
-        for column, value in computed.items():
-            if column in rec:
-                checks.append(_check(i, column, rec[column], value))
+        checks.extend(
+            _check(i, column, rec[column], computed[column])
+            for column in columns
+            if column in computed
+        )
 
     all_checks = tuple(checks)
     return TableReport(

@@ -9,6 +9,7 @@ documented mapping: 0 success, 1 invalid box or failed computation, 2 usage,
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -368,6 +369,24 @@ def test_tables_known_parity_diffs(capsys):
 def test_tables_bad_which(capsys):
     assert main(["tables", "--which", "4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "which, audit, digest",
+    [
+        # SHA-256 of what `nlbd tables` printed when each table had its own branch
+        ("1", False, "9d3ff7e3fdf40ced3c9fc1938064203ad2d5fd5985d78dc744adcadb82672c6c"),
+        ("1", True, "54cf96dd0603a1d0a01b71f69c3904ef6f9c91219ca98e16d23f19b8c9a24adf"),
+        ("2", False, "4cbfb9905d4f8445467569a9df864eddb58392e6ff4852d145e7e75c5cdb8c51"),
+        ("2", True, "8c67ec8f97fcc52f6988154335781bc562ff515c341ab698110a78b51c8b0dd2"),
+        ("3", False, "76da3935c473b86eee2d5f064d6d0f369da46cedaaf255d53cf7f4d45dde833b"),
+        ("3", True, "eba7a3a4b8f58a7009d3a238a6955e263fe29d2e833cee667b0e83ba5f4e2798"),
+    ],
+)
+def test_tables_print_pinned_bytes(capsys, which, audit, digest):
+    code, out, err = run(capsys, "tables", "--which", which, *(["--audit"] if audit else []))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 EQUIV_EXPECTED = [

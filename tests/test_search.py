@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from nlbd.boxes import box_from_correlators, chsh_value_of_box, make_named_box
+from nlbd.boxes import BipartiteBox, box_from_correlators, chsh_value_of_box, make_named_box
 from nlbd.cli import main as cli_main
 from nlbd.errors import BudgetExceeded, InvalidBox, UnknownKind
 from nlbd.fourier import parity_bound
@@ -23,6 +23,9 @@ from nlbd.search import (
     SCAN_CHUNK,
     RegionScanResult,
     _format_floats,
+    _input_weights_and_signs,
+    _sign_matrix,
+    _two_player_max,
     adaptive_search_max,
     enumerate_nonadaptive_max,
     format_table_report,
@@ -242,6 +245,43 @@ def test_adaptive_uniform_box_reaches_only_local_bound():
     assert r.best_protocol == 0
 
 
+def _input_dep_by_brute_force(box, m):
+    """Every input-dependent protocol's float value, summed as the search sums it."""
+    weights, signs = _input_weights_and_signs(box, m)
+    smat = _sign_matrix(m)
+    k = [smat @ (s * w) @ smat.T for s, w in zip(signs, weights)]
+    u = k[0][:, None, :, None] + k[2][None, :, :, None]  # [g0, g1, h0, -]
+    w = k[1][:, None, None, :] + k[3][None, :, None, :]  # [g0, g1, -, h1]
+    value = u + w
+    best = value.max()
+    g0, g1, h0, h1 = np.nonzero(value == best)
+    size = 1 << m
+    return best, int((g0 | g1 << size | h0 << 2 * size | h1 << 3 * size).min())
+
+
+def test_input_dependent_tie_break_is_smallest_float_maximiser():
+    # mostly local boxes: many protocols reach 2 up to an ulp, and a pair of
+    # per-input tables can round to the maximum with one of them an ulp
+    # below its own best, which a per-input argmax alone would miss
+    rng = np.random.default_rng(1)
+    for _ in range(12):
+        box = random_valid_box(rng)
+        for m in (1, 2):
+            r = enumerate_nonadaptive_max(box, m, input_dependent=True)
+            assert (r.best_value, r.best_protocol) == _input_dep_by_brute_force(box, m)
+
+
+def test_core_checks_pairs_that_round_to_the_maximum():
+    # 2 + 2^-52 rounds to 2: each first candidate reaches 2 with the other
+    # input's maximum, but (2 - 2^-52) + 0 does not, so pairs are checked
+    below = 2.0 - 2.0**-52
+    kernels = [[np.array([[below, 2.0]]), np.array([[0.0, 2.0**-52]])]]
+    codes_b = (np.array([0, 1]), np.array([0, 2]))
+    best, key = _two_player_max(kernels, (np.array([0]),), codes_b, 2, threads=1)
+    # achievers: (1, 0) code 1, (0, 1) code 2, (1, 1) code 3
+    assert (best, key) == (2.0, 1 << 2)
+
+
 def test_searches_deterministic_across_threads():
     box = box_from_correlators(symmetric_box(0.05, 0.05, 0.9, 0.1))
     base_dep = enumerate_nonadaptive_max(box, 3, input_dependent=True, threads=1)
@@ -257,6 +297,14 @@ def test_searches_deterministic_across_threads():
             base_free.best_value, base_free.best_protocol)
         assert (ad.best_value, ad.best_protocol) == (
             base_ad.best_value, base_ad.best_protocol)
+    # three players: m=3 so the 256 first-player tables span 16 chunks
+    game3 = XorGame.from_predicate(3, lambda bits: (bits[0] | bits[1]) ^ bits[2])
+    xb3 = MultipartiteXorBox(game3, tuple(np.random.default_rng(29).uniform(-1, 1, 8)))
+    base_three = enumerate_nonadaptive_max(xb3, 3, threads=1)
+    for threads in (4, 8):
+        three = enumerate_nonadaptive_max(xb3, 3, threads=threads)
+        assert (three.best_value, three.best_protocol) == (
+            base_three.best_value, base_three.best_protocol)
 
 
 def test_region_scan_or_window_at_alpha_half():
@@ -561,3 +609,86 @@ def test_reference_table_audit_adds_search_column():
 def test_reference_table_unknown_index():
     with pytest.raises(UnknownKind):
         reproduce_tables(4)
+
+
+def _pinned_cases():
+    """(id, search call) for every search class on a fixed list of boxes."""
+    rng = np.random.default_rng(12)
+    seeded = [box_from_correlators(symmetric_box(*random_symmetric_params(rng))) for _ in range(2)]
+    chsh_deltas = (0.91, 0.83, 0.77, -0.69)
+    chsh_xor = MultipartiteXorBox(XorGame.chsh(), chsh_deltas)
+    # the same parity biases as a bipartite box with trivial marginals
+    chsh_box = BipartiteBox(np.array([[1 + d, 1 - d, 1 - d, 1 + d] for d in chsh_deltas]) / 4)
+    uniform = box_from_correlators(symmetric_box(0.0, 0.0, 0.0, 0.0))
+    kept = box_from_correlators(symmetric_box(0.4, 0.35, 0.75, -0.2))
+    two_player = {"seeded0": seeded[0], "seeded1": seeded[1], "chsh": chsh_xor,
+                  "uniform": uniform, "kept": kept}
+    game3 = XorGame.from_predicate(3, lambda bits: (bits[0] & bits[1]) ^ bits[2])
+    three_player = {"xor3": MultipartiteXorBox(game3, tuple(rng.uniform(-1, 1, 8))),
+                    "uniform3": MultipartiteXorBox(game3, (0.0,) * 8)}
+    cases = []
+    for name, box in two_player.items():
+        for m in (1, 2, 3):
+            cases.append((f"free-{name}-m{m}", lambda b=box, m=m: enumerate_nonadaptive_max(b, m)))
+            if m < 3 or name in ("seeded0", "uniform"):
+                cases.append((f"dep-{name}-m{m}", lambda b=box, m=m: enumerate_nonadaptive_max(
+                    b, m, input_dependent=True)))
+        bip = chsh_box if name == "chsh" else box
+        cases.append((f"adaptive-{name}", lambda b=bip: adaptive_search_max(b)))
+    for name, box in three_player.items():
+        for m in (1, 2, 3) if name == "xor3" else (1, 2):
+            cases.append((f"free-{name}-m{m}", lambda b=box, m=m: enumerate_nonadaptive_max(b, m)))
+    return cases
+
+
+def _pinned_results():
+    return {key: (r.best_value.hex(), r.best_protocol)
+            for key, r in ((key, call()) for key, call in _pinned_cases())}
+
+
+# best_value.hex() and best_protocol of every case, as printed before the
+# two-player searches shared one core
+PINNED_RESULTS = {
+    "free-seeded0-m1": ("0x1.0000000000000p+1", 0x0),
+    "dep-seeded0-m1": ("0x1.0000000000000p+1", 0x0),
+    "free-seeded0-m2": ("0x1.0000000000000p+1", 0x0),
+    "dep-seeded0-m2": ("0x1.0000000000000p+1", 0x0),
+    "free-seeded0-m3": ("0x1.0000000000000p+1", 0x0),
+    "dep-seeded0-m3": ("0x1.0000000000001p+1", 0xffff90),
+    "adaptive-seeded0": ("0x1.0000000000000p+1", 0x0),
+    "free-seeded1-m1": ("0x1.6f8437315c57fp+1", 0x55),
+    "dep-seeded1-m1": ("0x1.6f8437315c57fp+1", 0x55),
+    "free-seeded1-m2": ("0x1.6f8437315c580p+1", 0x3333),
+    "dep-seeded1-m2": ("0x1.6f8437315c57fp+1", 0x3333),
+    "free-seeded1-m3": ("0x1.6f8437315c580p+1", 0xf0f0f0f),
+    "adaptive-seeded1": ("0x1.6f8437315c57fp+1", 0x330330),
+    "free-chsh-m1": ("0x1.9999999999999p+1", 0x55),
+    "dep-chsh-m1": ("0x1.999999999999ap+1", 0x55),
+    "free-chsh-m2": ("0x1.999999999999ap+1", 0x3333),
+    "dep-chsh-m2": ("0x1.999999999999ap+1", 0x3333),
+    "free-chsh-m3": ("0x1.999999999999ap+1", 0xf0f0f0f),
+    "adaptive-chsh": ("0x1.999999999999ap+1", 0x330330),
+    "free-uniform-m1": ("0x1.0000000000000p+1", 0x0),
+    "dep-uniform-m1": ("0x1.0000000000000p+1", 0x0),
+    "free-uniform-m2": ("0x1.0000000000000p+1", 0x0),
+    "dep-uniform-m2": ("0x1.0000000000000p+1", 0x0),
+    "free-uniform-m3": ("0x1.0000000000000p+1", 0x0),
+    "dep-uniform-m3": ("0x1.0000000000000p+1", 0x0),
+    "adaptive-uniform": ("0x1.0000000000000p+1", 0x0),
+    "free-kept-m1": ("0x1.399999999999ap+1", 0x55),
+    "dep-kept-m1": ("0x1.399999999999ap+1", 0x55),
+    # the float tie-break fault: the smallest exact maximiser is 0x3333
+    "free-kept-m2": ("0x1.3999999999999p+1", 0x5555),
+    "dep-kept-m2": ("0x1.399999999999ap+1", 0x3333),
+    "free-kept-m3": ("0x1.3999999999999p+1", 0x55555555),
+    "adaptive-kept": ("0x1.399999999999ap+1", 0x330330),
+    "free-xor3-m1": ("0x1.1152cae186f28p+1", 0x555),
+    "free-xor3-m2": ("0x1.1152cae186f28p+1", 0x333333),
+    "free-xor3-m3": ("0x1.1152cae186f28p+1", 0xf0f0f0f0f0f),
+    "free-uniform3-m1": ("0x0.0p+0", 0x0),
+    "free-uniform3-m2": ("0x0.0p+0", 0x0),
+}
+
+
+def test_search_results_pinned():
+    assert _pinned_results() == PINNED_RESULTS
