@@ -241,6 +241,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.search_class == "adaptive":
         if args.m not in (None, 2):
             raise _CliError(2, "adaptive search is over two copies; omit --m or pass --m 2")
+        if args.input_dependent:
+            raise _CliError(2, "adaptive search takes no --input-dependent")
         if isinstance(box, MultipartiteXorBox):
             raise _CliError(2, "adaptive search takes a bipartite box file")
         result = adaptive_search_max(box, threads=threads)
@@ -249,11 +251,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if args.m is None:
             raise _CliError(2, "nonadaptive search needs --m")
         result = enumerate_nonadaptive_max(
-            box,
-            args.m,
-            input_dependent=args.input_dependent,
-            threads=threads,
-            exact=args.exact,
+            box, args.m, input_dependent=args.input_dependent, threads=threads
         )
         proto_line = format_protocol(
             NonAdaptiveProtocol.decode(result.n, result.m, result.best_protocol)
@@ -264,7 +262,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"protocols_examined={result.protocols_examined}")
     print(f"best_value={_fmt(result.best_value)}")
     print(f"best_protocol={proto_line}")
-    if result.best_exact is not None:
+    if args.exact:
         print(f"best_exact={result.best_exact}")
     return 0
 
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="let each player's table depend on their input",
     )
-    p.add_argument("--exact", action="store_true", help="certify in rational arithmetic")
+    p.add_argument("--exact", action="store_true", help="also print the exact maximum")
     p.add_argument("--threads", type=int, help="worker threads (default: NLBD_THREADS or 1)")
     p.add_argument("boxfile")
     p.set_defaults(handler=_cmd_search)

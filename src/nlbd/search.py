@@ -10,19 +10,17 @@ Three protocol classes are searched exactly (no heuristics, no sampling):
 * adaptive two-copy: the AdaptiveTwoCopyProtocol class (4096 strategies per
   player, 4096^2 pairs).
 
-All searches return the exact maximum over the class together with the
-achieving protocol of smallest canonical encoding among those whose float
-value equals the float maximum. The enumeration is algebraic: the two-player
-classes share one chunked core that maximises sum_{x,y} K_xy[a_x, b_y] over
-the players' per-input tables, with one kernel S(sum_x s_x W_x)S^T for the
-input-free class, four S(s_xy W_xy)S^T for the input-dependent class and
-four 64x64 branch-pair kernels for the adaptive one. The second player's
-inputs never meet in one product, so her maxima are taken separately. Each
-player's packed block is a sum of per-input codes on disjoint bits, so one
-vectorised rule over those codes finds the smallest encoding. The
-three-player class keeps its own einsum kernel. Worker chunks are fixed
-independently of the thread count, so any `threads` value gives
-bit-identical results.
+Every search returns the exact class maximum (a Fraction, and its correctly
+rounded float) and the achieving protocol of smallest canonical encoding
+among all exact maximisers. One engine serves every class: with every
+player but the last (whose block holds the highest encoding bits) fixed,
+the value is linear in her +-1 output signs, so her best value on each
+input is sum_s |v_s|, reached by setting bit s exactly where v_s < 0, her
+smallest code (the infinity-to-one-norm step of Alon and Naor). The other
+players' tables are enumerated in floats; rows within a rigorous rounding
+bound of the float maximum are evaluated again in integers (box entries
+are binary floats) and ties are broken on those exact values. Any
+`threads` value gives identical results.
 
 Supported sizes: m <= 3 copies throughout (the protocol count doubles per
 outcome bit; beyond three copies enumeration is out of scope), n in {2, 3}
@@ -63,7 +61,7 @@ from .boxes import (
     chsh_value_of_box,
     validate_box,
 )
-from .errors import ArityMismatch, BudgetExceeded, InvalidBox, UnknownKind, VerificationFailed
+from .errors import BudgetExceeded, InvalidBox, UnknownKind, VerificationFailed
 from .wirings import (
     AdaptiveTwoCopyProtocol,
     AllcockParams,
@@ -83,20 +81,22 @@ MAX_COPIES = 3
 
 CC_COLLAPSE_THRESHOLD = 4.0 * math.sqrt(2.0 / 3.0)
 
-# Cells one chunk of a two-player search adds up at once (16 MB of float64).
-# Chunk bounds follow from the class alone, never from the thread count.
-_CHUNK_CELLS = 1 << 21
+# First-stage rows a search evaluates at once. Chunk bounds follow from the
+# class alone, never from the thread count.
+_CHUNK_ROWS = 4096
 
-_CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
+_CHSH_SIGNS = (1, 1, 1, -1)
 
 
 @dataclass(frozen=True)
 class SearchResult:
     """Exact maximum of a protocol-class search.
 
-    best_protocol is the canonical packed encoding (smallest among all
-    achievers); decode it with NonAdaptiveProtocol.decode(n, m, enc) or
-    AdaptiveTwoCopyProtocol.decode(enc) according to class_name.
+    best_exact is the class maximum and best_value its correctly rounded
+    float. best_protocol is the canonical packed encoding, the smallest
+    among all exact maximisers; decode it with
+    NonAdaptiveProtocol.decode(n, m, enc) or AdaptiveTwoCopyProtocol.decode(enc)
+    according to class_name.
     """
 
     best_value: float
@@ -105,7 +105,7 @@ class SearchResult:
     class_name: str
     n: int
     m: int
-    best_exact: Fraction | None = None
+    best_exact: Fraction
 
 
 def _map_chunks(worker, chunks, threads: int) -> list:
@@ -116,41 +116,118 @@ def _map_chunks(worker, chunks, threads: int) -> list:
 
 
 def _sign_matrix(m: int) -> np.ndarray:
-    """S[g, s] = (-1)^(bit s of g): all 2^(2^m) boolean tables as sign rows."""
+    """S[g, s] = (-1)^(bit s of g): all 2^(2^m) boolean tables as integer sign rows."""
     size = 1 << m
-    count = 1 << size
-    g = np.arange(count, dtype=np.int64)[:, None]
-    s = np.arange(size, dtype=np.int64)[None, :]
-    return 1.0 - 2.0 * ((g >> s) & 1)
+    g = np.arange(1 << size, dtype=np.int64)[:, None]
+    return 1 - 2 * ((g >> np.arange(size)) & 1)
 
 
-def _joint_weights(per_input: np.ndarray, m: int) -> list[np.ndarray]:
-    """Per input pair, the 2^m x 2^m joint weight; per_input[row] is one copy's p(ab|xy)."""
-    out = []
-    for row in per_input:
-        per_copy = row.reshape(2, 2)
-        w = np.array([[1.0]])
-        for _ in range(m):
-            w = np.kron(w, per_copy)
-        out.append(w)
-    return out
+def _on_one_denominator(entries: np.ndarray):
+    """(floats, integers, denominator) of an array of binary-float Fractions.
+
+    Their denominators are powers of two, so the largest is a common one and
+    entries == integers / denominator exactly.
+    """
+    den = max(f.denominator for f in entries.flat)
+    ints = np.array([int(f * den) for f in entries.flat], dtype=object)
+    return entries.astype(float), ints.reshape(entries.shape), den
 
 
-def _input_weights_and_signs(box, m: int):
-    """Split the box into per-input weight matrices plus game signs (n=2)."""
+def _copy_weights(box, m: int):
+    """Per input x, s_x * W_x[s_1, ..., s_n] as floats and as integers over `scale`.
+
+    W_x is the m-fold Kronecker power of one copy's weights (first copy most
+    significant): a bipartite box's row p(ab|xy), or an XOR box's
+    (1 +- delta_x)/2^n by the parity of the outputs, exact from delta_x.
+    s_x is the game sign. Returns (floats, integers, scale).
+    """
     if isinstance(box, BipartiteBox):
         report = validate_box(box)
         if not report.valid:
             raise InvalidBox(f"search input fails validation: {report.violations}")
-        return _joint_weights(box.p, m), np.array(_CHSH_SIGNS)
-    if isinstance(box, MultipartiteXorBox):
-        if box.n != 2:
-            raise ArityMismatch("per-input weights are a two-player construction")
-        # the bipartite box with trivial marginals, rows in game order
-        d = box.delta_array()[:, None]
-        per_input = np.hstack([1 + d, 1 - d, 1 - d, 1 + d]) / 4.0
-        return _joint_weights(per_input, m), box.game.signs().astype(float)
-    raise TypeError(f"expected BipartiteBox or MultipartiteXorBox, got {type(box).__name__}")
+        n, signs = 2, _CHSH_SIGNS
+        copies = [[Fraction(float(v)) for v in row] for row in box.p]
+    elif isinstance(box, MultipartiteXorBox):
+        n, signs = box.n, [1 - 2 * f for f in box.game.f]
+        even = [1 - 2 * (bin(a).count("1") & 1) for a in range(1 << n)]
+        copies = [[(1 + e * Fraction(float(d))) / (1 << n) for e in even] for d in box.delta]
+    else:
+        raise TypeError(f"expected BipartiteBox or MultipartiteXorBox, got {type(box).__name__}")
+    floats, ints, den = _on_one_denominator(np.array(copies, dtype=object))
+    interleave = [axis for j in range(n) for axis in (j, n + j)]
+    out = []
+    for per_input in (floats, ints):
+        powers = []
+        for s, row in zip(signs, per_input):
+            one = row.reshape((2,) * n)
+            w = one
+            for _ in range(m - 1):
+                w = np.multiply.outer(w, one).transpose(interleave).reshape((2 * len(w),) * n)
+            powers.append(s * w)
+        out.append(powers)
+    return out[0], out[1], den**m
+
+
+def _respond(v, code):
+    """The last player's best response to slot values v[row, input, slot].
+
+    Returns her total sum |v| and a function giving her smallest code,
+    code(t) of her tables t[row, input] with bit s set exactly where v_s < 0.
+    """
+    return np.abs(v).sum((1, 2)), lambda: code(((v < 0) << np.arange(v.shape[2])).sum(2))
+
+
+def _rounding_bound(terms: int, roundings: int, l1: float) -> float:
+    """A priori bound on the float error of one first-stage row's total.
+
+    A row's total is a sum, through abs() and max() which add no error, of
+    at most `terms` signed products whose exact absolute values sum to at
+    most `l1`, and each float product already carries at most `roundings`
+    relative rounding errors. In any summation order a term meets at most
+    terms - 1 additions, so |fl(total) - total| <= gamma_k * l1 with
+    k = terms + roundings and gamma_k = k*u / (1 - k*u), u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 4). A product
+    that underflows loses up to 2^-1075, absolute, instead. The bound is
+    doubled to cover the rounding of its own arithmetic and of the
+    candidate window.
+    """
+    k = terms + roundings
+    gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
+    return 2 * (gamma * l1 + terms * roundings * 2.0**-1074)
+
+
+def _best_response_max(stage, kernels, scale: int, codes, shift: int, err: float, threads: int):
+    """Exact class maximum and its smallest packed key.
+
+    Row r fixes every player's tables but the last's, packed as codes[r].
+    stage(k, rows) gives each row's total under the last player's best
+    response and a function for her smallest best-response codes, from the
+    float kernels or the integer ones (`scale` times the exact values). The
+    key is the smallest (code << shift) + codes[r] over the exact maximisers.
+    """
+    floats, ints = kernels
+    rows = np.arange(len(codes))
+    chunks = [rows[i : i + _CHUNK_ROWS] for i in range(0, len(rows), _CHUNK_ROWS)]
+    approx = np.concatenate(_map_chunks(lambda r: stage(floats, r)[0], chunks, threads))
+    top = approx.max()
+    # every total is within err of its float value, so every exact
+    # maximiser is within 2*err of the float maximum
+    candidates = np.flatnonzero(approx >= top - 2 * err)
+    totals, last = [], []
+    for i in range(0, len(candidates), _CHUNK_ROWS):
+        total, code = stage(ints, candidates[i : i + _CHUNK_ROWS])
+        totals += total.tolist()
+        last += code().tolist()
+    best = max(totals)
+    exact = Fraction(best, scale)
+    if not abs(exact - Fraction(top)) <= err:
+        raise VerificationFailed(
+            f"exact maximum {float(exact)!r} lies beyond {err:.3g} of the float maximum {top!r}"
+        )
+    key = min(
+        (c << shift) + int(codes[r]) for r, t, c in zip(candidates, totals, last) if t == best
+    )
+    return exact, key
 
 
 def _check_budget(examined: int, m: int) -> None:
@@ -169,161 +246,17 @@ def _resimulate_nonadaptive(box, proto: NonAdaptiveProtocol) -> float:
     return value
 
 
-def _smallest_pair_code(r0, r1, best, codes0, codes1) -> np.ndarray:
-    """Per row, the smallest codes0[b0] + codes1[b1] with r0[b0] + r1[b1] == best.
-
-    A pair can round to best with an entry an ulp below its row maximum, so
-    the first candidates of each input are checked as a pair, and rows
-    where they fall short try every candidate pair.
-    """
-    c0 = (r0 + r1.max(-1)[:, None]) == best
-    c1 = (r0.max(-1)[:, None] + r1) == best
-    f0 = c0.argmax(-1)
-    f1 = c1.argmax(-1)
-    rows = np.arange(len(r0))
-    code = codes0[f0] + codes1[f1]
-    for i in np.flatnonzero(r0[rows, f0] + r1[rows, f1] != best):
-        i0 = np.flatnonzero(c0[i])
-        i1 = np.flatnonzero(c1[i])
-        hit = (r0[i, i0][:, None] + r1[i, i1][None, :]) == best
-        code[i] = (codes0[i0][:, None] + codes1[i1][None, :])[hit].min()
-    return code
-
-
-def _two_player_max(kernels, codes_a, codes_b, shift: int, threads: int):
-    """Max of sum_{x,y} kernels[x][y][a_x, b_y] and its smallest packed key.
-
-    a_x (b_y) is player A's (B's) table on own input x (y), with block code
-    sum_x codes_a[x][a_x]; B's codes increase along the kernel columns. The
-    key is (code_B << shift) + code_A, minimised over every choice whose
-    float value equals the maximum.
-    """
-    rows = len(codes_a[0])
-    per_row = math.prod(len(c) for c in codes_a[1:]) * max(len(c) for c in codes_b)
-    step = max(1, _CHUNK_CELLS // per_row)
-    chunks = [(i, min(i + step, rows)) for i in range(0, rows, step)]
-
-    def worker(bounds):
-        lo, hi = bounds
-        values = []
-        for y in range(len(codes_b)):
-            v = kernels[0][y][lo:hi]  # [a_0, b_y]
-            if len(kernels) == 2:
-                v = v[:, None, :] + kernels[1][y][None, :, :]  # [a_0, a_1, b_y]
-            values.append(v)
-        total = values[0].max(-1)
-        if len(values) == 2:
-            total = total + values[1].max(-1)
-        best = total.max()
-        at = np.nonzero(total == best)
-        code_a = sum(c[i] for c, i in zip(codes_a, (at[0] + lo,) + at[1:]))
-        if len(values) == 1:
-            # argmax returns the first maximum, the smallest code
-            code_b = codes_b[0][values[0][at].argmax(-1)]
-        else:
-            code_b = _smallest_pair_code(values[0][at], values[1][at], best, *codes_b)
-        return best, int(((code_b << shift) + code_a).min())
-
-    results = _map_chunks(worker, chunks, threads)
-    best = max(mx for mx, _ in results)
-    return float(best), min(key for mx, key in results if mx == best)
-
-
-def _search_input_free_three(xbox: MultipartiteXorBox, m: int, threads: int):
-    from .fourier import weight_table
-
-    size = 1 << m
-    count = 1 << size
-    smat = _sign_matrix(m)
-    z = np.arange(size, dtype=np.int64)
-    had = 1.0 - 2.0 * np.array(
-        [[bin(zz & ss).count("1") & 1 for zz in range(size)] for ss in range(size)]
-    )
-    spectra = (smat @ had) / size  # [g, z]
-    delta = xbox.delta_array()
-    signs = xbox.game.signs()
-    powers = delta[:, None] ** weight_table(m)[None, :]
-    t_by_z = signs @ powers  # T_|z| per z
-    chunk_rows = 16
-    chunks = [(i, min(i + chunk_rows, count)) for i in range(0, count, chunk_rows)]
-
-    def worker(bounds):
-        lo, hi = bounds
-        block = np.einsum(
-            "az,bz,cz,z->abc", spectra[lo:hi], spectra, spectra, t_by_z, optimize=True
-        )
-        mx = block.max()
-        # the third player owns the highest bits of the packing
-        gs, hs, ks = np.nonzero(block == mx)
-        key = ((code[ks] << (4 * size)) + (code[hs] << (2 * size)) + code[gs + lo]).min()
-        return mx, int(key)
-
-    tables = np.arange(count, dtype=np.int64)
-    code = tables | tables << size
-    results = _map_chunks(worker, chunks, threads)
-    best = max(mx for mx, _ in results)
-    return float(best), min(key for mx, key in results if mx == best)
-
-
-def _exact_input_free_two(box, m: int) -> tuple[Fraction, int]:
-    """Rational oracle over the n=2 input-free class, m <= 2: (max, packed achiever)."""
-    if isinstance(box, BipartiteBox):
-        per_input = [
-            [[Fraction(float(box.p[row, (a << 1) | b])) for b in (0, 1)] for a in (0, 1)]
-            for row in range(4)
-        ]
-        signs = [Fraction(int(s)) for s in (1, 1, 1, -1)]
-    else:
-        per_input = []
-        for delta in box.delta:
-            d = Fraction(float(delta))
-            per_input.append(
-                [[(1 + d) / 4, (1 - d) / 4], [(1 - d) / 4, (1 + d) / 4]]
-            )
-        signs = [Fraction(int(s)) for s in box.game.signs()]
-    size = 1 << m
-    count = 1 << size
-    weights = []
-    for px in per_input:
-        w = {(0, 0): Fraction(1)}
-        for _ in range(m):
-            nxt = {}
-            for (sa, sb), wt in w.items():
-                for a in (0, 1):
-                    for b in (0, 1):
-                        nxt[(sa << 1 | a, sb << 1 | b)] = wt * px[a][b]
-            w = nxt
-        weights.append(w)
-    sign_of = [[1 - 2 * ((g >> s) & 1) for s in range(size)] for g in range(count)]
-    best = None
-    packed = None
-    for h in range(count):
-        for g in range(count):
-            total = Fraction(0)
-            for sx, w in zip(signs, weights):
-                acc = Fraction(0)
-                for (sa, sb), wt in w.items():
-                    acc += wt * (sign_of[g][sa] * sign_of[h][sb])
-                total += sx * acc
-            if best is None or total > best:
-                best, packed = total, (g | g << size) | (h | h << size) << (2 * size)
-    return best, packed
-
-
 def enumerate_nonadaptive_max(
     box,
     m: int,
     input_dependent: bool = False,
     threads: int = 1,
-    exact: bool = False,
 ) -> SearchResult:
     """Exact maximum value over a non-adaptive protocol class.
 
     `box` is a BipartiteBox (CHSH-style objective) or a MultipartiteXorBox
-    (its game's objective); all m copies are identical. Ties are broken by
-    the smallest canonical protocol encoding. With exact=True (n=2, m <= 2,
-    input-free) the search is repeated in rational arithmetic and the
-    rational result is returned, certifying the floating-point one.
+    (its game's objective); all m copies are identical. Ties are broken on
+    exact values, by the smallest canonical protocol encoding.
     """
     n = 2 if isinstance(box, BipartiteBox) else box.n
     per_player_functions = 1 << (1 << m)
@@ -337,43 +270,41 @@ def enumerate_nonadaptive_max(
 
     if input_dependent and n != 2:
         raise BudgetExceeded("input-dependent enumeration is implemented for two players")
-    if n == 2:
-        weights, signs = _input_weights_and_signs(box, m)
-        size = 1 << m
-        smat = _sign_matrix(m)
-        tables = np.arange(1 << size, dtype=np.int64)
-        if input_dependent:
-            # per-input kernels with the game signs folded in, x-major
-            k = [smat @ (s * w) @ smat.T for s, w in zip(signs, weights)]
-            kernels = [[k[0], k[1]], [k[2], k[3]]]
-            codes = (tables, tables << size)
-        else:
-            core = np.zeros((size, size))
-            for s, w in zip(signs, weights):
-                core = core + s * w
-            kernels = [[(smat @ core) @ smat.T]]
-            codes = (tables | tables << size,)
-        value, packed = _two_player_max(kernels, codes, codes, 2 * size, threads)
-    elif n == 3:
-        if not isinstance(box, MultipartiteXorBox):
-            raise ArityMismatch("three-player search needs a parity-bias box")
-        value, packed = _search_input_free_three(box, m, threads)
-    else:
+    if n > 3:
         raise BudgetExceeded(f"enumeration for n={n} players is out of scope")
+    floats, ints, scale = _copy_weights(box, m)
+    size = 1 << m
+    count = 1 << size
+    smat = _sign_matrix(m)
+    if input_dependent:
+        # K_xy = s_xy S W_xy in input order 2x + y, and v_y = K_0y[a_0] + K_1y[a_1]
+        kernels = [[smat @ w for w in ws] for ws in (floats, ints)]
+        codes = np.arange(count * count)  # a_0 | a_1 << size
 
-    if exact:
-        if input_dependent or n != 2 or m > 2:
-            raise ValueError("exact mode covers the two-player input-free class with m <= 2")
-        frac, packed = _exact_input_free_two(box, m)
-        exact_value = float(frac)
-        if abs(exact_value - value) > 1e-9:
-            raise VerificationFailed(
-                f"rational oracle {exact_value} disagrees with float search {value}"
-            )
-        value = exact_value
-        result = SearchResult(value, packed, examined, class_name, n, m, best_exact=frac)
+        def stage(k, rows):
+            v = np.stack([k[y][rows % count] + k[2 + y][rows // count] for y in (0, 1)], 1)
+            return _respond(v, lambda t: t[:, 0] + (t[:, 1] << size))
+
     else:
-        result = SearchResult(value, packed, examined, class_name, n, m)
+        # the first player is contracted once for all her tables, the middle
+        # players add their slots one at a time
+        kernels = [np.tensordot(smat, sum(ws), 1) for ws in (floats, ints)]
+        digits = [np.arange(count ** (n - 1)) // count**j % count for j in range(n - 1)]
+        codes = sum(d * (1 + count) << (2 * size * j) for j, d in enumerate(digits))
+
+        def stage(k, rows):
+            v = k[rows % count]
+            for j in range(1, n - 1):
+                h = smat[rows // count**j % count][:, None]
+                v = (h @ v.reshape(len(rows), size, -1)).reshape((len(rows),) + v.shape[2:])
+            return _respond(v[:, None], lambda t: t[:, 0] * (1 + count))
+
+    l1 = float(Fraction(sum(np.abs(w).sum() for w in ints), scale))
+    err = _rounding_bound(sum(w.size for w in floats), 2 * m, l1)
+    exact, packed = _best_response_max(
+        stage, kernels, scale, codes, 2 * size * (n - 1), err, threads
+    )
+    result = SearchResult(float(exact), packed, examined, class_name, n, m, exact)
 
     proto = NonAdaptiveProtocol.decode(n, m, result.best_protocol)
     replay = _resimulate_nonadaptive(box, proto)
@@ -387,46 +318,29 @@ def enumerate_nonadaptive_max(
 # ------------------------------------------------------------------ adaptive
 
 
-def _adaptive_kernel(box2: BipartiteBox) -> np.ndarray:
-    """G[behA, behB]: expected output-sign product of the second box.
+def _adaptive_kernels(p: np.ndarray) -> list:
+    """M_xy[P_A, b1, u, b2] per input pair 2x + y, CHSH sign folded into M_11.
 
-    A branch behavior is (u, t0, t1): the box-2 input bit and the output
-    signs for box-2 outcome 0/1, indexed beh = u | bit0<<1 | bit1<<2 with
-    sign t_o2 = (-1)^bit_o2.
+    The first copy's weight times the second copy's expected sign product,
+    for player A's branch pair P_A = beh(a1=0) * 8 + beh(a1=1) and player
+    B's first output b1, box-2 input u and box-2 output b2. A branch
+    behavior is beh = u_A | bit(a2=0) << 1 | bit(a2=1) << 2, with output sign
+    (-1)^bit. p holds the box entries, as floats or as integers.
     """
-    g = np.zeros((8, 8))
-    for beh_a in range(8):
-        ua = beh_a & 1
-        sa = (1 - 2 * ((beh_a >> 1) & 1), 1 - 2 * ((beh_a >> 2) & 1))
-        for beh_b in range(8):
-            ub = beh_b & 1
-            sb = (1 - 2 * ((beh_b >> 1) & 1), 1 - 2 * ((beh_b >> 2) & 1))
-            row = box2.p[(ua << 1) | ub]
-            acc = 0.0
-            for a2 in (0, 1):
-                for b2 in (0, 1):
-                    acc += sa[a2] * sb[b2] * row[(a2 << 1) | b2]
-            g[beh_a, beh_b] = acc
-    return g
+    beh = np.arange(8)
+    sign = 1 - 2 * ((beh[:, None] >> np.array([1, 2])) & 1)  # [beh, a2]
+    second = p[((beh & 1) << 1)[:, None] | np.arange(2)].reshape(8, 2, 2, 2)  # [beh, u, a2, b2]
+    g = (sign[:, None, :, None] * second).sum(2)  # [beh, u, b2]
+    pair = np.arange(64)
+    halves = (g[pair >> 3][:, None], g[pair & 7][:, None])  # P_A's behavior on a1 = 0, 1
+    return [
+        s * sum(first[a1][None, :, None, None] * halves[a1] for a1 in (0, 1))
+        for s, first in zip(_CHSH_SIGNS, p.reshape(4, 2, 2))
+    ]
 
 
-def _adaptive_q_matrices(box1: BipartiteBox, g: np.ndarray, pairs: np.ndarray) -> list:
-    """Q_xy[P_A, P_B], P = beh(o1=0)*8 + beh(o1=1) listed as in `pairs`, one per input."""
-    first = pairs >> 3
-    second = pairs & 7
-    g00 = g[np.ix_(first, first)]
-    g01 = g[np.ix_(first, second)]
-    g10 = g[np.ix_(second, first)]
-    g11 = g[np.ix_(second, second)]
-    out = []
-    for row in range(4):
-        p = box1.p[row]
-        out.append((p[0] * g00 + p[1] * g01) + (p[2] * g10 + p[3] * g11))
-    return out
-
-
-def _pack_adaptive_player(pair0: int, pair1: int) -> int:
-    """12-bit block from the branch-pair behaviors ((v=0), (v=1))."""
+def _pack_adaptive_player(pair0, pair1):
+    """12-bit block from the branch-pair behaviors ((v=0), (v=1)); arrays work elementwise."""
     behs = (pair0 >> 3, pair0 & 7, pair1 >> 3, pair1 & 7)
     block = 0
     for branch, beh in enumerate(behs):
@@ -436,23 +350,49 @@ def _pack_adaptive_player(pair0: int, pair1: int) -> int:
     return block
 
 
+def _adaptive_stage(k, rows):
+    """Player B's best response, branch by branch, to A's branch pairs (rows % 64, rows // 64).
+
+    Branch 2y + b1 takes the box-2 input u of largest sum_b2 |v|; among the
+    inputs that reach it, the smaller behavior, which is the smaller code.
+    """
+    v = np.stack([k[y][rows % 64] + k[2 + y][rows // 64] for y in (0, 1)], 1)
+    v = v.reshape(len(rows), 4, 2, 2)  # [row, branch, u, b2]
+    # elementwise over the length-2 axes: numpy reduces them far slower
+    value = abs(v[..., 0]) + abs(v[..., 1])
+    best = np.maximum(value[..., 0], value[..., 1])
+
+    def code():
+        beh = np.arange(2) | (v[..., 0] < 0) << 1 | (v[..., 1] < 0) << 2
+        beh = np.where(value == best[..., None], beh, 8).min(2)
+        return _pack_adaptive_player(beh[:, 0] * 8 + beh[:, 1], beh[:, 2] * 8 + beh[:, 3])
+
+    return best.sum(1), code
+
+
 def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
     """Exact maximum CHSH-style value over all adaptive two-copy wirings.
 
-    Both copies are `box`. A player picks a branch pair per own input; her
-    12-bit block is the sum of its codes on the disjoint bits {0,1,4-7}
-    (input 0) and {2,3,8-11} (input 1), which order the 64 pairs alike. The
-    two-player core runs on Q_xy built in that order, CHSH sign folded into
-    Q_11, and covers the 4096^2 class with 64^3 tensors.
+    Both copies are `box`. A player's 12-bit block is the sum of her codes
+    on the disjoint bits {0,1,4-7} (input 0) and {2,3,8-11} (input 1). The
+    search enumerates player A's 64^2 branch pairs; player B answers each
+    in closed form, so the 4096^2 class costs 4096 rows. Ties are broken on
+    exact values, by the smallest encoding.
     """
     report = validate_box(box)
     if not report.valid:
         raise InvalidBox(f"search input fails validation: {report.violations}")
-    code0 = np.array([_pack_adaptive_player(p, 0) for p in range(64)])
-    pairs = np.argsort(code0)
-    codes = (code0[pairs], np.array([_pack_adaptive_player(0, p) for p in pairs]))
-    q = _adaptive_q_matrices(box, _adaptive_kernel(box), pairs)
-    best, packed = _two_player_max([[q[0], q[1]], [q[2], -q[3]]], codes, codes, 12, threads)
+    floats, ints, den = _on_one_denominator(
+        np.array([[Fraction(float(v)) for v in row] for row in box.p], dtype=object)
+    )
+    rows = np.arange(64 * 64)
+    # per row, 16 products p1*p2 on each of the four branches
+    abs_p = np.abs(box.p)
+    err = _rounding_bound(64, 2, float(abs_p.sum() * abs_p.sum(1).max()))
+    kernels = (_adaptive_kernels(floats), _adaptive_kernels(ints))
+    codes = _pack_adaptive_player(rows % 64, rows // 64)
+    exact, packed = _best_response_max(_adaptive_stage, kernels, den**2, codes, 12, err, threads)
+    best = float(exact)
 
     proto = AdaptiveTwoCopyProtocol.decode(packed)
     replay = chsh_value_of_box(apply_adaptive(box, box, proto))
@@ -460,7 +400,7 @@ def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
         raise VerificationFailed(
             f"replay of the best protocol gives {replay!r}, search found {best!r}"
         )
-    return SearchResult(best, packed, 4096 * 4096, "adaptive2", 2, 2)
+    return SearchResult(best, packed, 4096 * 4096, "adaptive2", 2, 2, exact)
 
 
 # ---------------------------------------------------------------- region scan

@@ -198,12 +198,15 @@ def test_search_nonadaptive_output(boxdir, capsys):
 
 
 def test_search_exact_flag_appends_fraction(boxdir, capsys):
-    code, out, err = run(capsys, "search", "--class", "nonadaptive", "--m", 2, "--exact",
-                         boxdir / "correlated.box")
-    assert code == 0
-    last = out.splitlines()[-1]
-    assert last.startswith("best_exact=")
-    assert float(Fraction(last.removeprefix("best_exact="))) == pytest.approx(3.239975, abs=1e-9)
+    for argv, value in (
+        (("--class", "nonadaptive", "--m", 2), 3.239975),
+        (("--class", "adaptive"), 3.487475),
+    ):
+        code, out, err = run(capsys, "search", *argv, "--exact", boxdir / "correlated.box")
+        assert code == 0
+        last = out.splitlines()[-1]
+        assert last.startswith("best_exact=")
+        assert float(Fraction(last.removeprefix("best_exact="))) == pytest.approx(value, abs=1e-9)
 
 
 def test_search_adaptive_output(boxdir, capsys):
@@ -238,6 +241,7 @@ def test_search_thread_count_never_changes_output(boxdir, capsys, monkeypatch):
           "correlated.box"), None),
         (("search", "--class", "nonadaptive", "--m", "2", "correlated.box"), "zero"),
         (("search", "--class", "nonadaptive", "--m", "2", "correlated.box"), "-3"),
+        (("search", "--class", "adaptive", "--input-dependent", "correlated.box"), None),
     ],
 )
 def test_search_usage_errors(boxdir, capsys, monkeypatch, argv, env):
@@ -481,17 +485,19 @@ def test_search_replay_disagreement_exits_one(boxdir, capsys, monkeypatch, argv)
 
 
 def test_exact_oracle_disagreement_exits_one(boxdir, capsys, monkeypatch):
-    real_exact = nlbd.search._exact_input_free_two
+    # push the float pass off the exact maximum: the float weights grow by
+    # far more than the rounding bound allows
+    real_weights = nlbd.search._copy_weights
 
-    def off_by_one(box, m):
-        value, tables = real_exact(box, m)
-        return value + 1, tables
+    def off_weights(box, m):
+        floats, ints, scale = real_weights(box, m)
+        return [1.5 * w for w in floats], ints, scale
 
-    monkeypatch.setattr(nlbd.search, "_exact_input_free_two", off_by_one)
+    monkeypatch.setattr(nlbd.search, "_copy_weights", off_weights)
     code, out, err = run(capsys, "search", "--class", "nonadaptive", "--m", "2", "--exact",
                          boxdir / "correlated.box")
     assert code == 1
-    assert err.startswith("nlbd: rational oracle ")
+    assert err.startswith("nlbd: exact maximum ")
 
 
 def test_invalid_wiring_output_exits_one(boxdir, capsys, monkeypatch):

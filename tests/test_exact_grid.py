@@ -1,0 +1,116 @@
+"""Exact reference grid: the searches against a brute force in integers.
+
+The brute force evaluates every protocol of a class in Python integers on
+the box's binary floats, all scaled to one power-of-two denominator, and
+keeps the smallest canonical encoding among the exact maximisers. Each
+table choice's value is a full contraction of the joint weights with the
+players' signs, so nothing in it relies on a best-response argument.
+"""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+
+from nlbd.boxes import BipartiteBox, box_from_correlators
+from nlbd.search import enumerate_nonadaptive_max
+from nlbd.wirings import symmetric_box
+from nlbd.xorboxes import MultipartiteXorBox, XorGame
+
+
+def _copies(box):
+    """Game signs and one copy's weights per input, as Fractions over joint outcomes."""
+    if isinstance(box, BipartiteBox):
+        return [1, 1, 1, -1], [[Fraction(float(v)) for v in row] for row in box.p]
+    n = box.n
+    parity = [bin(a).count("1") % 2 for a in range(1 << n)]
+    weights = [
+        [(1 + (-1) ** odd * Fraction(float(d))) / 2**n for odd in parity] for d in box.delta
+    ]
+    return [(-1) ** f for f in box.game.f], weights
+
+
+def _joint_weights(copy, n, m, den):
+    """den^m * W[s_1, ..., s_n]: the product over copies, first copy most significant."""
+    size = 1 << m
+    w = np.empty((size,) * n, dtype=object)
+    for strings in itertools.product(range(size), repeat=n):
+        weight = 1
+        for c in range(m):
+            outcome = 0
+            for s in strings:
+                outcome = outcome << 1 | (s >> (m - 1 - c)) & 1
+            weight *= int(copy[outcome] * den)
+        w[strings] = weight
+    return w
+
+
+def _table_values(w):
+    """C[t_1, ..., t_n] = sum_s w[s] prod_j (-1)^(bit s_j of t_j), every table choice."""
+    size = w.shape[0]
+    signs = np.array(
+        [[(-1) ** ((t >> s) & 1) for t in range(1 << size)] for s in range(size)], dtype=object
+    )
+    for _ in range(w.ndim):
+        w = np.tensordot(w, signs, axes=([0], [0]))
+    return w
+
+
+def brute_force(box, m, input_dependent=False):
+    """(exact maximum, smallest maximising encoding) over the class."""
+    signs, copies = _copies(box)
+    n = len(signs).bit_length() - 1
+    size = 1 << m
+    den = max(f.denominator for row in copies for f in row)
+    weights = [s * _joint_weights(copy, n, m, den) for s, copy in zip(signs, copies)]
+    if input_dependent:
+        c = [_table_values(w) for w in weights]
+        # value[g0, g1, h0, h1]: player A's table per input, then B's
+        value = (c[0][:, None, :, None] + c[1][:, None, None, :]
+                 + c[2][None, :, :, None] + c[3][None, :, None, :])
+        tables = [((g0, g1), (h0, h1)) for g0, g1, h0, h1 in np.argwhere(value == value.max())]
+    else:
+        value = _table_values(sum(weights))
+        tables = [tuple((t, t) for t in choice) for choice in np.argwhere(value == value.max())]
+    key = min(
+        sum((int(t0) | int(t1) << size) << (2 * size * j) for j, (t0, t1) in enumerate(choice))
+        for choice in tables
+    )
+    return Fraction(int(value.max()), den**m), key
+
+
+def _grid_boxes():
+    rng = np.random.default_rng(41)
+    off_grid = []
+    while len(off_grid) < 2:
+        params = rng.uniform(-1, 1, 4)
+        box = box_from_correlators(symmetric_box(*params))
+        if box.p.min() >= 0.0:
+            off_grid.append(box)
+    pr = box_from_correlators(symmetric_box(0.0, 0.0, 1.0, -1.0)).p.copy()
+    pr[0, 1] = 1e-200  # m = 2 products of this entry underflow
+    game3 = XorGame.from_predicate(3, lambda bits: (bits[0] | bits[1]) ^ bits[2])
+    return {
+        "kept": box_from_correlators(symmetric_box(0.4, 0.35, 0.75, -0.2)),
+        "496": box_from_correlators(symmetric_box(
+            0.20650028770101136, 0.28021490780095504, -0.1352018836223936, 0.7738648175080272)),
+        "seeded0": off_grid[0],
+        "seeded1": off_grid[1],
+        "chsh": MultipartiteXorBox(XorGame.chsh(), (0.91, 0.83, 0.77, -0.69)),
+        "uniform": box_from_correlators(symmetric_box(0.0, 0.0, 0.0, 0.0)),
+        "underflow": BipartiteBox(pr),
+        "xor3": MultipartiteXorBox(game3, tuple(rng.uniform(-1, 1, 8))),
+        "uniform3": MultipartiteXorBox(game3, (0.0,) * 8),
+    }
+
+
+def test_searches_match_the_exact_brute_force():
+    mismatches = []
+    for name, box in _grid_boxes().items():
+        dependence = (False,) if name.endswith("3") else (False, True)
+        for m, dep in itertools.product((1, 2), dependence):
+            exact, key = brute_force(box, m, dep)
+            r = enumerate_nonadaptive_max(box, m, input_dependent=dep)
+            if (r.best_value, r.best_protocol, r.best_exact) != (float(exact), key, exact):
+                mismatches.append((name, m, dep, r.best_protocol, key))
+    assert mismatches == []

@@ -9,6 +9,7 @@ import hashlib
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,9 +24,6 @@ from nlbd.search import (
     SCAN_CHUNK,
     RegionScanResult,
     _format_floats,
-    _input_weights_and_signs,
-    _sign_matrix,
-    _two_player_max,
     adaptive_search_max,
     enumerate_nonadaptive_max,
     format_table_report,
@@ -167,19 +165,26 @@ def test_exact_mode_certifies_float_search():
         for _ in range(5):
             box = random_valid_box(rng)
             floatr = enumerate_nonadaptive_max(box, m)
-            exactr = enumerate_nonadaptive_max(box, m, exact=True)
+            exactr = enumerate_nonadaptive_max(box, m)
             assert exactr.best_exact is not None
             assert float(exactr.best_exact) == exactr.best_value
             assert exactr.best_value == pytest.approx(floatr.best_value, abs=1e-12)
             assert exactr.best_protocol == floatr.best_protocol
 
 
-def test_exact_mode_rejects_unsupported_classes():
-    box = box_from_correlators(make_named_box("isotropic", delta=1.0))
-    with pytest.raises(ValueError):
-        enumerate_nonadaptive_max(box, 3, exact=True)
-    with pytest.raises(ValueError):
-        enumerate_nonadaptive_max(box, 2, input_dependent=True, exact=True)
+def test_every_class_fills_best_exact():
+    box = box_from_correlators(make_named_box("isotropic", delta=0.9))
+    game3 = XorGame.from_predicate(3, lambda bits: (bits[0] & bits[1]) ^ bits[2])
+    xb3 = MultipartiteXorBox(game3, (0.5, 0.5, 0.5, -0.5, 0.5, 0.5, 0.5, -0.25))
+    results = [
+        enumerate_nonadaptive_max(box, 3),
+        enumerate_nonadaptive_max(box, 2, input_dependent=True),
+        enumerate_nonadaptive_max(xb3, 2),
+        adaptive_search_max(box),
+    ]
+    for r in results:
+        assert isinstance(r.best_exact, Fraction)
+        assert float(r.best_exact) == r.best_value
 
 
 def test_search_budgets():
@@ -245,43 +250,6 @@ def test_adaptive_uniform_box_reaches_only_local_bound():
     assert r.best_protocol == 0
 
 
-def _input_dep_by_brute_force(box, m):
-    """Every input-dependent protocol's float value, summed as the search sums it."""
-    weights, signs = _input_weights_and_signs(box, m)
-    smat = _sign_matrix(m)
-    k = [smat @ (s * w) @ smat.T for s, w in zip(signs, weights)]
-    u = k[0][:, None, :, None] + k[2][None, :, :, None]  # [g0, g1, h0, -]
-    w = k[1][:, None, None, :] + k[3][None, :, None, :]  # [g0, g1, -, h1]
-    value = u + w
-    best = value.max()
-    g0, g1, h0, h1 = np.nonzero(value == best)
-    size = 1 << m
-    return best, int((g0 | g1 << size | h0 << 2 * size | h1 << 3 * size).min())
-
-
-def test_input_dependent_tie_break_is_smallest_float_maximiser():
-    # mostly local boxes: many protocols reach 2 up to an ulp, and a pair of
-    # per-input tables can round to the maximum with one of them an ulp
-    # below its own best, which a per-input argmax alone would miss
-    rng = np.random.default_rng(1)
-    for _ in range(12):
-        box = random_valid_box(rng)
-        for m in (1, 2):
-            r = enumerate_nonadaptive_max(box, m, input_dependent=True)
-            assert (r.best_value, r.best_protocol) == _input_dep_by_brute_force(box, m)
-
-
-def test_core_checks_pairs_that_round_to_the_maximum():
-    # 2 + 2^-52 rounds to 2: each first candidate reaches 2 with the other
-    # input's maximum, but (2 - 2^-52) + 0 does not, so pairs are checked
-    below = 2.0 - 2.0**-52
-    kernels = [[np.array([[below, 2.0]]), np.array([[0.0, 2.0**-52]])]]
-    codes_b = (np.array([0, 1]), np.array([0, 2]))
-    best, key = _two_player_max(kernels, (np.array([0]),), codes_b, 2, threads=1)
-    # achievers: (1, 0) code 1, (0, 1) code 2, (1, 1) code 3
-    assert (best, key) == (2.0, 1 << 2)
-
-
 def test_searches_deterministic_across_threads():
     box = box_from_correlators(symmetric_box(0.05, 0.05, 0.9, 0.1))
     base_dep = enumerate_nonadaptive_max(box, 3, input_dependent=True, threads=1)
@@ -297,7 +265,7 @@ def test_searches_deterministic_across_threads():
             base_free.best_value, base_free.best_protocol)
         assert (ad.best_value, ad.best_protocol) == (
             base_ad.best_value, base_ad.best_protocol)
-    # three players: m=3 so the 256 first-player tables span 16 chunks
+    # three players: m=3 so the 256^2 first-stage rows span 16 chunks
     game3 = XorGame.from_predicate(3, lambda bits: (bits[0] | bits[1]) ^ bits[2])
     xb3 = MultipartiteXorBox(game3, tuple(np.random.default_rng(29).uniform(-1, 1, 8)))
     base_three = enumerate_nonadaptive_max(xb3, 3, threads=1)
@@ -646,23 +614,23 @@ def _pinned_results():
             for key, r in ((key, call()) for key, call in _pinned_cases())}
 
 
-# best_value.hex() and best_protocol of every case, as printed before the
-# two-player searches shared one core
+# best_value.hex() and best_protocol of every case: the correctly rounded
+# exact maximum and the smallest exact maximiser
 PINNED_RESULTS = {
     "free-seeded0-m1": ("0x1.0000000000000p+1", 0x0),
     "dep-seeded0-m1": ("0x1.0000000000000p+1", 0x0),
     "free-seeded0-m2": ("0x1.0000000000000p+1", 0x0),
     "dep-seeded0-m2": ("0x1.0000000000000p+1", 0x0),
     "free-seeded0-m3": ("0x1.0000000000000p+1", 0x0),
-    "dep-seeded0-m3": ("0x1.0000000000001p+1", 0xffff90),
+    "dep-seeded0-m3": ("0x1.0000000000000p+1", 0x0),
     "adaptive-seeded0": ("0x1.0000000000000p+1", 0x0),
     "free-seeded1-m1": ("0x1.6f8437315c57fp+1", 0x55),
     "dep-seeded1-m1": ("0x1.6f8437315c57fp+1", 0x55),
-    "free-seeded1-m2": ("0x1.6f8437315c580p+1", 0x3333),
+    "free-seeded1-m2": ("0x1.6f8437315c57fp+1", 0x3333),
     "dep-seeded1-m2": ("0x1.6f8437315c57fp+1", 0x3333),
     "free-seeded1-m3": ("0x1.6f8437315c580p+1", 0xf0f0f0f),
-    "adaptive-seeded1": ("0x1.6f8437315c57fp+1", 0x330330),
-    "free-chsh-m1": ("0x1.9999999999999p+1", 0x55),
+    "adaptive-seeded1": ("0x1.6f8437315c580p+1", 0x33033f),
+    "free-chsh-m1": ("0x1.999999999999ap+1", 0x55),
     "dep-chsh-m1": ("0x1.999999999999ap+1", 0x55),
     "free-chsh-m2": ("0x1.999999999999ap+1", 0x3333),
     "dep-chsh-m2": ("0x1.999999999999ap+1", 0x3333),
@@ -675,13 +643,12 @@ PINNED_RESULTS = {
     "free-uniform-m3": ("0x1.0000000000000p+1", 0x0),
     "dep-uniform-m3": ("0x1.0000000000000p+1", 0x0),
     "adaptive-uniform": ("0x1.0000000000000p+1", 0x0),
-    "free-kept-m1": ("0x1.399999999999ap+1", 0x55),
-    "dep-kept-m1": ("0x1.399999999999ap+1", 0x55),
-    # the float tie-break fault: the smallest exact maximiser is 0x3333
-    "free-kept-m2": ("0x1.3999999999999p+1", 0x5555),
-    "dep-kept-m2": ("0x1.399999999999ap+1", 0x3333),
-    "free-kept-m3": ("0x1.3999999999999p+1", 0x55555555),
-    "adaptive-kept": ("0x1.399999999999ap+1", 0x330330),
+    "free-kept-m1": ("0x1.3999999999999p+1", 0x55),
+    "dep-kept-m1": ("0x1.3999999999999p+1", 0x55),
+    "free-kept-m2": ("0x1.3999999999999p+1", 0x3333),
+    "dep-kept-m2": ("0x1.3999999999999p+1", 0x3333),
+    "free-kept-m3": ("0x1.3999999999999p+1", 0xf0f0f0f),
+    "adaptive-kept": ("0x1.399999999999ap+1", 0x33f33f),
     "free-xor3-m1": ("0x1.1152cae186f28p+1", 0x555),
     "free-xor3-m2": ("0x1.1152cae186f28p+1", 0x333333),
     "free-xor3-m3": ("0x1.1152cae186f28p+1", 0xf0f0f0f0f0f),
@@ -692,3 +659,31 @@ PINNED_RESULTS = {
 
 def test_search_results_pinned():
     assert _pinned_results() == PINNED_RESULTS
+
+
+def _adaptive_value_exact(box, packed):
+    """CHSH value of an adaptive wiring on two copies of box, in Fractions."""
+    proto = AdaptiveTwoCopyProtocol.decode(packed)
+    p = [[Fraction(float(v)) for v in row] for row in box.p]
+    total = Fraction(0)
+    for x, y, a1, b1, a2, b2 in itertools.product((0, 1), repeat=6):
+        u, w = proto.box2map_a[2 * x + a1], proto.box2map_b[2 * y + b1]
+        a = proto.outmap_a[4 * x + 2 * a1 + a2]
+        b = proto.outmap_b[4 * y + 2 * b1 + b2]
+        weight = p[2 * x + y][2 * a1 + b1] * p[2 * u + w][2 * a2 + b2]
+        total += weight if a ^ b == x & y else -weight
+    return total
+
+
+def test_adaptive_pins_are_exact_maximisers():
+    # the pinned protocols replay to the exact maximum; 0x330330 comes
+    # within an ulp of it in floats but falls short of it exactly
+    rng = np.random.default_rng(12)
+    seeded1 = [random_valid_box(rng) for _ in range(2)][1]
+    kept = box_from_correlators(symmetric_box(0.4, 0.35, 0.75, -0.2))
+    for box, pinned in ((seeded1, PINNED_RESULTS["adaptive-seeded1"][1]),
+                        (kept, PINNED_RESULTS["adaptive-kept"][1])):
+        r = adaptive_search_max(box)
+        assert r.best_protocol == pinned
+        assert _adaptive_value_exact(box, pinned) == r.best_exact
+        assert _adaptive_value_exact(box, 0x330330) < r.best_exact
