@@ -139,9 +139,6 @@ class ValidationReport:
     valid: bool
     violations: tuple[tuple[str, float], ...]
 
-    def __post_init__(self) -> None:
-        assert self.valid == (len(self.violations) == 0)
-
 
 # Sign tables for the decomposition: SIGN_A[ab] = (-1)^a etc.
 _SIGN_A = np.array([+1, +1, -1, -1], dtype=float)

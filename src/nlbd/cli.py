@@ -26,6 +26,7 @@ from .errors import (
     UnknownKind,
 )
 from .fileio import (
+    _fmt,
     format_box_matrix,
     format_protocol,
     format_xor_box,
@@ -63,12 +64,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
-
-
-def _fmt(value: float) -> str:
-    if value == 0.0:  # normalize -0.0
-        value = 0.0
-    return f"{value:.12g}"
 
 
 def _load_box(path: str):
@@ -299,9 +294,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     if args.proto is None:
         proto = bs_wiring()
     else:
-        parsed = parse_protocol(f"proto=adaptive2;tables={args.proto}")
-        assert isinstance(parsed, AdaptiveTwoCopyProtocol)
-        proto = parsed
+        proto = parse_protocol(f"proto=adaptive2;tables={args.proto}")
     result = build_equivalent_boxes(proto)
     print(format_protocol(proto))
     fact = result.factorization

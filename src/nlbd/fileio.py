@@ -168,7 +168,10 @@ def parse_box_text(text: str) -> BipartiteBox | MultipartiteXorBox:
 
 
 def _fmt(value: float) -> str:
-    return f"{float(value):.12g}"
+    value = float(value)
+    if value == 0.0:  # normalize -0.0
+        value = 0.0
+    return f"{value:.12g}"
 
 
 def format_box_matrix(box: BipartiteBox) -> str:

@@ -239,7 +239,6 @@ def apply_nonadaptive(
     for b in box_list:
         _validated(b, tol)
 
-    size = 1 << proto.m
     g = [np.array(proto.tables[0][v], dtype=np.int64) for v in (0, 1)]
     h = [np.array(proto.tables[1][v], dtype=np.int64) for v in (0, 1)]
     out = np.zeros((4, 4))
@@ -258,7 +257,6 @@ def apply_nonadaptive(
             for bo in (0, 1):
                 mask_b = hb == bo
                 out[row, (a << 1) | bo] = weight[np.ix_(mask_a, mask_b)].sum()
-        assert weight.shape == (size, size)
     result = BipartiteBox(out)
     report = validate_box(result, max(tol, 1e-9))
     if not report.valid:

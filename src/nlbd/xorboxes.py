@@ -20,10 +20,12 @@ Indexing convention: an input string ``x = x1 x2 ... xn`` is stored at
 integer index ``x1 * 2^(n-1) + ... + xn`` (first player's bit most
 significant). Output and outcome strings use the same convention.
 
-``simulate_parity`` is the enumeration oracle for the parity protocol's
-closed form: it computes the distilled box by summing over all ``2^(n m)``
-outcome tuples per input instead of using the delta^m shortcut, and is
-budgeted at ``n*m <= 24``.
+``simulate_parity`` (the oracle for the parity protocol's closed form) and
+``simulate_nonadaptive_xor`` visit every one of the ``2^(n m)`` outcome
+tuples and count them exactly by the copies' parity pattern and the
+players' joint output; a tuple's probability depends only on that pattern.
+Neither uses the delta^m shortcut or a Walsh transform; both are budgeted
+at ``n*m <= 24``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .errors import ArityMismatch, BudgetExceeded, VerificationFailed
 # Enumeration ceiling for the oracle: 2^24 outcome tuples per input.
 PARITY_BUDGET_BITS = 24
 
-# Chunk size (in outcome tuples) for the enumeration loops; caps memory.
-_CHUNK = 1 << 18
+# Chunk size (log2 of outcome tuples) for the enumeration; caps memory.
+_CHUNK_BITS = 18
 
 
 @dataclass(frozen=True)
@@ -117,39 +119,82 @@ def parity_distill_value(b: MultipartiteXorBox, m: int) -> float:
     return float(b.game.signs() @ (b.delta_array() ** m))
 
 
-def _player_parities(outcomes: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Per-player output bits of the parity protocol, shape (len(outcomes), n).
+def _outcome_counts(tables: tuple[np.ndarray, ...], n: int, m: int) -> np.ndarray:
+    """Exact tuple counts, shape (2^m, 2^n), for one output table per player.
 
-    ``outcomes`` are integers encoding one n-bit output per copy: bit
-    ``c*n + j`` holds player j's bit in copy c. Player j's protocol output is
-    the XOR of her m bits.
+    Player j's outcome string ``s_j`` (m bits, first copy most significant)
+    says which of her bits came out 1; copy c has even output parity exactly
+    where bit c of ``s_1 xor ... xor s_n`` is 0. ``counts[e, o]`` is the
+    number of the 2^(n m) tuples whose XOR pattern is e and whose joint
+    output ``(tables[0][s_1], ..., tables[n-1][s_n])`` is o. Chunks of the
+    first players' strings are laid over a grid of the last players' strings.
     """
-    out = np.zeros((outcomes.shape[0], n), dtype=np.uint8)
-    for j in range(n):
-        acc = np.zeros(outcomes.shape[0], dtype=np.uint8)
-        for c in range(m):
-            acc ^= ((outcomes >> (c * n + j)) & 1).astype(np.uint8)
-        out[:, j] = acc
-    return out
+    size = 1 << m
+    tail = max(1, min(n - 1, _CHUNK_BITS // m))
+    head = n - tail
+
+    def xor_and_output(index, players):
+        xor = np.zeros_like(index)
+        out = np.zeros_like(index)
+        for j, table in enumerate(players):
+            s = (index >> ((len(players) - 1 - j) * m)) & (size - 1)
+            xor ^= s
+            out = (out << 1) | table[s]
+        return xor, out
+
+    # A tuple's bin is (e << n) | o; the head's and the tail's fields
+    # overlap only in the XOR pattern, so the bin is head key xor tail key.
+    tail_xor, tail_out = xor_and_output(np.arange(1 << (tail * m), dtype=np.int64), tables[head:])
+    tail_key = (tail_xor << n) | tail_out
+    counts = np.zeros(size << n, dtype=np.int64)
+    step = max(1, (1 << _CHUNK_BITS) // tail_key.size)
+    head_total = 1 << (head * m)
+    for start in range(0, head_total, step):
+        index = np.arange(start, min(start + step, head_total), dtype=np.int64)
+        head_xor, head_out = xor_and_output(index, tables[:head])
+        head_key = (head_xor << n) | (head_out << tail)
+        counts += np.bincount((head_key[:, None] ^ tail_key).ravel(), minlength=size << n)
+    return counts.reshape(size, 1 << n)
 
 
-def _copy_parities(outcomes: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Output parity of each copy, shape (len(outcomes), m)."""
-    par = np.zeros((outcomes.shape[0], m), dtype=np.uint8)
-    for c in range(m):
-        acc = np.zeros(outcomes.shape[0], dtype=np.uint8)
-        for j in range(n):
-            acc ^= ((outcomes >> (c * n + j)) & 1).astype(np.uint8)
-        par[:, c] = acc
-    return par
+def _output_distribution(
+    deltas: np.ndarray, tables: list[list[np.ndarray]], n: int, m: int
+) -> np.ndarray:
+    """``dist[x, o]``: probability that the players output o on input x.
+
+    ``deltas[x, c]`` is copy c's even-parity bias on input x and
+    ``tables[j][v]`` player j's output table for input bit v. A tuple's
+    probability on input x is ``w[x, e] = prod_c (1 +- delta_{x,c}) / 2^n``
+    for its XOR pattern e, so ``dist[x] = w[x] @ counts``. The counts depend
+    on x only through the players' tables, so each combination is counted once.
+    """
+    sign = 1.0 - 2.0 * ((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1)
+    weights = ((1.0 + sign * deltas[:, None, :]) / (1 << n)).prod(axis=2)  # w[x, e]
+    dist = np.empty((1 << n, 1 << n), dtype=float)
+    counted: dict[bytes, np.ndarray] = {}
+    for x in range(1 << n):
+        chosen = tuple(tables[j][(x >> (n - 1 - j)) & 1] for j in range(n))
+        key = b"".join(t.tobytes() for t in chosen)
+        if key not in counted:
+            counted[key] = _outcome_counts(chosen, n, m).astype(float)
+        dist[x] = weights[x] @ counted[key]
+    return dist
+
+
+def _budget_check(n: int, m: int) -> None:
+    bits = n * m
+    if bits > PARITY_BUDGET_BITS:
+        raise BudgetExceeded(
+            f"enumeration needs 2^{bits} outcome tuples per input; budget is 2^{PARITY_BUDGET_BITS}"
+        )
 
 
 def simulate_parity(b: MultipartiteXorBox, m: int) -> MultipartiteXorBox:
     """Distill by the parity protocol via exact enumeration of all outcome tuples.
 
-    For every input x, sums the probabilities of all 2^(n m) joint outcome
-    tuples (copies independent, each copy distributed per the even-parity
-    bias delta_x), grouping them by the players' XOR outputs. The resulting
+    For every input x, enumerates all 2^(n m) joint outcome tuples (copies
+    independent, each copy distributed per the even-parity bias delta_x) and
+    groups their probabilities by the players' XOR outputs. The resulting
     distribution is again of even-parity-bias form; its bias is returned as
     the distilled box. Also checks, from the same enumeration, that every
     player's output is unbiased and that the distribution is uniform within
@@ -161,32 +206,12 @@ def simulate_parity(b: MultipartiteXorBox, m: int) -> MultipartiteXorBox:
     if m < 1:
         raise ValueError(f"copies m must be >= 1, got {m}")
     n = b.n
-    bits = n * m
-    if bits > PARITY_BUDGET_BITS:
-        raise BudgetExceeded(
-            f"enumeration needs 2^{bits} outcome tuples per input; budget is 2^{PARITY_BUDGET_BITS}"
-        )
+    _budget_check(n, m)
 
-    total = 1 << bits
     n_out = 1 << n
-    # Per input x: distilled joint output distribution over 2^n outputs.
-    dist = np.zeros((1 << n, n_out), dtype=float)
-    deltas = b.delta_array()
-
-    for start in range(0, total, _CHUNK):
-        outcomes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        copy_par = _copy_parities(outcomes, n, m)  # (chunk, m)
-        player_out = _player_parities(outcomes, n, m)  # (chunk, n)
-        # Distilled output index of each outcome tuple (player 1 most significant).
-        out_idx = np.zeros(outcomes.shape[0], dtype=np.int64)
-        for j in range(n):
-            out_idx = (out_idx << 1) | player_out[:, j]
-        # Probability per input: product over copies of (1 +- delta_x) / 2^n.
-        even = copy_par == 0  # (chunk, m)
-        for x in range(1 << n):
-            d = deltas[x]
-            probs = np.where(even, (1.0 + d) / n_out, (1.0 - d) / n_out).prod(axis=1)
-            np.add.at(dist[x], out_idx, probs)
+    parity_table = np.array([bin(s).count("1") & 1 for s in range(1 << m)], dtype=np.int64)
+    deltas = np.repeat(b.delta_array()[:, None], m, axis=1)
+    dist = _output_distribution(deltas, [[parity_table] * 2] * n, n, m)
 
     # Soundness of the return type: trivial marginals and uniformity within
     # each parity class, both algebraic identities of the parity wiring.
@@ -243,33 +268,14 @@ def simulate_nonadaptive_xor(
     for j, tables in enumerate(player_tables):
         if len(tables) != 2 or any(len(t) != 1 << m for t in tables):
             raise ArityMismatch(f"player {j} needs two tables of 2^{m} bits")
-    bits = n * m
-    if bits > PARITY_BUDGET_BITS:
-        raise BudgetExceeded(
-            f"enumeration needs 2^{bits} outcome tuples per input; budget is 2^{PARITY_BUDGET_BITS}"
-        )
+    tables = [[np.asarray(t, dtype=np.int64) for t in pair] for pair in player_tables]
+    if any(((t != 0) & (t != 1)).any() for pair in tables for t in pair):
+        raise ValueError("output tables must hold bits")
+    _budget_check(n, m)
 
-    total = 1 << bits
     deltas = np.stack([bx.delta_array() for bx in box_list], axis=1)  # (2^n, m)
-    even_bias = np.zeros(1 << n, dtype=float)
-
-    for start in range(0, total, _CHUNK):
-        outcomes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        copy_par = _copy_parities(outcomes, n, m) == 0  # (chunk, m)
-        # Player j's outcome string as a table index (first copy most significant).
-        s = np.zeros((outcomes.shape[0], n), dtype=np.int64)
-        for j in range(n):
-            for c in range(m):
-                s[:, j] |= ((outcomes >> (c * n + j)) & 1) << (m - 1 - c)
-        for x in range(1 << n):
-            probs = np.where(
-                copy_par, (1.0 + deltas[x]) / (1 << n), (1.0 - deltas[x]) / (1 << n)
-            ).prod(axis=1)
-            out_par = np.zeros(outcomes.shape[0], dtype=np.int64)
-            for j in range(n):
-                v = (x >> (n - 1 - j)) & 1
-                out_par ^= np.asarray(player_tables[j][v], dtype=np.int64)[s[:, j]]
-            even_bias[x] += float(probs @ (1.0 - 2.0 * out_par))
-
+    dist = _output_distribution(deltas, tables, n, m)
+    out_parity = np.array([bin(o).count("1") & 1 for o in range(1 << n)])
+    even_bias = dist @ (1.0 - 2.0 * out_parity)
     value = float(game.signs() @ even_bias)
     return value, even_bias

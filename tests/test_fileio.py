@@ -68,6 +68,13 @@ def test_matrix_roundtrip_random_boxes():
         assert np.max(np.abs(parsed.p - box.p)) <= 1e-12
 
 
+def test_negative_zero_prints_as_zero():
+    box = BipartiteBox(np.array([[0.5, -0.0, -0.0, 0.5]] * 4))
+    assert format_box_matrix(box).splitlines()[1] == "row00=0.5,0,0,0.5"
+    xor_box = MultipartiteXorBox(XorGame.chsh(), (1.0, -0.0, 0.5, -0.5))
+    assert format_xor_box(xor_box).endswith("delta=1,0,0.5,-0.5\n")
+
+
 def test_comments_blanks_and_key_order_are_tolerated():
     text = """
 # a correlated box

@@ -1,10 +1,14 @@
 """XOR-game boxes: value bookkeeping and the parity enumeration oracle."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import nlbd.xorboxes
 from nlbd.errors import BudgetExceeded, VerificationFailed
+from nlbd.fourier import PmOutputFunction, nonadaptive_value_fourier, walsh_transform
 from nlbd.xorboxes import (
     MultipartiteXorBox,
     XorGame,
@@ -57,12 +61,29 @@ def test_simulate_parity_matches_powers():
 
 def test_simulate_parity_reports_a_biased_distillate(monkeypatch):
     # every player outputs 0 whatever the outcomes, so the unbiasedness check must fire
-    monkeypatch.setattr(
-        nlbd.xorboxes, "_player_parities",
-        lambda outcomes, n, m: np.zeros((outcomes.shape[0], n), dtype=np.uint8),
-    )
+    def all_zero(tables, n, m):
+        counts = np.zeros((1 << m, 1 << n), dtype=np.int64)
+        counts[:, 0] = 1 << ((n - 1) * m)  # every tuple of each XOR pattern outputs 0...0
+        return counts
+
+    monkeypatch.setattr(nlbd.xorboxes, "_outcome_counts", all_zero)
     with pytest.raises(VerificationFailed, match="biased player"):
         simulate_parity(MultipartiteXorBox(CHSH, (1, 1, 1, 0.3)), 2)
+
+
+def test_simulate_parity_reports_a_non_uniform_parity_class(monkeypatch):
+    # Half the tuples output 000 and half 111: every player is unbiased, but the
+    # even class {000, 011, 101, 110} holds all its weight on 000. (With two
+    # players unbiased outputs force uniform classes, so this needs n = 3.)
+    def all_equal(tables, n, m):
+        counts = np.zeros((1 << m, 1 << n), dtype=np.int64)
+        counts[:, 0] = counts[:, -1] = 1 << ((n - 1) * m - 1)
+        return counts
+
+    monkeypatch.setattr(nlbd.xorboxes, "_outcome_counts", all_equal)
+    box = MultipartiteXorBox(XorGame.from_predicate(3, all), (0.5,) * 8)
+    with pytest.raises(VerificationFailed, match="not uniform within a parity class"):
+        simulate_parity(box, 2)
 
 
 def test_simulate_parity_three_players():
@@ -158,3 +179,95 @@ def test_nonadaptive_xor_input_dependent_tables():
     # independent and unbiased, so the parity bias vanishes.
     assert bias[1] == pytest.approx(0.0, abs=1e-12)
     assert value == pytest.approx(0.9 + 0 + 0 - 0.1, abs=1e-12)
+
+
+def reference_even_bias(box_list, player_tables, m):
+    """Even-parity bias per input, summed tuple by tuple over all 2^(n m) outcomes.
+
+    Each copy's joint output is drawn independently; player j reads her m bits
+    (first copy most significant) through her table for her own input bit.
+    """
+    n = box_list[0].n
+    bias = np.zeros(1 << n)
+    for x in range(1 << n):
+        inputs = [(x >> (n - 1 - j)) & 1 for j in range(n)]
+        for outcome in itertools.product(range(1 << n), repeat=m):
+            prob = 1.0
+            for c, a in enumerate(outcome):
+                odd = bin(a).count("1") & 1
+                prob *= (1 - box_list[c].delta[x] if odd else 1 + box_list[c].delta[x]) / (1 << n)
+            parity = 0
+            for j in range(n):
+                s = 0
+                for a in outcome:
+                    s = (s << 1) | ((a >> (n - 1 - j)) & 1)
+                parity ^= int(player_tables[j][inputs[j]][s])
+            bias[x] += -prob if parity else prob
+    return bias
+
+
+def random_game(rng, n):
+    return XorGame(n, tuple(int(b) for b in rng.integers(0, 2, size=1 << n)))
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
+def test_oracles_match_tuple_by_tuple_reference(n, m):
+    rng = np.random.default_rng(100 * n + m)
+    game = random_game(rng, n)
+    box = MultipartiteXorBox(game, tuple(rng.uniform(-1, 1, size=1 << n)))
+    parity_table = np.array([bin(s).count("1") & 1 for s in range(1 << m)])
+
+    expected = reference_even_bias([box] * m, [[parity_table] * 2] * n, m)
+    assert np.allclose(simulate_parity(box, m).delta, expected, atol=1e-12, rtol=0)
+
+    boxes = [MultipartiteXorBox(game, tuple(rng.uniform(-1, 1, size=1 << n))) for _ in range(m)]
+    cases = [
+        (box, [[t, t] for t in rng.integers(0, 2, size=(n, 1 << m))]),  # identical, input-free
+        (boxes, [list(pair) for pair in rng.integers(0, 2, size=(n, 2, 1 << m))]),  # input-dependent
+    ]
+    for boxes_arg, tables in cases:
+        box_list = [boxes_arg] * m if isinstance(boxes_arg, MultipartiteXorBox) else boxes_arg
+        expected = reference_even_bias(box_list, tables, m)
+        value, bias = simulate_nonadaptive_xor(boxes_arg, tables, m)
+        assert np.allclose(bias, expected, atol=1e-12, rtol=0)
+        assert value == pytest.approx(float(game.signs() @ expected), abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk_bits", [0, 2, 5])
+def test_outcome_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk_bits):
+    # Small chunks split the players into a head of several players decoded
+    # chunk by chunk and a tail grid, which only n*m > 18 reaches by default.
+    rng = np.random.default_rng(chunk_bits)
+    n, m = 4, 3
+    tables = tuple(rng.integers(0, 2, size=(n, 1 << m)))
+    whole = nlbd.xorboxes._outcome_counts(tables, n, m)
+    assert whole.sum() == 1 << (n * m)
+    monkeypatch.setattr(nlbd.xorboxes, "_CHUNK_BITS", chunk_bits)
+    assert np.array_equal(nlbd.xorboxes._outcome_counts(tables, n, m), whole)
+
+
+def test_nonadaptive_oracle_matches_fourier_value_four_players():
+    rng = np.random.default_rng(44)
+    n, m = 4, 2
+    game = random_game(rng, n)
+    box = MultipartiteXorBox(game, tuple(rng.uniform(-1, 1, size=1 << n)))
+    for _ in range(5):
+        tables = rng.integers(0, 2, size=(n, 1 << m))
+        value, _ = simulate_nonadaptive_xor(box, [[t, t] for t in tables], m)
+        spectra = [walsh_transform(PmOutputFunction.from_bits(m, t)) for t in tables]
+        assert value == pytest.approx(nonadaptive_value_fourier(spectra, game, box.delta), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, m", [(2, 12), (3, 8)])
+def test_simulate_parity_at_the_budget_matches_exact_powers(n, m):
+    rng = np.random.default_rng(n * m)
+    box = MultipartiteXorBox(random_game(rng, n), tuple(rng.uniform(-1, 1, size=1 << n)))
+    exact = [float(Fraction(d) ** m) for d in box.delta]
+    assert np.allclose(simulate_parity(box, m).delta, exact, atol=1e-13, rtol=0)
+
+
+def test_nonadaptive_xor_rejects_non_bit_tables():
+    box = MultipartiteXorBox(CHSH, (1, 1, 1, 0.3))
+    bad = np.array([0, 2])
+    with pytest.raises(ValueError, match="bits"):
+        simulate_nonadaptive_xor(box, [[bad, bad]] * 2, 1)
