@@ -15,11 +15,12 @@ player: 12 bits, box-2 input map at bits 0-3 (index ``v*2 + o1``), output
 map at bits 4-11 (index ``v*4 + o1*2 + o2``); Alice occupies bits 0-11,
 Bob bits 12-23.
 
-Application is by exact enumeration of every intermediate outcome, so the
-results are oracle-grade: apply_nonadaptive sums all 4^m joint outcomes per
-input, apply_adaptive the 16 intermediate outcome combinations. Both check
-that the output passes box validation (local wirings cannot create
-signalling) and raise VerificationFailed if it does not.
+Application is by exact summation over every intermediate outcome, so the
+results are oracle-grade: apply_nonadaptive takes the sum over all 4^m joint
+outcomes per input copy by copy, in O(m 2^m) operations, and apply_adaptive
+sums the 16 intermediate outcome combinations. Both check that the output
+passes box validation (local wirings cannot create signalling) and raise
+VerificationFailed if it does not.
 """
 
 from __future__ import annotations
@@ -225,8 +226,10 @@ def apply_nonadaptive(
 ) -> BipartiteBox:
     """Wire m (not necessarily identical) bipartite boxes non-adaptively.
 
-    Every copy is queried with the original input pair; outcome weights are
-    the exact products over copies, summed over all 4^m joint outcomes.
+    Every copy is queried with the original input pair. The output is the
+    exact sum over all 4^m joint outcomes, taken copy by copy: per input,
+    each copy's 2x2 outcome matrix turns one of Bob's outcome bits into
+    Alice's, and Alice's output indicator closes the sum, in O(m 2^m).
     """
     if proto.n != 2:
         raise ArityMismatch("bipartite wiring needs an n=2 protocol")
@@ -236,27 +239,19 @@ def apply_nonadaptive(
         box_list = list(boxes)
     if len(box_list) != proto.m:
         raise ArityMismatch(f"protocol expects {proto.m} boxes, got {len(box_list)}")
-    for b in box_list:
+    for b in {id(b): b for b in box_list}.values():
         _validated(b, tol)
 
-    g = [np.array(proto.tables[0][v], dtype=np.int64) for v in (0, 1)]
-    h = [np.array(proto.tables[1][v], dtype=np.int64) for v in (0, 1)]
-    out = np.zeros((4, 4))
-    for row in range(4):
-        x, y = row >> 1, row & 1
-        # weight[sA, sB] = prod_c p_c(ac bc | xy), copies major-to-minor.
-        weight = np.ones((1, 1))
-        for b in box_list:
-            pc = b.p[row].reshape(2, 2)  # pc[a, b]
-            weight = np.einsum("AB,ab->AaBb", weight, pc).reshape(
-                weight.shape[0] * 2, weight.shape[1] * 2
-            )
-        ga, hb = g[x], h[y]
-        for a in (0, 1):
-            mask_a = ga == a
-            for bo in (0, 1):
-                mask_b = hb == bo
-                out[row, (a << 1) | bo] = weight[np.ix_(mask_a, mask_b)].sum()
+    # indicator[v, o, s] = 1 where the player's output on input v, string s is o
+    g, h = (np.array(proto.tables[j], dtype=float) for j in (0, 1))
+    ind_a, ind_b = np.stack([1.0 - g, g], axis=1), np.stack([1.0 - h, h], axis=1)
+    # t[xy, b, s] over Bob's strings s; copy by copy, the leading outcome bit
+    # b_c is summed against p_c(a_c b_c | xy) and a_c appended as the last bit,
+    # so after m copies s reads Alice's string, first copy most significant.
+    t = ind_b[[0, 1, 0, 1]]
+    for b in box_list:
+        t = np.einsum("nkbr,nab->nkra", t.reshape(4, 2, 2, -1), b.p.reshape(4, 2, 2))
+    out = np.einsum("nas,nbs->nab", ind_a[[0, 0, 1, 1]], t.reshape(4, 2, -1)).reshape(4, 4)
     result = BipartiteBox(out)
     report = validate_box(result, max(tol, 1e-9))
     if not report.valid:

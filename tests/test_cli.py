@@ -21,6 +21,8 @@ import nlbd.equivalence
 import nlbd.search
 import nlbd.wirings
 from nlbd import (
+    CorrelatorForm,
+    box_from_correlators,
     bs_output_box,
     chsh_value_of_box,
     format_box_correlators,
@@ -30,6 +32,7 @@ from nlbd import (
 )
 from nlbd.boxes import ValidationReport
 from nlbd.cli import main
+from nlbd.wirings import symmetric_box
 
 XOR_TEXT = "kind=xor\nn=2\nf=0001\ndelta=0.9,0.9,0.9,-0.9\n"
 
@@ -181,6 +184,44 @@ def test_distill_copy_budget(boxdir, capsys):
                          boxdir / "correlated.box")
     assert code == 4
     assert "budget" in err
+
+
+def _distill_box_files(directory, distinct):
+    """One seeded symmetric box in the OR regime, or ten seeded general boxes."""
+    rng = np.random.default_rng(2009)
+    paths = []
+    while len(paths) < (10 if distinct else 1):
+        if distinct:
+            marginals = rng.uniform(-0.3, 0.3, size=4)
+            correlators = rng.uniform(0.75, 1.0, size=4) * rng.choice([-1.0, 1.0], size=4)
+            form = CorrelatorForm(*marginals, *correlators)
+        else:
+            alpha, beta = rng.uniform(0.2, 0.45, size=2)
+            form = symmetric_box(alpha, beta, rng.uniform(0.75, 1.0), rng.uniform(-0.5, 0.1))
+        if np.all(box_from_correlators(form).p >= 0.0):
+            path = directory / f"copy{len(paths)}.box"
+            path.write_text(format_box_correlators(form), encoding="utf-8")
+            paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "copies, distinct, digest",
+    [
+        # SHA-256 of what `nlbd distill` printed when it summed all 4^m joint outcomes
+        (6, False, "30f60bbc0bb3f5d1733affbb41b65882d096cc49789215d443ca367b92e7e075"),
+        (8, False, "5f5ddc2ce44b7ae220f4525c5424259fcfadb800253ee0084191645a8f7bbf75"),
+        (10, False, "5247ab9e6b73b0d547e76d5248740e1d4a3b1b1c745e5c14c886fb5b4fba6ce7"),
+        (6, True, "e51b6c80b1e029225905503a41f2b7e6acd0d539a3f31230bb4117f658284bfe"),
+        (8, True, "8496b746c8764f6b16618465f258c7ad1289d4379e1d34bfdd774c18e26a0c1c"),
+        (10, True, "7795c0a6b7f6e76e00c418fe2c7eb7a5ce5ef0b36e446a69a8de3357115b08a2"),
+    ],
+)
+def test_distill_parity_prints_pinned_bytes(tmp_path, capsys, copies, distinct, digest):
+    paths = _distill_box_files(tmp_path, distinct)[:copies]
+    code, out, err = run(capsys, "distill", "--protocol", "parity", "--copies", copies, *paths)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_nonadaptive_output(boxdir, capsys):

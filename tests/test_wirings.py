@@ -1,5 +1,7 @@
 """Tests for protocol application: exact enumeration, encodings, closed forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from nlbd.boxes import (
     correlators_from_box,
     make_named_box,
 )
+import nlbd.wirings
 from nlbd.errors import ArityMismatch, FormatError, InvalidBox
 from nlbd.wirings import (
     AdaptiveTwoCopyProtocol,
@@ -179,6 +182,74 @@ def test_nonadaptive_output_is_valid_box():
         proto = NonAdaptiveProtocol.decode(2, 2, packed)
         distilled = apply_nonadaptive(box, proto)  # assertion inside
         assert np.all(distilled.p >= -1e-15)
+
+
+def reference_nonadaptive(boxes, proto):
+    """Distillate of a non-adaptive wiring, one joint outcome tuple at a time.
+
+    Copy c's outcome bits sit at position m-1-c of each player's string
+    (first copy most significant), as the protocol encoding documents.
+    """
+    m = proto.m
+    out = np.zeros((4, 4))
+    for x, y in itertools.product((0, 1), repeat=2):
+        row = 2 * x + y
+        for joint in itertools.product(range(4), repeat=m):  # (a_c << 1) | b_c per copy
+            weight = 1.0
+            for box, ab in zip(boxes, joint):
+                weight *= box.p[row, ab]
+            s_a = sum((ab >> 1) << (m - 1 - c) for c, ab in enumerate(joint))
+            s_b = sum((ab & 1) << (m - 1 - c) for c, ab in enumerate(joint))
+            a, b = proto.tables[0][x][s_a], proto.tables[1][y][s_b]
+            out[row, 2 * a + b] += weight
+    return out
+
+
+def test_nonadaptive_matches_outcome_by_outcome_reference():
+    rng = np.random.default_rng(67)
+    pool = [box_from_correlators(symmetric_box(*params))
+            for params in random_symmetric_params(rng, 4)]
+    pool.append(box_from_correlators(make_named_box("isotropic", delta=1.0)))
+    pool += [box_from_correlators(form) for form in random_valid_forms(rng, 3)]
+    for m in (1, 2, 3, 4):
+        for _ in range(6):
+            boxes = [pool[i] for i in rng.choice(len(pool), size=m, replace=False)]
+            bits = rng.integers(0, 2, size=4 << m)
+            packed = sum(int(bit) << i for i, bit in enumerate(bits))
+            for proto in (NonAdaptiveProtocol.decode(2, m, packed), parity_protocol(2, m)):
+                got = apply_nonadaptive(boxes, proto).p
+                assert np.allclose(got, reference_nonadaptive(boxes, proto), rtol=0, atol=1e-13)
+    for first, second in itertools.permutations(pool[3:6], 2):
+        got = apply_nonadaptive([first, second], or_protocol()).p
+        expect = reference_nonadaptive([first, second], or_protocol())
+        assert np.allclose(got, expect, rtol=0, atol=1e-13)
+
+
+def test_parity_distillate_at_twelve_copies():
+    # 4^12 joint outcomes per input; the sum is taken copy by copy
+    alpha, beta, delta, eps = 0.3, 0.35, 0.95, -0.2
+    box = box_from_correlators(symmetric_box(alpha, beta, delta, eps))
+    distilled = apply_nonadaptive(box, parity_protocol(2, 12))
+    assert chsh_value_of_box(distilled) == pytest.approx(3 * delta**12 - eps**12, abs=1e-12)
+
+
+def test_apply_nonadaptive_validates_each_distinct_box_once(monkeypatch):
+    calls = []
+    real = nlbd.wirings._validated
+    monkeypatch.setattr(
+        nlbd.wirings, "_validated", lambda b, tol=1e-9: calls.append(id(b)) or real(b, tol)
+    )
+    box = box_from_correlators(make_named_box("isotropic", delta=0.7))
+    other = box_from_correlators(make_named_box("isotropic", delta=0.9))
+    apply_nonadaptive(box, parity_protocol(2, 5))
+    assert calls == [id(box)]
+    calls.clear()
+    apply_nonadaptive([box, other, box], parity_protocol(2, 3))
+    assert calls == [id(box), id(other)]
+    p = np.full((4, 4), 0.25)
+    p[0] = [0.5, 0.5, 0.25, -0.25]
+    with pytest.raises(InvalidBox, match="input box fails validation"):
+        apply_nonadaptive([box, BipartiteBox(p), box], parity_protocol(2, 3))
 
 
 def test_apply_nonadaptive_arity_errors():
