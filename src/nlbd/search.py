@@ -16,11 +16,12 @@ among all exact maximisers. One engine serves every class: with every
 player but the last (whose block holds the highest encoding bits) fixed,
 the value is linear in her +-1 output signs, so her best value on each
 input is sum_s |v_s|, reached by setting bit s exactly where v_s < 0, her
-smallest code (the infinity-to-one-norm step of Alon and Naor). The other
-players' tables are enumerated in floats; rows within a rigorous rounding
-bound of the float maximum are evaluated again in integers (box entries
-are binary floats) and ties are broken on those exact values. Any
-`threads` value gives identical results.
+smallest code (the infinity-to-one-norm step of Alon and Naor). A float
+pass totals every row of the other players' tables at once, one slot s
+at a time; an exact pass evaluates again in integers (box entries are
+binary floats) only the rows within a rigorous rounding bound of the
+float maximum, and breaks ties on those exact values. Any `threads`
+value gives identical results.
 
 Supported sizes: m <= 3 copies throughout (the protocol count doubles per
 outcome bit; beyond three copies enumeration is out of scope), n in {2, 3}
@@ -81,9 +82,9 @@ MAX_COPIES = 3
 
 CC_COLLAPSE_THRESHOLD = 4.0 * math.sqrt(2.0 / 3.0)
 
-# First-stage rows a search evaluates at once. Chunk bounds follow from the
-# class alone, never from the thread count.
-_CHUNK_ROWS = 4096
+# First-stage rows the float pass totals per block, in whole second-player
+# tables. Block bounds follow from the class alone, never the thread count.
+_CHUNK_ROWS = 1 << 14
 
 _CHSH_SIGNS = (1, 1, 1, -1)
 
@@ -168,13 +169,47 @@ def _copy_weights(box, m: int):
     return out[0], out[1], den**m
 
 
-def _respond(v, code):
-    """The last player's best response to slot values v[row, input, slot].
+def _respond(v, key):
+    """The last player's best response to slot values v[branch, u, slot, row].
 
-    Returns her total sum |v| and a function giving her smallest code,
-    code(t) of her tables t[row, input] with bit s set exactly where v_s < 0.
+    On each branch she takes an alternative u of largest sum_slot |v|, with
+    bit s set exactly where v_s < 0. Returns her totals and a function for
+    key(beh) of her smallest behaviors beh[branch, row] = u + len(u) * bits.
     """
-    return np.abs(v).sum((1, 2)), lambda: code(((v < 0) << np.arange(v.shape[2])).sum(2))
+    value = np.abs(v).sum(2)
+    best = value.max(1)
+
+    def keys():
+        choices, slots = v.shape[1:3]
+        beh = np.arange(choices)[:, None] + choices * ((v < 0) << np.arange(slots)[:, None]).sum(2)
+        return key(np.where(value == best[:, None], beh, choices << slots).min(1))
+
+    return best.sum(0), keys
+
+
+def _narrowed(ints: list) -> list:
+    """int64 weights if sum |weights| < 2^62, which bounds every partial sum an exact pass forms."""
+    if sum(np.abs(w).sum() for w in ints) < 1 << 62:
+        return [w.astype(np.int64) for w in ints]
+    return ints
+
+
+def _distinct(tables, contract):
+    """contract(t) for each distinct table t, gathered back in the order of `tables`."""
+    first, inverse = np.unique(tables, return_inverse=True)
+    return contract(first)[inverse]
+
+
+def _outer_totals(left, right, lo: int, hi: int):
+    """sum_branch max_u sum_slot |left[.., b] + right[.., a]| on the grid [b in lo:hi, a].
+
+    left and right are [branch, u, slot, table], summed one slot at a time.
+    """
+    total = 0
+    for lb, rb in zip(left[..., lo:hi, None], right[..., None, :]):
+        sums = [sum(np.abs(l + r) for l, r in zip(lu, ru)) for lu, ru in zip(lb, rb)]
+        total = total + np.maximum.reduce(sums)
+    return total
 
 
 def _rounding_bound(terms: int, roundings: int, l1: float) -> float:
@@ -196,38 +231,32 @@ def _rounding_bound(terms: int, roundings: int, l1: float) -> float:
     return 2 * (gamma * l1 + terms * roundings * 2.0**-1074)
 
 
-def _best_response_max(stage, kernels, scale: int, codes, shift: int, err: float, threads: int):
-    """Exact class maximum and its smallest packed key.
+def _best_response_max(block, grid, exact_rows, scale: int, err: float, threads: int):
+    """Exact class maximum and its smallest packed key, in two passes.
 
-    Row r fixes every player's tables but the last's, packed as codes[r].
-    stage(k, rows) gives each row's total under the last player's best
-    response and a function for her smallest best-response codes, from the
-    float kernels or the integer ones (`scale` times the exact values). The
-    key is the smallest (code << shift) + codes[r] over the exact maximisers.
+    Row r = a + b * first of grid = (seconds, first) fixes every player's
+    tables but the last's. Float pass: block(lo, hi) gives the [b, a] row
+    totals under the last player's best response for b in lo:hi, in blocks
+    set by the grid alone. Exact pass: exact_rows(rows) gives the totals of
+    the rows near the float maximum in integers (`scale` times the exact
+    values) and a function for their keys with her smallest best response.
     """
-    floats, ints = kernels
-    rows = np.arange(len(codes))
-    chunks = [rows[i : i + _CHUNK_ROWS] for i in range(0, len(rows), _CHUNK_ROWS)]
-    approx = np.concatenate(_map_chunks(lambda r: stage(floats, r)[0], chunks, threads))
+    seconds, first = grid
+    step = max(1, _CHUNK_ROWS // first)
+    blocks = _map_chunks(lambda lo: block(lo, lo + step), range(0, seconds, step), threads)
+    approx = np.concatenate(blocks, axis=None)
     top = approx.max()
     # every total is within err of its float value, so every exact
     # maximiser is within 2*err of the float maximum
     candidates = np.flatnonzero(approx >= top - 2 * err)
-    totals, last = [], []
-    for i in range(0, len(candidates), _CHUNK_ROWS):
-        total, code = stage(ints, candidates[i : i + _CHUNK_ROWS])
-        totals += total.tolist()
-        last += code().tolist()
-    best = max(totals)
-    exact = Fraction(best, scale)
+    totals, keys = exact_rows(candidates)
+    best = totals.max()
+    exact = Fraction(int(best), scale)
     if not abs(exact - Fraction(top)) <= err:
         raise VerificationFailed(
             f"exact maximum {float(exact)!r} lies beyond {err:.3g} of the float maximum {top!r}"
         )
-    key = min(
-        (c << shift) + int(codes[r]) for r, t, c in zip(candidates, totals, last) if t == best
-    )
-    return exact, key
+    return exact, int(keys()[totals == best].min())
 
 
 def _check_budget(examined: int, m: int) -> None:
@@ -244,6 +273,15 @@ def _resimulate_nonadaptive(box, proto: NonAdaptiveProtocol) -> float:
         return chsh_value_of_box(apply_nonadaptive(box, proto))
     value, _ = apply_nonadaptive_xor(box, proto)
     return value
+
+
+def _replayed(result: SearchResult, replay: float) -> SearchResult:
+    """The result, once the value its protocol replays to agrees with it."""
+    if not abs(replay - result.best_value) <= 1e-9:
+        raise VerificationFailed(
+            f"replay of the best protocol gives {replay!r}, search found {result.best_value!r}"
+        )
+    return result
 
 
 def enumerate_nonadaptive_max(
@@ -276,50 +314,51 @@ def enumerate_nonadaptive_max(
     size = 1 << m
     count = 1 << size
     smat = _sign_matrix(m)
-    if input_dependent:
-        # K_xy = s_xy S W_xy in input order 2x + y, and v_y = K_0y[a_0] + K_1y[a_1]
-        kernels = [[smat @ w for w in ws] for ws in (floats, ints)]
-        codes = np.arange(count * count)  # a_0 | a_1 << size
-
-        def stage(k, rows):
-            v = np.stack([k[y][rows % count] + k[2 + y][rows // count] for y in (0, 1)], 1)
-            return _respond(v, lambda t: t[:, 0] + (t[:, 1] << size))
-
-    else:
-        # the first player is contracted once for all her tables, the middle
-        # players add their slots one at a time
-        kernels = [np.tensordot(smat, sum(ws), 1) for ws in (floats, ints)]
-        digits = [np.arange(count ** (n - 1)) // count**j % count for j in range(n - 1)]
-        codes = sum(d * (1 + count) << (2 * size * j) for j, d in enumerate(digits))
-
-        def stage(k, rows):
-            v = k[rows % count]
-            for j in range(1, n - 1):
-                h = smat[rows // count**j % count][:, None]
-                v = (h @ v.reshape(len(rows), size, -1)).reshape((len(rows),) + v.shape[2:])
-            return _respond(v[:, None], lambda t: t[:, 0] * (1 + count))
-
     l1 = float(Fraction(sum(np.abs(w).sum() for w in ints), scale))
     err = _rounding_bound(sum(w.size for w in floats), 2 * m, l1)
-    exact, packed = _best_response_max(
-        stage, kernels, scale, codes, 2 * size * (n - 1), err, threads
-    )
-    result = SearchResult(float(exact), packed, examined, class_name, n, m, exact)
+    if input_dependent:
+        # K_xy = s_xy S W_xy in input order 2x + y, and v_y = K_0y[a_0] + K_1y[a_1]
+        kernels = np.stack([(smat @ w).T for w in floats])[:, None]  # [xy, -, slot, table]
+        block = lambda lo, hi: _outer_totals(kernels[2:], kernels[:2], lo, hi)  # noqa: E731
+        ints = np.stack(_narrowed(ints)).reshape(2, 2, size, size)  # [x, y, s_A, slot]
 
-    proto = NonAdaptiveProtocol.decode(n, m, result.best_protocol)
-    replay = _resimulate_nonadaptive(box, proto)
-    if not abs(replay - result.best_value) <= 1e-9:
-        raise VerificationFailed(
-            f"replay of the best protocol gives {replay!r}, search found {result.best_value!r}"
-        )
-    return result
+        def exact_rows(rows):
+            v = sum(
+                _distinct(tables, lambda t: np.tensordot(smat[t], ints[x], (1, 1)))
+                for x, tables in enumerate((rows % count, rows // count))
+            )
+            # row r = a_0 | a_1 << size, the last player's tables above it
+            key = lambda t: rows + (t[0] + (t[1] << size) << 2 * size)  # noqa: E731
+            return _respond(v.transpose(1, 2, 0)[:, None], key)
+
+    else:
+        # the first player is contracted once for all her tables, then the
+        # middle one (n = 3; else a single 1) one slot t at a time: kt[t, s_1, a_0]
+        kt = np.tensordot(smat, sum(floats), 1).T.reshape(size, -1, count).copy()
+        middle = smat.astype(float) if n == 3 else np.ones((1, 1))
+        block = lambda lo, hi: sum(np.abs(middle[lo:hi] @ k) for k in kt)  # noqa: E731
+        (weights,) = _narrowed([sum(ints)])
+
+        def exact_rows(rows):
+            v = _distinct(rows % count, lambda t: np.tensordot(smat[t], weights, 1))
+            if n == 3:
+                v = (smat[rows // count][:, None] @ v)[:, 0]
+            # player j's table, the same on both inputs, at bit 2 * size * j
+            first = rows % count + (rows // count << 2 * size)
+            key = lambda t: (1 + count) * (first + (t[0] << 2 * size * (n - 1)))  # noqa: E731
+            return _respond(v.T[None, None], key)
+
+    grid = (count if input_dependent or n == 3 else 1, count)
+    exact, packed = _best_response_max(block, grid, exact_rows, scale, err, threads)
+    result = SearchResult(float(exact), packed, examined, class_name, n, m, exact)
+    return _replayed(result, _resimulate_nonadaptive(box, NonAdaptiveProtocol.decode(n, m, packed)))
 
 
 # ------------------------------------------------------------------ adaptive
 
 
-def _adaptive_kernels(p: np.ndarray) -> list:
-    """M_xy[P_A, b1, u, b2] per input pair 2x + y, CHSH sign folded into M_11.
+def _adaptive_kernels(p: np.ndarray) -> np.ndarray:
+    """M[x, 2y + b1, u, b2, P_A] per input pair (x, y), CHSH sign folded into x = y = 1.
 
     The first copy's weight times the second copy's expected sign product,
     for player A's branch pair P_A = beh(a1=0) * 8 + beh(a1=1) and player
@@ -333,41 +372,21 @@ def _adaptive_kernels(p: np.ndarray) -> list:
     g = (sign[:, None, :, None] * second).sum(2)  # [beh, u, b2]
     pair = np.arange(64)
     halves = (g[pair >> 3][:, None], g[pair & 7][:, None])  # P_A's behavior on a1 = 0, 1
-    return [
+    kernels = [  # [P_A, b1, u, b2] per input pair 2x + y
         s * sum(first[a1][None, :, None, None] * halves[a1] for a1 in (0, 1))
         for s, first in zip(_CHSH_SIGNS, p.reshape(4, 2, 2))
     ]
+    return np.moveaxis(np.array(kernels), 1, -1).reshape(2, 4, 2, 2, 64)
 
 
-def _pack_adaptive_player(pair0, pair1):
-    """12-bit block from the branch-pair behaviors ((v=0), (v=1)); arrays work elementwise."""
-    behs = (pair0 >> 3, pair0 & 7, pair1 >> 3, pair1 & 7)
+def _pack_adaptive_player(behs):
+    """12-bit block from the behaviors on branches 2v + a1 = 0..3; arrays work elementwise."""
     block = 0
     for branch, beh in enumerate(behs):
         block |= (beh & 1) << branch
         block |= ((beh >> 1) & 1) << (4 + 2 * branch)
         block |= ((beh >> 2) & 1) << (5 + 2 * branch)
     return block
-
-
-def _adaptive_stage(k, rows):
-    """Player B's best response, branch by branch, to A's branch pairs (rows % 64, rows // 64).
-
-    Branch 2y + b1 takes the box-2 input u of largest sum_b2 |v|; among the
-    inputs that reach it, the smaller behavior, which is the smaller code.
-    """
-    v = np.stack([k[y][rows % 64] + k[2 + y][rows // 64] for y in (0, 1)], 1)
-    v = v.reshape(len(rows), 4, 2, 2)  # [row, branch, u, b2]
-    # elementwise over the length-2 axes: numpy reduces them far slower
-    value = abs(v[..., 0]) + abs(v[..., 1])
-    best = np.maximum(value[..., 0], value[..., 1])
-
-    def code():
-        beh = np.arange(2) | (v[..., 0] < 0) << 1 | (v[..., 1] < 0) << 2
-        beh = np.where(value == best[..., None], beh, 8).min(2)
-        return _pack_adaptive_player(beh[:, 0] * 8 + beh[:, 1], beh[:, 2] * 8 + beh[:, 3])
-
-    return best.sum(1), code
 
 
 def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
@@ -385,22 +404,23 @@ def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
     floats, ints, den = _on_one_denominator(
         np.array([[Fraction(float(v)) for v in row] for row in box.p], dtype=object)
     )
-    rows = np.arange(64 * 64)
     # per row, 16 products p1*p2 on each of the four branches
     abs_p = np.abs(box.p)
     err = _rounding_bound(64, 2, float(abs_p.sum() * abs_p.sum(1).max()))
-    kernels = (_adaptive_kernels(floats), _adaptive_kernels(ints))
-    codes = _pack_adaptive_player(rows % 64, rows // 64)
-    exact, packed = _best_response_max(_adaptive_stage, kernels, den**2, codes, 12, err, threads)
-    best = float(exact)
+    kf, ki = _adaptive_kernels(floats), _narrowed(_adaptive_kernels(ints))
+    block = lambda lo, hi: _outer_totals(kf[1], kf[0], lo, hi)  # noqa: E731
 
+    def exact_rows(rows):
+        # player B's branch 2y + b1 takes a box-2 input u, then her behavior
+        # on it is u | bit(b2=0) << 1 | bit(b2=1) << 2
+        v = ki[0][..., rows % 64] + ki[1][..., rows // 64]  # [branch, u, b2, row]
+        a = _pack_adaptive_player((rows >> 3 & 7, rows & 7, rows >> 9, rows >> 6 & 7))
+        return _respond(v, lambda b: _pack_adaptive_player(b) << 12 | a)
+
+    exact, packed = _best_response_max(block, (64, 64), exact_rows, den**2, err, threads)
+    result = SearchResult(float(exact), packed, 4096 * 4096, "adaptive2", 2, 2, exact)
     proto = AdaptiveTwoCopyProtocol.decode(packed)
-    replay = chsh_value_of_box(apply_adaptive(box, box, proto))
-    if not abs(replay - best) <= 1e-9:
-        raise VerificationFailed(
-            f"replay of the best protocol gives {replay!r}, search found {best!r}"
-        )
-    return SearchResult(best, packed, 4096 * 4096, "adaptive2", 2, 2, exact)
+    return _replayed(result, chsh_value_of_box(apply_adaptive(box, box, proto)))
 
 
 # ---------------------------------------------------------------- region scan

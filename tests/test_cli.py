@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import nlbd.cli
 import nlbd.equivalence
 import nlbd.search
 import nlbd.wirings
@@ -493,6 +494,26 @@ def test_no_arguments_is_usage(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_parser_built_once_prints_what_a_fresh_one_does(boxdir, capsys, monkeypatch):
+    argvs = [
+        ("search",),  # usage error: --class is required
+        ("--help",),
+        ("search", "--class", "nonadaptive", "--m", "2", "--exact", boxdir / "correlated.box"),
+        ("scan", "--alpha", "0:0.1:0.05", "--eps", "-0.5:0.5:0.25", "--out", "-"),
+    ]
+    fresh = []
+    for argv in argvs:
+        nlbd.cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    built = []
+    real_build = nlbd.cli.build_parser
+    monkeypatch.setattr(nlbd.cli, "build_parser", lambda: built.append(1) or real_build())
+    nlbd.cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in argvs] == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0]
+    assert len(built) == 1
 
 
 def test_module_entry_point(boxdir):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import nlbd.search as search_module
 from nlbd.boxes import BipartiteBox, box_from_correlators, chsh_value_of_box, make_named_box
 from nlbd.cli import main as cli_main
 from nlbd.errors import BudgetExceeded, InvalidBox, UnknownKind
@@ -252,27 +253,20 @@ def test_adaptive_uniform_box_reaches_only_local_bound():
 
 def test_searches_deterministic_across_threads():
     box = box_from_correlators(symmetric_box(0.05, 0.05, 0.9, 0.1))
-    base_dep = enumerate_nonadaptive_max(box, 3, input_dependent=True, threads=1)
-    base_free = enumerate_nonadaptive_max(box, 3, threads=1)
-    base_ad = adaptive_search_max(box, threads=1)
-    for threads in (4, 8):
-        dep = enumerate_nonadaptive_max(box, 3, input_dependent=True, threads=threads)
-        free = enumerate_nonadaptive_max(box, 3, threads=threads)
-        ad = adaptive_search_max(box, threads=threads)
-        assert (dep.best_value, dep.best_protocol) == (
-            base_dep.best_value, base_dep.best_protocol)
-        assert (free.best_value, free.best_protocol) == (
-            base_free.best_value, base_free.best_protocol)
-        assert (ad.best_value, ad.best_protocol) == (
-            base_ad.best_value, base_ad.best_protocol)
-    # three players: m=3 so the 256^2 first-stage rows span 16 chunks
+    # three players: at m=3 the float pass maps 4 blocks of 64 middle-player
+    # tables, a count that 3 threads do not divide
     game3 = XorGame.from_predicate(3, lambda bits: (bits[0] | bits[1]) ^ bits[2])
     xb3 = MultipartiteXorBox(game3, tuple(np.random.default_rng(29).uniform(-1, 1, 8)))
-    base_three = enumerate_nonadaptive_max(xb3, 3, threads=1)
-    for threads in (4, 8):
-        three = enumerate_nonadaptive_max(xb3, 3, threads=threads)
-        assert (three.best_value, three.best_protocol) == (
-            base_three.best_value, base_three.best_protocol)
+    searches = (
+        lambda threads: enumerate_nonadaptive_max(box, 3, input_dependent=True, threads=threads),
+        lambda threads: enumerate_nonadaptive_max(box, 3, threads=threads),
+        lambda threads: enumerate_nonadaptive_max(xb3, 3, threads=threads),
+        lambda threads: adaptive_search_max(box, threads=threads),
+    )
+    for search in searches:
+        base = search(1)
+        for threads in (2, 3, 4, 8):
+            assert search(threads) == base, threads
 
 
 def test_region_scan_or_window_at_alpha_half():
@@ -604,7 +598,7 @@ def _pinned_cases():
         bip = chsh_box if name == "chsh" else box
         cases.append((f"adaptive-{name}", lambda b=bip: adaptive_search_max(b)))
     for name, box in three_player.items():
-        for m in (1, 2, 3) if name == "xor3" else (1, 2):
+        for m in (1, 2, 3):
             cases.append((f"free-{name}-m{m}", lambda b=box, m=m: enumerate_nonadaptive_max(b, m)))
     return cases
 
@@ -654,6 +648,8 @@ PINNED_RESULTS = {
     "free-xor3-m3": ("0x1.1152cae186f28p+1", 0xf0f0f0f0f0f),
     "free-uniform3-m1": ("0x0.0p+0", 0x0),
     "free-uniform3-m2": ("0x0.0p+0", 0x0),
+    # every one of the 65,536 first-stage rows ties at 0
+    "free-uniform3-m3": ("0x0.0p+0", 0x0),
 }
 
 
@@ -687,3 +683,54 @@ def test_adaptive_pins_are_exact_maximisers():
         assert r.best_protocol == pinned
         assert _adaptive_value_exact(box, pinned) == r.best_exact
         assert _adaptive_value_exact(box, 0x330330) < r.best_exact
+
+
+def _float_and_exact_stages(call, monkeypatch):
+    """The two passes, the scale and the rounding bound a search call hands its engine."""
+    seen = {}
+    real = search_module._best_response_max
+
+    def spy(block, grid, exact_rows, scale, err, threads):
+        seen.update(block=block, grid=grid, exact_rows=exact_rows, scale=scale, err=err)
+        return real(block, grid, exact_rows, scale, err, threads)
+
+    monkeypatch.setattr(search_module, "_best_response_max", spy)
+    call()
+    return seen
+
+
+def _rounding_cases():
+    rng = np.random.default_rng(41)
+    boxes = {
+        # the two boxes on which float tie-breaks once printed wrong protocols
+        "kept": box_from_correlators(symmetric_box(0.4, 0.35, 0.75, -0.2)),
+        "dep-fault": box_from_correlators(symmetric_box(
+            0.20650028770101136, 0.28021490780095504, -0.1352018836223936, 0.7738648175080272)),
+        "seeded": random_valid_box(rng),
+    }
+    cases = []
+    for name, box in boxes.items():
+        for m in (1, 2):
+            cases.append((f"free-{name}-m{m}", lambda b=box, m=m: enumerate_nonadaptive_max(b, m)))
+            cases.append((f"dep-{name}-m{m}", lambda b=box, m=m: enumerate_nonadaptive_max(
+                b, m, input_dependent=True)))
+        cases.append((f"adaptive-{name}", lambda b=box: adaptive_search_max(b)))
+    game3 = XorGame.from_predicate(3, lambda bits: (bits[0] & bits[1]) ^ bits[2])
+    xb3 = MultipartiteXorBox(game3, tuple(rng.uniform(-1, 1, 8)))
+    for m in (1, 2):
+        cases.append((f"free-xor3-m{m}", lambda m=m: enumerate_nonadaptive_max(xb3, m)))
+    return cases
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=name) for name, c in _rounding_cases()])
+def test_every_row_float_total_within_rounding_bound(call, monkeypatch):
+    # the candidate window is sound only if the bound holds on every row,
+    # not just on the maximisers the pins see
+    stage = _float_and_exact_stages(call, monkeypatch)
+    seconds, first = stage["grid"]
+    approx = stage["block"](0, seconds).ravel()
+    totals, _ = stage["exact_rows"](np.arange(seconds * first))
+    assert len(approx) == len(totals) == seconds * first
+    gap = max(abs(Fraction(a) - Fraction(int(t), stage["scale"]))
+              for a, t in zip(approx.tolist(), totals.tolist()))
+    assert gap <= stage["err"] < 1e-12
