@@ -31,7 +31,7 @@ Every operation that consumes a box as a probability object validates first
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,16 +70,8 @@ class CorrelatorForm:
                 raise ValueError(f"CorrelatorForm field {name}={v} outside [-1, 1]")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "omega": self.omega,
-            "d1": self.d1,
-            "d2": self.d2,
-            "d3": self.d3,
-            "eps": self.eps,
-        }
+        """The eight fields by name, in CORRELATOR_FIELDS order."""
+        return {name: getattr(self, name) for name in CORRELATOR_FIELDS}
 
     def marginals_a(self) -> np.ndarray:
         """Alice's marginal bias per input x, shape (2,)."""
@@ -92,6 +84,11 @@ class CorrelatorForm:
     def correlators(self) -> np.ndarray:
         """Correlators per joint input in INPUT_ORDER, shape (4,)."""
         return np.array([self.d1, self.d2, self.d3, self.eps], dtype=float)
+
+
+# The field names in declaration order: the order of the positional
+# constructor, of as_dict, and of every file and printout that lists them.
+CORRELATOR_FIELDS = tuple(field.name for field in fields(CorrelatorForm))
 
 
 class BipartiteBox:
@@ -144,6 +141,8 @@ class ValidationReport:
 _SIGN_A = np.array([+1, +1, -1, -1], dtype=float)
 _SIGN_B = np.array([+1, -1, +1, -1], dtype=float)
 _SIGN_AB = _SIGN_A * _SIGN_B
+# Output-marginal indicators: p[xy] @ _MARGINALS = (p(a=0), p(a=1), p(b=0), p(b=1)).
+_MARGINALS = np.stack([1 + _SIGN_A, 1 - _SIGN_A, 1 + _SIGN_B, 1 - _SIGN_B], axis=1) / 2
 
 
 def box_from_correlators(c: CorrelatorForm) -> BipartiteBox:
@@ -168,9 +167,7 @@ def correlators_from_box(b: BipartiteBox, tol: float = VALIDITY_TOL) -> Correlat
     no-signalling-averaged rows so the roundtrip is exact to 1e-12 even in
     the presence of tolerance-level noise.
     """
-    report = validate_box(b, tol)
-    if not report.valid:
-        raise InvalidBox(f"cannot extract correlators: {report.violations}")
+    require_valid(b, "cannot extract correlators", tol=tol)
     p = b.p
     # Alice's marginal bias per x: average over Bob's input (equal by no-signalling).
     ea = [
@@ -180,17 +177,8 @@ def correlators_from_box(b: BipartiteBox, tol: float = VALIDITY_TOL) -> Correlat
         float(np.mean([p[(x << 1) | y] @ _SIGN_B for x in (0, 1)])) for y in (0, 1)
     ]
     exy = [float(p[row] @ _SIGN_AB) for row in range(4)]
-    clip = lambda v: float(min(1.0, max(-1.0, v)))  # noqa: E731  guard tol-level overshoot
-    return CorrelatorForm(
-        alpha=clip(ea[0]),
-        beta=clip(ea[1]),
-        gamma=clip(eb[0]),
-        omega=clip(eb[1]),
-        d1=clip(exy[0]),
-        d2=clip(exy[1]),
-        d3=clip(exy[2]),
-        eps=clip(exy[3]),
-    )
+    # clipping guards tolerance-level overshoot
+    return CorrelatorForm(*(float(min(1.0, max(-1.0, v))) for v in ea + eb + exy))
 
 
 def validate_box(b: BipartiteBox, tol: float = VALIDITY_TOL) -> ValidationReport:
@@ -203,33 +191,38 @@ def validate_box(b: BipartiteBox, tol: float = VALIDITY_TOL) -> ValidationReport
     p = b.p
     violations: list[tuple[str, float]] = []
 
+    # written as `not <=` so that a nan entry fails every check
     neg = float(-(p.min()))
-    if neg > tol:
+    if not neg <= tol:
         violations.append(("negativity", neg))
 
     norm = float(np.abs(p.sum(axis=1) - 1.0).max())
-    if norm > tol:
+    if not norm <= tol:
         violations.append(("normalization", norm))
 
-    # Alice's marginal p(a|x) must not depend on y: compare y=0 vs y=1 rows.
-    # p(a=0|xy) = p[row,0] + p[row,1]; p(a=1|xy) = p[row,2] + p[row,3].
-    sig_a = 0.0
-    for x in (0, 1):
-        r0, r1 = p[(x << 1) | 0], p[(x << 1) | 1]
-        sig_a = max(sig_a, abs((r0[0] + r0[1]) - (r1[0] + r1[1])))
-        sig_a = max(sig_a, abs((r0[2] + r0[3]) - (r1[2] + r1[3])))
-    if sig_a > tol:
-        violations.append(("no-signalling-to-alice", float(sig_a)))
-
-    sig_b = 0.0
-    for y in (0, 1):
-        r0, r1 = p[(0 << 1) | y], p[(1 << 1) | y]
-        sig_b = max(sig_b, abs((r0[0] + r0[2]) - (r1[0] + r1[2])))
-        sig_b = max(sig_b, abs((r0[1] + r0[3]) - (r1[1] + r1[3])))
-    if sig_b > tol:
-        violations.append(("no-signalling-to-bob", float(sig_b)))
+    # Alice's marginal p(a|xy) must not depend on y, Bob's p(b|xy) not on x.
+    marginal = p @ _MARGINALS  # [xy, (a=0, a=1, b=0, b=1)]
+    sig_a = float(np.abs(marginal[0::2, :2] - marginal[1::2, :2]).max())
+    if not sig_a <= tol:
+        violations.append(("no-signalling-to-alice", sig_a))
+    sig_b = float(np.abs(marginal[:2, 2:] - marginal[2:, 2:]).max())
+    if not sig_b <= tol:
+        violations.append(("no-signalling-to-bob", sig_b))
 
     return ValidationReport(valid=not violations, violations=tuple(violations))
+
+
+def require_valid(
+    b: BipartiteBox,
+    message: str,
+    error: type[Exception] = InvalidBox,
+    tol: float = VALIDITY_TOL,
+) -> BipartiteBox:
+    """b itself if it passes validate_box, else error(f"{message}: {violations}")."""
+    report = validate_box(b, tol)
+    if not report.valid:
+        raise error(f"{message}: {report.violations}")
+    return b
 
 
 def chsh_value(c: CorrelatorForm) -> float:
@@ -240,6 +233,19 @@ def chsh_value(c: CorrelatorForm) -> float:
 def chsh_value_of_box(b: BipartiteBox, tol: float = VALIDITY_TOL) -> float:
     """CHSH value computed from a probability box (validates first)."""
     return chsh_value(correlators_from_box(b, tol))
+
+
+# Parameter names of each named family, and the eight fields they fill in
+# CORRELATOR_FIELDS order.
+_NAMED_FAMILIES = {
+    "isotropic": (("delta",), lambda d: (0.0, 0.0, 0.0, 0.0, d, d, d, -d)),
+    "correlated": (("alpha", "eps"), lambda a, e: (a, a, a, a, 1.0, 1.0, 1.0, e)),
+    "symmetric": (
+        ("alpha", "beta", "delta", "eps"),
+        lambda a, b, d, e: (a, b, a, b, d, d, d, e),
+    ),
+    "general": (CORRELATOR_FIELDS, lambda *values: values),
+}
 
 
 def make_named_box(kind: str, **params: float) -> CorrelatorForm:
@@ -257,41 +263,16 @@ def make_named_box(kind: str, **params: float) -> CorrelatorForm:
       ``(delta, delta, delta, eps)``.
     * ``general(alpha, beta, gamma, omega, d1, d2, d3, eps)``: all eight.
 
-    Raises UnknownKind for anything else. Construction never validates.
+    Raises UnknownKind for anything else, for a missing parameter and for an
+    unexpected one. Construction never validates.
     """
-    try:
-        if kind == "isotropic":
-            d = float(params.pop("delta"))
-            _reject_extra(kind, params)
-            return CorrelatorForm(0.0, 0.0, 0.0, 0.0, d, d, d, -d)
-        if kind == "correlated":
-            a = float(params.pop("alpha"))
-            e = float(params.pop("eps"))
-            _reject_extra(kind, params)
-            return CorrelatorForm(a, a, a, a, 1.0, 1.0, 1.0, e)
-        if kind == "symmetric":
-            a = float(params.pop("alpha"))
-            b = float(params.pop("beta"))
-            d = float(params.pop("delta"))
-            e = float(params.pop("eps"))
-            _reject_extra(kind, params)
-            return CorrelatorForm(a, b, a, b, d, d, d, e)
-        if kind == "general":
-            return CorrelatorForm(
-                float(params.pop("alpha")),
-                float(params.pop("beta")),
-                float(params.pop("gamma")),
-                float(params.pop("omega")),
-                float(params.pop("d1")),
-                float(params.pop("d2")),
-                float(params.pop("d3")),
-                float(params.pop("eps")),
-            )
-    except KeyError as missing:
-        raise UnknownKind(f"{kind} box is missing parameter {missing}") from None
-    raise UnknownKind(f"unknown box kind {kind!r}")
-
-
-def _reject_extra(kind: str, leftover: dict[str, float]) -> None:
-    if leftover:
-        raise UnknownKind(f"{kind} box got unexpected parameters {sorted(leftover)}")
+    if kind not in _NAMED_FAMILIES:
+        raise UnknownKind(f"unknown box kind {kind!r}")
+    names, layout = _NAMED_FAMILIES[kind]
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise UnknownKind(f"{kind} box is missing parameter {missing[0]!r}")
+    extra = sorted(set(params) - set(names))
+    if extra:
+        raise UnknownKind(f"{kind} box got unexpected parameters {extra}")
+    return CorrelatorForm(*layout(*(float(params[name]) for name in names)))

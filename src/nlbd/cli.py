@@ -17,20 +17,13 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .boxes import chsh_value_of_box, validate_box
+from .boxes import INPUT_ORDER, chsh_value_of_box, validate_box
 from .equivalence import build_equivalent_boxes
-from .errors import (
-    ArityMismatch,
-    BudgetExceeded,
-    FormatError,
-    NlbdError,
-    UnknownKind,
-)
+from .errors import BudgetExceeded, FormatError, NlbdError
 from .fileio import (
     _fmt,
-    format_box_matrix,
+    format_box,
     format_protocol,
-    format_xor_box,
     parse_protocol,
     read_box_file,
     write_box_file,
@@ -53,8 +46,6 @@ from .wirings import (
 )
 from .xorboxes import MultipartiteXorBox, xor_value
 
-_CORRELATOR_FIELDS = ("alpha", "beta", "gamma", "omega", "d1", "d2", "d3", "eps")
-
 _AXIS_OPTIONS = ("--alpha", "--beta", "--delta", "--eps")
 _NUMBER_STARTS = frozenset("0123456789.")
 
@@ -65,6 +56,11 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
+
+
+# Exit code of every other error main reports, first matching class wins:
+# UnknownKind, FormatError and ArityMismatch are ValueErrors, so usage errors.
+_EXIT_CODES = ((BudgetExceeded, 4), (OSError, 3), (ValueError, 2), (NlbdError, 1))
 
 
 def _load_box(path: str):
@@ -140,10 +136,7 @@ def _fuse_negative_values(argv: Sequence) -> list:
 
 def _emit_box(box, out: str | None) -> None:
     if out is None:
-        if isinstance(box, MultipartiteXorBox):
-            sys.stdout.write(format_xor_box(box))
-        else:
-            sys.stdout.write(format_box_matrix(box))
+        sys.stdout.write(format_box(box))
     else:
         try:
             write_box_file(out, box)
@@ -292,6 +285,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.delta):
+        raise _CliError(2, f"--delta must be a finite number, got {args.delta}")
     if args.proto is None:
         proto = bs_wiring()
     else:
@@ -299,14 +294,14 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     result = build_equivalent_boxes(proto)
     print(format_protocol(proto))
     fact = result.factorization
-    for row, label in enumerate(("00", "01", "10", "11")):
+    for row, label in enumerate(INPUT_ORDER):
         coeffs = ",".join(_fmt(c) for c in fact.targets[row].coeffs)
         factors = ";".join(f"{_fmt(f.c1)},{_fmt(f.c0)}" for f in fact.entries[row])
         print(f"target{label}={coeffs}")
         print(f"factors{label}={factors}")
     for i, label in enumerate(("box1", "box2")):
         form = result.boxes[i].correlator_form(args.delta)
-        fields = " ".join(f"{name}={_fmt(getattr(form, name))}" for name in _CORRELATOR_FIELDS)
+        fields = " ".join(f"{name}={_fmt(value)}" for name, value in form.as_dict().items())
         print(f"{label}: {fields}")
     print(f"certificate_max_deviation={_fmt(result.certificate.max_deviation)}")
     print(f"certificate_p00_deviation={_fmt(result.certificate.p00_deviation)}")
@@ -398,24 +393,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except _CliError as err:
+    except (_CliError, *(cls for cls, _ in _EXIT_CODES)) as err:
         print(f"nlbd: {err}", file=sys.stderr)
-        return err.code
-    except BudgetExceeded as err:
-        print(f"nlbd: {err}", file=sys.stderr)
-        return 4
-    except OSError as err:
-        print(f"nlbd: {err}", file=sys.stderr)
-        return 3
-    except (FormatError, ArityMismatch, UnknownKind) as err:
-        print(f"nlbd: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"nlbd: {err}", file=sys.stderr)
-        return 2
-    except NlbdError as err:
-        print(f"nlbd: {err}", file=sys.stderr)
-        return 1
+        if isinstance(err, _CliError):
+            return err.code
+        return next(code for cls, code in _EXIT_CODES if isinstance(err, cls))
 
 
 if __name__ == "__main__":

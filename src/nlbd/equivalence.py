@@ -28,12 +28,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boxes import (
+    CORRELATOR_FIELDS,
     BipartiteBox,
     CorrelatorForm,
     box_from_correlators,
     correlators_from_box,
     make_named_box,
-    validate_box,
+    require_valid,
 )
 from .errors import (
     InvalidConstructedBox,
@@ -291,6 +292,16 @@ def _adaptive_output(proto: AdaptiveTwoCopyProtocol, delta: float) -> BipartiteB
     return apply_adaptive(box, box, proto)
 
 
+def _sampled_outputs(proto: AdaptiveTwoCopyProtocol) -> list[BipartiteBox]:
+    """The adaptive output at each interpolation node in SAMPLE_DELTAS."""
+    return [_adaptive_output(proto, d) for d in SAMPLE_DELTAS]
+
+
+def _q_through(samples: Sequence[BipartiteBox], row: int) -> DeltaPolynomial:
+    """The quadratic through p(ab=00|xy) of the sampled outputs, xy = row."""
+    return _quadratic_through(*(float(sample.p[row, 0]) for sample in samples))
+
+
 def interpolate_qxy(proto: AdaptiveTwoCopyProtocol, xy) -> DeltaPolynomial:
     """Recover p(ab=00|xy) of the adaptive wiring on identical one-parameter boxes.
 
@@ -299,12 +310,11 @@ def interpolate_qxy(proto: AdaptiveTwoCopyProtocol, xy) -> DeltaPolynomial:
     the exact simulator at delta in {0, 1/2, 1} determines it exactly.
     """
     row = _input_row(xy)
-    v0, vh, v1 = (float(_adaptive_output(proto, d).p[row, 0]) for d in SAMPLE_DELTAS)
-    return _quadratic_through(v0, vh, v1)
+    return _q_through(_sampled_outputs(proto), row)
 
 
 def _clip_entry(value: float) -> float:
-    if abs(value) > 1.0 + 1e-6:
+    if not abs(value) <= 1.0 + 1e-6:  # also catches nan
         raise InvalidConstructedBox(f"affine entry {value:.6g} leaves [-1, 1]")
     return min(1.0, max(-1.0, value))
 
@@ -350,9 +360,6 @@ class EquivalenceResult:
     certificate: EquivalenceCertificate
 
 
-_FIELD_NAMES = ("alpha", "beta", "gamma", "omega", "d1", "d2", "d3", "eps")
-
-
 def build_equivalent_boxes(proto: AdaptiveTwoCopyProtocol) -> EquivalenceResult:
     """Rewrite an adaptive two-copy wiring as parity over two tailored boxes.
 
@@ -368,24 +375,22 @@ def build_equivalent_boxes(proto: AdaptiveTwoCopyProtocol) -> EquivalenceResult:
     split into bounded affine factors, InvalidConstructedBox when the factor
     assignment fails box validation at some sampled delta.
     """
-    targets = tuple(
-        _even_output_target(interpolate_qxy(proto, row)) for row in range(4)
-    )
+    samples = _sampled_outputs(proto)
+    targets = tuple(_even_output_target(_q_through(samples, row)) for row in range(4))
     entries = tuple(factor_affine_target(t) for t in targets)
     factorization = AffineFactorization(targets=targets, entries=entries)
 
-    forms = [correlators_from_box(_adaptive_output(proto, d)) for d in SAMPLE_DELTAS]
-    split = {
-        name: factor_affine_target(
-            _quadratic_through(*(form.as_dict()[name] for form in forms))
-        )
-        for name in _FIELD_NAMES
-    }
+    forms = [correlators_from_box(sample) for sample in samples]
+    # one factor pair per field, in CORRELATOR_FIELDS order
+    split = [
+        factor_affine_target(_quadratic_through(*(getattr(form, name) for form in forms)))
+        for name in CORRELATOR_FIELDS
+    ]
     boxes = tuple(
         EquivalentBox(
-            marginal_a=(split["alpha"][i], split["beta"][i]),
-            marginal_b=(split["gamma"][i], split["omega"][i]),
-            correlator=(split["d1"][i], split["d2"][i], split["d3"][i], split["eps"][i]),
+            marginal_a=(split[0][i], split[1][i]),
+            marginal_b=(split[2][i], split[3][i]),
+            correlator=tuple(pair[i] for pair in split[4:]),
         )
         for i in (0, 1)
     )
@@ -394,15 +399,14 @@ def build_equivalent_boxes(proto: AdaptiveTwoCopyProtocol) -> EquivalenceResult:
     max_dev = 0.0
     p00_dev = 0.0
     for delta in CERTIFICATE_DELTAS:
-        concrete = []
-        for built in boxes:
-            candidate = built.box_at(delta)
-            report = validate_box(candidate)
-            if not report.valid:
-                raise InvalidConstructedBox(
-                    f"constructed box invalid at delta={delta:g}: {report.violations}"
-                )
-            concrete.append(candidate)
+        concrete = [
+            require_valid(
+                built.box_at(delta),
+                f"constructed box invalid at delta={delta:g}",
+                InvalidConstructedBox,
+            )
+            for built in boxes
+        ]
         rebuilt = apply_nonadaptive(concrete, parity)
         reference = _adaptive_output(proto, delta)
         gap = np.abs(rebuilt.p - reference.p)

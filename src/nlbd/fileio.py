@@ -30,12 +30,19 @@ import math
 
 import numpy as np
 
-from .boxes import BipartiteBox, CorrelatorForm, box_from_correlators
+from .boxes import (
+    CORRELATOR_FIELDS,
+    INPUT_ORDER,
+    BipartiteBox,
+    CorrelatorForm,
+    box_from_correlators,
+)
 from .errors import FormatError
 from .wirings import AdaptiveTwoCopyProtocol, NonAdaptiveProtocol
 from .xorboxes import MultipartiteXorBox, XorGame
 
 __all__ = [
+    "format_box",
     "format_box_correlators",
     "format_box_matrix",
     "format_protocol",
@@ -46,8 +53,7 @@ __all__ = [
     "write_box_file",
 ]
 
-_CORRELATOR_KEYS = ("alpha", "beta", "gamma", "omega", "d1", "d2", "d3", "eps")
-_ROW_KEYS = ("row00", "row01", "row10", "row11")
+_ROW_KEYS = tuple(f"row{xy}" for xy in INPUT_ORDER)
 _XOR_KEYS = ("n", "f", "delta")
 
 # Serialized protocols beyond this many table bits are rejected rather than
@@ -105,8 +111,8 @@ def _as_int(key: str, literal: str | None) -> int:
 
 
 def _parse_correlators(pairs: list[tuple[str, str]]) -> BipartiteBox:
-    fields = _exact_keys(pairs, _CORRELATOR_KEYS)
-    values = {key: _as_float(key, fields[key]) for key in _CORRELATOR_KEYS}
+    fields = _exact_keys(pairs, CORRELATOR_FIELDS)
+    values = {key: _as_float(key, fields[key]) for key in CORRELATOR_FIELDS}
     try:
         form = CorrelatorForm(**values)
     except ValueError as bad:
@@ -205,16 +211,20 @@ def read_box_file(path) -> BipartiteBox | MultipartiteXorBox:
         return parse_box_text(stream.read())
 
 
-def write_box_file(path, box) -> None:
-    """Write a box to path: matrix form for bipartite boxes, xor form for XOR boxes."""
+def format_box(box) -> str:
+    """Box file text, in the matrix, xor or correlators form by the type of box."""
     if isinstance(box, BipartiteBox):
-        text = format_box_matrix(box)
-    elif isinstance(box, MultipartiteXorBox):
-        text = format_xor_box(box)
-    elif isinstance(box, CorrelatorForm):
-        text = format_box_correlators(box)
-    else:
-        raise TypeError(f"cannot serialize {type(box).__name__} as a box file")
+        return format_box_matrix(box)
+    if isinstance(box, MultipartiteXorBox):
+        return format_xor_box(box)
+    if isinstance(box, CorrelatorForm):
+        return format_box_correlators(box)
+    raise TypeError(f"cannot serialize {type(box).__name__} as a box file")
+
+
+def write_box_file(path, box) -> None:
+    """Write format_box(box) to path."""
+    text = format_box(box)
     with open(path, "w", encoding="utf-8") as stream:
         stream.write(text)
 
@@ -273,18 +283,14 @@ def parse_protocol(text: str) -> NonAdaptiveProtocol | AdaptiveTwoCopyProtocol:
         m = _as_int("m", fields.pop("m", None))
         if n < 2 or m < 1 or m > 10 or n * 2 * (1 << m) > _MAX_PROTOCOL_BITS:
             raise FormatError(f"unsupported protocol shape n={n}, m={m}")
-        bits = n * 2 * (1 << m)
-        packed = _take_tables(fields, _hex_width(bits))
-        if fields:
-            raise FormatError(f"unexpected protocol fields: {', '.join(sorted(fields))}")
-        return NonAdaptiveProtocol.decode(n, m, packed)
-    if kind == "adaptive2":
-        packed = _take_tables(fields, 6)
-        if fields:
-            raise FormatError(f"unexpected protocol fields: {', '.join(sorted(fields))}")
-        return AdaptiveTwoCopyProtocol.decode(packed)
-    if kind is None:
+        # the digits cover the encoding exactly, so decoding cannot fail
+        proto = NonAdaptiveProtocol.decode(n, m, _take_tables(fields, _hex_width(n * 2 * (1 << m))))
+    elif kind == "adaptive2":
+        proto = AdaptiveTwoCopyProtocol.decode(_take_tables(fields, 6))
+    elif kind is None:
         raise FormatError("protocol serialization must start with proto=")
-    raise FormatError(
-        f"unknown protocol kind {kind!r} (expected nonadaptive or adaptive2)"
-    )
+    else:
+        raise FormatError(f"unknown protocol kind {kind!r} (expected nonadaptive or adaptive2)")
+    if fields:
+        raise FormatError(f"unexpected protocol fields: {', '.join(sorted(fields))}")
+    return proto

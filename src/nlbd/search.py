@@ -60,9 +60,9 @@ from .boxes import (
     BipartiteBox,
     box_from_correlators,
     chsh_value_of_box,
-    validate_box,
+    require_valid,
 )
-from .errors import BudgetExceeded, InvalidBox, UnknownKind, VerificationFailed
+from .errors import BudgetExceeded, UnknownKind, VerificationFailed
 from .wirings import (
     AdaptiveTwoCopyProtocol,
     AllcockParams,
@@ -71,7 +71,9 @@ from .wirings import (
     apply_nonadaptive,
     apply_nonadaptive_xor,
     closed_form_values,
-    or_value_simulated,
+    or_protocol,
+    pack_adaptive_player,
+    parity_protocol,
     symmetric_box,
 )
 from .xorboxes import MultipartiteXorBox
@@ -143,9 +145,7 @@ def _copy_weights(box, m: int):
     s_x is the game sign. Returns (floats, integers, scale).
     """
     if isinstance(box, BipartiteBox):
-        report = validate_box(box)
-        if not report.valid:
-            raise InvalidBox(f"search input fails validation: {report.violations}")
+        require_valid(box, "search input fails validation")
         n, signs = 2, _CHSH_SIGNS
         copies = [[Fraction(float(v)) for v in row] for row in box.p]
     elif isinstance(box, MultipartiteXorBox):
@@ -259,15 +259,6 @@ def _best_response_max(block, grid, exact_rows, scale: int, err: float, threads:
     return exact, int(keys()[totals == best].min())
 
 
-def _check_budget(examined: int, m: int) -> None:
-    if m < 1:
-        raise ValueError(f"need at least one copy, got m={m}")
-    if m > MAX_COPIES:
-        raise BudgetExceeded(f"enumeration beyond {MAX_COPIES} copies is out of scope (m={m})")
-    if examined > PROTOCOL_BUDGET:
-        raise BudgetExceeded(f"{examined} protocols exceeds the 2^32 budget")
-
-
 def _resimulate_nonadaptive(box, proto: NonAdaptiveProtocol) -> float:
     if isinstance(box, BipartiteBox):
         return chsh_value_of_box(apply_nonadaptive(box, proto))
@@ -296,6 +287,12 @@ def enumerate_nonadaptive_max(
     (its game's objective); all m copies are identical. Ties are broken on
     exact values, by the smallest canonical protocol encoding.
     """
+    # m is checked before it sizes anything: 1 << (1 << m) fails for m < 0
+    # and grows doubly exponentially
+    if m < 1:
+        raise ValueError(f"need at least one copy, got m={m}")
+    if m > MAX_COPIES:
+        raise BudgetExceeded(f"enumeration beyond {MAX_COPIES} copies is out of scope (m={m})")
     n = 2 if isinstance(box, BipartiteBox) else box.n
     per_player_functions = 1 << (1 << m)
     if input_dependent:
@@ -304,7 +301,8 @@ def enumerate_nonadaptive_max(
     else:
         examined = per_player_functions**n
         class_name = "nonadaptive-input-free"
-    _check_budget(examined, m)
+    if examined > PROTOCOL_BUDGET:
+        raise BudgetExceeded(f"{examined} protocols exceeds the 2^32 budget")
 
     if input_dependent and n != 2:
         raise BudgetExceeded("input-dependent enumeration is implemented for two players")
@@ -379,16 +377,6 @@ def _adaptive_kernels(p: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.array(kernels), 1, -1).reshape(2, 4, 2, 2, 64)
 
 
-def _pack_adaptive_player(behs):
-    """12-bit block from the behaviors on branches 2v + a1 = 0..3; arrays work elementwise."""
-    block = 0
-    for branch, beh in enumerate(behs):
-        block |= (beh & 1) << branch
-        block |= ((beh >> 1) & 1) << (4 + 2 * branch)
-        block |= ((beh >> 2) & 1) << (5 + 2 * branch)
-    return block
-
-
 def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
     """Exact maximum CHSH-style value over all adaptive two-copy wirings.
 
@@ -398,9 +386,7 @@ def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
     in closed form, so the 4096^2 class costs 4096 rows. Ties are broken on
     exact values, by the smallest encoding.
     """
-    report = validate_box(box)
-    if not report.valid:
-        raise InvalidBox(f"search input fails validation: {report.violations}")
+    require_valid(box, "search input fails validation")
     floats, ints, den = _on_one_denominator(
         np.array([[Fraction(float(v)) for v in row] for row in box.p], dtype=object)
     )
@@ -414,8 +400,8 @@ def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
         # player B's branch 2y + b1 takes a box-2 input u, then her behavior
         # on it is u | bit(b2=0) << 1 | bit(b2=1) << 2
         v = ki[0][..., rows % 64] + ki[1][..., rows // 64]  # [branch, u, b2, row]
-        a = _pack_adaptive_player((rows >> 3 & 7, rows & 7, rows >> 9, rows >> 6 & 7))
-        return _respond(v, lambda b: _pack_adaptive_player(b) << 12 | a)
+        a = pack_adaptive_player((rows >> 3 & 7, rows & 7, rows >> 9, rows >> 6 & 7))
+        return _respond(v, lambda b: pack_adaptive_player(b) << 12 | a)
 
     exact, packed = _best_response_max(block, (64, 64), exact_rows, den**2, err, threads)
     result = SearchResult(float(exact), packed, 4096 * 4096, "adaptive2", 2, 2, exact)
@@ -722,13 +708,6 @@ def _fitted_combination(v_a_printed: float, delta: float, eps: float) -> float:
     return (4 * v_a_printed - base) / (delta - eps)
 
 
-def _simulated_parity_value(alpha: float, beta: float, delta: float, eps: float) -> float:
-    from .wirings import parity_protocol
-
-    box = box_from_correlators(symmetric_box(alpha, beta, delta, eps))
-    return chsh_value_of_box(apply_nonadaptive(box, parity_protocol(2, 2)))
-
-
 def reproduce_tables(which: int, audit_adaptive: bool = False) -> TableReport:
     """Recompute one of the three frozen reference tables and diff it.
 
@@ -775,8 +754,9 @@ def reproduce_tables(which: int, audit_adaptive: bool = False) -> TableReport:
         else:
             alpha = float(rec["alpha"])
             params = AllcockParams(a=2 * alpha)
-            computed["V_parity"] = _simulated_parity_value(alpha, alpha, delta, eps)
-            computed["V_OR"] = or_value_simulated(alpha, alpha, delta, eps)
+            box = box_from_correlators(symmetric_box(alpha, alpha, delta, eps))
+            computed["V_parity"] = chsh_value_of_box(apply_nonadaptive(box, parity_protocol(2, 2)))
+            computed["V_OR"] = chsh_value_of_box(apply_nonadaptive(box, or_protocol()))
             if which == 2:
                 computed["eps_lo"] = max(1 - 4 * alpha, 2 * alpha - 1)
                 computed["eps_hi"] = (4 * alpha - 1) / 3

@@ -13,7 +13,9 @@ player computes her box-2 input from (own input, own box-1 output) and her
 final output from (own input, box-1 output, box-2 output). Encoding per
 player: 12 bits, box-2 input map at bits 0-3 (index ``v*2 + o1``), output
 map at bits 4-11 (index ``v*4 + o1*2 + o2``); Alice occupies bits 0-11,
-Bob bits 12-23.
+Bob bits 12-23. Equivalently, on each branch ``v*2 + o1`` a player has the
+behavior ``u | F(o2=0) << 1 | F(o2=1) << 2`` (box-2 input u, output map F),
+and pack_adaptive_player lays the four behaviors out in those 12 bits.
 
 Application is by exact summation over every intermediate outcome, so the
 results are oracle-grade: apply_nonadaptive takes the sum over all 4^m joint
@@ -30,8 +32,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import BipartiteBox, CorrelatorForm, box_from_correlators, validate_box
-from .errors import ArityMismatch, FormatError, InvalidBox, VerificationFailed
+from .boxes import (
+    BipartiteBox,
+    CorrelatorForm,
+    box_from_correlators,
+    make_named_box,
+    require_valid,
+)
+from .errors import ArityMismatch, FormatError, VerificationFailed
 
 
 @dataclass(frozen=True)
@@ -63,28 +71,17 @@ class NonAdaptiveProtocol:
 
     def encode(self) -> int:
         """Canonical packed-integer encoding (tie-break key for searches)."""
-        packed = 0
-        block = 1 << self.m
-        for j in range(self.n):
-            for v in (0, 1):
-                offset = (j * 2 + v) * block
-                for s, bit in enumerate(self.tables[j][v]):
-                    packed |= bit << (offset + s)
-        return packed
+        bits = [bit for pair in self.tables for table in pair for bit in table]
+        return sum(bit << i for i, bit in enumerate(bits))
 
     @classmethod
     def decode(cls, n: int, m: int, packed: int) -> "NonAdaptiveProtocol":
         block = 1 << m
         if packed < 0 or packed >> (n * 2 * block):
             raise FormatError(f"encoding out of range for n={n}, m={m}: {packed}")
-        tables = []
-        for j in range(n):
-            pair = []
-            for v in (0, 1):
-                offset = (j * 2 + v) * block
-                pair.append(tuple((packed >> (offset + s)) & 1 for s in range(block)))
-            tables.append((pair[0], pair[1]))
-        return cls(n, m, tuple(tables))
+        # table 2j + v starts at bit (2j + v) * 2^m
+        tables = [tuple(packed >> (t * block + s) & 1 for s in range(block)) for t in range(2 * n)]
+        return cls(n, m, tuple(zip(tables[0::2], tables[1::2])))
 
     def is_input_free(self) -> bool:
         return all(pair[0] == pair[1] for pair in self.tables)
@@ -116,17 +113,16 @@ class AdaptiveTwoCopyProtocol:
     outmap_b: tuple[int, int, int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        for name in ("box2map_a", "box2map_b"):
-            if any(bit not in (0, 1) for bit in getattr(self, name)):
-                raise ValueError(f"{name} entries must be bits")
-        for name in ("outmap_a", "outmap_b"):
+        for name in ("box2map_a", "box2map_b", "outmap_a", "outmap_b"):
             if any(bit not in (0, 1) for bit in getattr(self, name)):
                 raise ValueError(f"{name} entries must be bits")
 
     def encode(self) -> int:
-        return _encode_player(self.box2map_a, self.outmap_a) | (
-            _encode_player(self.box2map_b, self.outmap_b) << 12
+        a, b = (
+            [u | out[2 * k] << 1 | out[2 * k + 1] << 2 for k, u in enumerate(box2map)]
+            for box2map, out in ((self.box2map_a, self.outmap_a), (self.box2map_b, self.outmap_b))
         )
+        return pack_adaptive_player(a) | pack_adaptive_player(b) << 12
 
     @classmethod
     def decode(cls, packed: int) -> "AdaptiveTwoCopyProtocol":
@@ -137,12 +133,14 @@ class AdaptiveTwoCopyProtocol:
         return cls(b2a, outa, b2b, outb)
 
 
-def _encode_player(box2map: Sequence[int], outmap: Sequence[int]) -> int:
+def pack_adaptive_player(behaviors):
+    """A player's 12-bit block from her behaviors on branches v*2 + o1 = 0..3.
+
+    Arrays of behaviors work elementwise.
+    """
     block = 0
-    for i, bit in enumerate(box2map):
-        block |= bit << i
-    for i, bit in enumerate(outmap):
-        block |= bit << (4 + i)
+    for branch, beh in enumerate(behaviors):
+        block = block | (beh & 1) << branch | (beh >> 1 & 3) << (4 + 2 * branch)
     return block
 
 
@@ -212,13 +210,6 @@ class ClosedFormValues:
     v_orand: float
 
 
-def _validated(b: BipartiteBox, tol: float = 1e-9) -> BipartiteBox:
-    report = validate_box(b, tol)
-    if not report.valid:
-        raise InvalidBox(f"input box fails validation: {report.violations}")
-    return b
-
-
 def apply_nonadaptive(
     boxes: "BipartiteBox | Sequence[BipartiteBox]",
     proto: NonAdaptiveProtocol,
@@ -240,7 +231,7 @@ def apply_nonadaptive(
     if len(box_list) != proto.m:
         raise ArityMismatch(f"protocol expects {proto.m} boxes, got {len(box_list)}")
     for b in {id(b): b for b in box_list}.values():
-        _validated(b, tol)
+        require_valid(b, "input box fails validation", tol=tol)
 
     # indicator[v, o, s] = 1 where the player's output on input v, string s is o
     g, h = (np.array(proto.tables[j], dtype=float) for j in (0, 1))
@@ -252,13 +243,12 @@ def apply_nonadaptive(
     for b in box_list:
         t = np.einsum("nkbr,nab->nkra", t.reshape(4, 2, 2, -1), b.p.reshape(4, 2, 2))
     out = np.einsum("nas,nbs->nab", ind_a[[0, 0, 1, 1]], t.reshape(4, 2, -1)).reshape(4, 4)
-    result = BipartiteBox(out)
-    report = validate_box(result, max(tol, 1e-9))
-    if not report.valid:
-        raise VerificationFailed(
-            f"non-adaptive wiring produced an invalid box: {report.violations}"
-        )
-    return result
+    return require_valid(
+        BipartiteBox(out),
+        "non-adaptive wiring produced an invalid box",
+        VerificationFailed,
+        max(tol, 1e-9),
+    )
 
 
 def apply_adaptive(
@@ -268,8 +258,8 @@ def apply_adaptive(
     tol: float = 1e-9,
 ) -> BipartiteBox:
     """Wire two boxes adaptively, summing the 16 intermediate outcomes exactly."""
-    _validated(box1, tol)
-    _validated(box2, tol)
+    for b in (box1, box2):
+        require_valid(b, "input box fails validation", tol=tol)
     out = np.zeros((4, 4))
     for row in range(4):
         x, y = row >> 1, row & 1
@@ -287,11 +277,12 @@ def apply_adaptive(
                         a = proto.outmap_a[x * 4 + a1 * 2 + a2]
                         b = proto.outmap_b[y * 4 + b1 * 2 + b2]
                         out[row, (a << 1) | b] += w1 * w2
-    result = BipartiteBox(out)
-    report = validate_box(result, max(tol, 1e-9))
-    if not report.valid:
-        raise VerificationFailed(f"adaptive wiring produced an invalid box: {report.violations}")
-    return result
+    return require_valid(
+        BipartiteBox(out),
+        "adaptive wiring produced an invalid box",
+        VerificationFailed,
+        max(tol, 1e-9),
+    )
 
 
 def bs_output_box(delta: float) -> BipartiteBox:
@@ -356,7 +347,7 @@ def apply_nonadaptive_xor(boxes, proto: NonAdaptiveProtocol) -> tuple[float, np.
 
 def symmetric_box(alpha: float, beta: float, delta: float, eps: float) -> CorrelatorForm:
     """Correlator form of the symmetric family (alpha=gamma, beta=omega, d1=d2=d3)."""
-    return CorrelatorForm(alpha, beta, alpha, beta, delta, delta, delta, eps)
+    return make_named_box("symmetric", alpha=alpha, beta=beta, delta=delta, eps=eps)
 
 
 def or_value_simulated(alpha: float, beta: float, delta: float, eps: float) -> float:

@@ -117,6 +117,31 @@ def test_validate_flags_signalling():
     assert "no-signalling-to-alice" in dict(report.violations)
 
 
+def test_signalling_magnitudes_match_marginal_differences():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = rng.uniform(0.0, 0.5, size=(4, 4))
+        p /= p.sum(axis=1, keepdims=True)
+        found = dict(validate_box(BipartiteBox(p)).violations)
+        # row 2x + y, column 2a + b
+        alice = max(abs(p[2 * x, 2 * a] + p[2 * x, 2 * a + 1]
+                        - p[2 * x + 1, 2 * a] - p[2 * x + 1, 2 * a + 1])
+                    for x in (0, 1) for a in (0, 1))
+        bob = max(abs(p[y, b] + p[y, 2 + b] - p[2 + y, b] - p[2 + y, 2 + b])
+                  for y in (0, 1) for b in (0, 1))
+        assert found["no-signalling-to-alice"] == pytest.approx(alice, abs=1e-15)
+        assert found["no-signalling-to-bob"] == pytest.approx(bob, abs=1e-15)
+
+
+def test_validate_flags_nan_entries():
+    p = np.full((4, 4), 0.25)
+    p[2, 1] = np.nan
+    report = validate_box(BipartiteBox(p))
+    assert not report.valid
+    assert "normalization" in dict(report.violations)
+    assert not validate_box(BipartiteBox(np.full((4, 4), np.nan))).valid
+
+
 def test_chsh_value_examples():
     assert chsh_value(make_named_box("correlated", alpha=0.5, eps=0.01)) == pytest.approx(2.99)
     assert chsh_value(make_named_box("isotropic", delta=0.6)) == pytest.approx(2.4)
@@ -166,6 +191,10 @@ def test_unknown_kind_rejected():
         make_named_box("isotropic", delta=0.5, extra=1.0)
     with pytest.raises(UnknownKind):
         make_named_box("correlated", alpha=0.5)
+    general = dict(alpha=0, beta=0, gamma=0, omega=0, d1=1, d2=1, d3=1, eps=-1)
+    assert make_named_box("general", **general) == PR
+    with pytest.raises(UnknownKind, match="unexpected parameters"):
+        make_named_box("general", **general, extra=5)
 
 
 def test_out_of_range_field_rejected():

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import nlbd.boxes
 import nlbd.cli
 import nlbd.equivalence
 import nlbd.search
@@ -284,6 +285,8 @@ def test_search_thread_count_never_changes_output(boxdir, capsys, monkeypatch):
         (("search", "--class", "nonadaptive", "--m", "2", "correlated.box"), "zero"),
         (("search", "--class", "nonadaptive", "--m", "2", "correlated.box"), "-3"),
         (("search", "--class", "adaptive", "--input-dependent", "correlated.box"), None),
+        (("search", "--class", "nonadaptive", "--m", "-1", "correlated.box"), None),
+        (("search", "--class", "nonadaptive", "--m", "0", "game.box"), None),
     ],
 )
 def test_search_usage_errors(boxdir, capsys, monkeypatch, argv, env):
@@ -293,6 +296,9 @@ def test_search_usage_errors(boxdir, capsys, monkeypatch, argv, env):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err != ""
+    if "--m" in argv and int(argv[argv.index("--m") + 1]) < 1:
+        m = argv[argv.index("--m") + 1]
+        assert captured.err == f"nlbd: need at least one copy, got m={m}\n"
 
 
 def test_search_budget_exceeded(boxdir, capsys):
@@ -472,6 +478,38 @@ def test_equiv_parity_wiring_is_its_own_pair(capsys):
     assert "certificate_max_deviation=0" in lines
 
 
+# sha256 of the whole stdout, certificate lines included: their values sit
+# near 1e-17 and move with any change in summation order.
+EQUIV_DIGESTS = {
+    (None, "0.35"): "2e707b6763d71ac7dcd3382b0cd4633eb8ff5db03007d9e4d3d7cc1b7b588f61",
+    (None, "0.8"): "429e8e270a8075885899882968f2b3cb8736bd6fb5941aca6b27cac3ef6ad95a",
+    ("66c66c", "0.35"): "d3bd596537697cd600629b2f7699d37354ad3c788c1938ec46063545854ab2a6",
+    ("66c66c", "0.8"): "30d2b5388ee21e0ea22681f3153fcf2b89d8b2442e5e228ffb794745a223edfa",
+    ("cccccc", "0.35"): "0987e87a28d7490c5df1ac73dd2c7010de3106cbe16bdd56b5735971ff07b857",
+    ("cccccc", "0.8"): "1ccbbd21d8c39898a630f99af2b0e1ed7359987bf61afb829f315ee5ec6878cd",
+    ("33333c", "0.35"): "bfa19d174ecf1f02bc8056f00c5aa8e0d7a8bc4258364a632a43be44ac36b6bb",
+    ("33333c", "0.8"): "f679a4d7416b4d3d05a52bfb27354aa3e25a8da6a4dfae97d455137197aaaaf2",
+    ("064c64", "0.35"): "cde435ad44a7990b00e07bfc54ea8578a3be5436bb91d581ea7efb7fd532fa5d",
+    ("064c64", "0.8"): "dc34d0c5353bedda990888cd339409b0808975b6e36ded6d63405bbc6b5170b2",
+}
+
+
+@pytest.mark.parametrize("proto, delta", sorted(EQUIV_DIGESTS, key=str))
+def test_equiv_prints_pinned_bytes(capsys, proto, delta):
+    argv = ("equiv", "--delta", delta) + (() if proto is None else ("--proto", proto))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EQUIV_DIGESTS[proto, delta]
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "--delta=-inf", "--delta=nan"])
+def test_equiv_non_finite_delta_is_usage(capsys, delta):
+    argv = ("equiv", delta) if delta.startswith("--") else ("equiv", "--delta", delta)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("nlbd: --delta") and "finite" in err
+
+
 @pytest.mark.parametrize("digits", ["52e6b4", "269e0d", "0c5c7f"])
 def test_equiv_reports_construction_failures(capsys, digits):
     code, out, err = run(capsys, "equiv", "--delta", 0.5, "--proto", digits)
@@ -564,9 +602,12 @@ def test_exact_oracle_disagreement_exits_one(boxdir, capsys, monkeypatch):
 
 def test_invalid_wiring_output_exits_one(boxdir, capsys, monkeypatch):
     # the input boxes pass; the wiring's output fails validation
-    monkeypatch.setattr(nlbd.wirings, "_validated", lambda box, tol=1e-9: box)
+    inputs = read_box_file(boxdir / "correlated.box")
+    real = nlbd.boxes.validate_box
     failing = ValidationReport(False, (("signalling", 0.25),))
-    monkeypatch.setattr(nlbd.wirings, "validate_box", lambda box, tol: failing)
+    monkeypatch.setattr(
+        nlbd.boxes, "validate_box", lambda box, tol: real(box, tol) if box == inputs else failing
+    )
     for protocol in ("or", "adaptive:33333c"):
         code, out, err = run(capsys, "distill", "--protocol", protocol, "--copies", "2",
                              boxdir / "correlated.box")

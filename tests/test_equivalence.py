@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import nlbd.equivalence
 from nlbd.boxes import box_from_correlators, make_named_box, validate_box
 from nlbd.equivalence import (
     AffineFactor,
@@ -306,3 +307,21 @@ def test_random_wirings_end_to_end():
     assert sum(counts.values()) == 50
     # Seed-pinned split; every outcome kind occurs, successes reconstruct exactly.
     assert counts == {"ok": 6, "noreal": 12, "range": 16, "invalid": 16}
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_is_rejected(delta):
+    pair = build_equivalent_boxes(bs_wiring()).boxes
+    with pytest.raises(InvalidConstructedBox):
+        pair[1].correlator_form(delta)
+
+
+def test_construction_samples_each_output_once(monkeypatch):
+    calls = []
+    real = nlbd.equivalence.apply_adaptive
+    monkeypatch.setattr(
+        nlbd.equivalence, "apply_adaptive", lambda *args: calls.append(args) or real(*args)
+    )
+    build_equivalent_boxes(bs_wiring())
+    # three interpolation nodes plus the eleven certificate points
+    assert len(calls) == 3 + 11

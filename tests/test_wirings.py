@@ -235,17 +235,19 @@ def test_parity_distillate_at_twelve_copies():
 
 def test_apply_nonadaptive_validates_each_distinct_box_once(monkeypatch):
     calls = []
-    real = nlbd.wirings._validated
+    real = nlbd.wirings.require_valid
     monkeypatch.setattr(
-        nlbd.wirings, "_validated", lambda b, tol=1e-9: calls.append(id(b)) or real(b, tol)
+        nlbd.wirings,
+        "require_valid",
+        lambda b, *args, **kw: calls.append(id(b)) or real(b, *args, **kw),
     )
     box = box_from_correlators(make_named_box("isotropic", delta=0.7))
     other = box_from_correlators(make_named_box("isotropic", delta=0.9))
-    apply_nonadaptive(box, parity_protocol(2, 5))
-    assert calls == [id(box)]
+    result = apply_nonadaptive(box, parity_protocol(2, 5))
+    assert calls == [id(box), id(result)]  # the output is checked once too
     calls.clear()
-    apply_nonadaptive([box, other, box], parity_protocol(2, 3))
-    assert calls == [id(box), id(other)]
+    result = apply_nonadaptive([box, other, box], parity_protocol(2, 3))
+    assert calls == [id(box), id(other), id(result)]
     p = np.full((4, 4), 0.25)
     p[0] = [0.5, 0.5, 0.25, -0.25]
     with pytest.raises(InvalidBox, match="input box fails validation"):
