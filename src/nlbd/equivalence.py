@@ -257,15 +257,6 @@ class AffineFactorization:
     targets: tuple[DeltaPolynomial, ...]
     entries: tuple[tuple[AffineFactor, ...], ...]
 
-    def max_product_drift(self) -> float:
-        """Largest coefficientwise gap between a factor product and its target."""
-        worst = 0.0
-        for target, factors in zip(self.targets, self.entries):
-            product = _product_coefficients(factors)
-            padded = tuple(target.coeffs) + (0.0,) * (len(product) - len(target.coeffs))
-            worst = max(worst, max(abs(p - t) for p, t in zip(product, padded)))
-        return worst
-
 
 def _input_row(xy) -> int:
     """Normalize a joint input given as a row index, an (x, y) pair, or '01'-style bits."""

@@ -121,24 +121,6 @@ def walsh_transform(f: PmOutputFunction) -> FourierSpectrum:
     return FourierSpectrum(f.m, tuple(a / size))
 
 
-def walsh_transform_direct(f: PmOutputFunction) -> FourierSpectrum:
-    """Direct O(4^m) summation; cross-check oracle for the butterfly.
-
-    Note the index convention makes the two transforms literally identical:
-    z . s is the parity of the bitwise AND of the integer indices.
-    """
-    size = 1 << f.m
-    vals = f.values()
-    coeff = []
-    for z in range(size):
-        total = 0.0
-        for s in range(size):
-            dot = bin(z & s).count("1") % 2
-            total += (-1) ** dot * vals[s]
-        coeff.append(total / size)
-    return FourierSpectrum(f.m, tuple(coeff))
-
-
 def _common_arity(spectra: Sequence[FourierSpectrum]) -> int:
     if not spectra:
         raise ArityMismatch("need at least one spectrum")
@@ -214,12 +196,3 @@ def parity_bound(game: XorGame, delta: Sequence[float], m: int) -> ParityBound:
         if t > best_value:  # strict: ties keep the smaller k
             best_value, best_k = t, k
     return ParityBound(best_value, best_k)
-
-
-def spectrum_csv(sp: FourierSpectrum) -> str:
-    """Spectrum as CSV lines 'z-bitstring,coefficient' (12 significant digits)."""
-    lines = ["z,coeff"]
-    for z in range(1 << sp.m):
-        bits = format(z, f"0{sp.m}b")
-        lines.append(f"{bits},{sp.coeff[z]:.12g}")
-    return "\n".join(lines) + "\n"

@@ -125,15 +125,24 @@ def _sign_matrix(m: int) -> np.ndarray:
     return 1 - 2 * ((g >> np.arange(size)) & 1)
 
 
-def _on_one_denominator(entries: np.ndarray):
-    """(floats, integers, denominator) of an array of binary-float Fractions.
+def _binary_parts(x) -> tuple:
+    """Integers and exponents k with x == integers / 2^k exactly, elementwise."""
+    mant, exp = np.frexp(np.asarray(x, dtype=float))
+    return np.ldexp(mant, 53).astype(np.int64).astype(object), 53 - exp
 
-    Their denominators are powers of two, so the largest is a common one and
-    entries == integers / denominator exactly.
+
+def _on_one_denominator(nums: np.ndarray, exps: np.ndarray):
+    """(floats, integers, denominator) of the binary fractions nums / 2^exps.
+
+    The denominator is their largest reduced one, so nums / 2^exps ==
+    integers / denominator exactly; floats are the correctly rounded values.
     """
-    den = max(f.denominator for f in entries.flat)
-    ints = np.array([int(f * den) for f in entries.flat], dtype=object)
-    return entries.astype(float), ints.reshape(entries.shape), den
+    top = int(exps.max())
+    ints = [v << (top - int(k)) for v, k in zip(nums.flat, exps.flat)]
+    shift = min([top] + [(v & -v).bit_length() - 1 for v in ints if v])
+    den = 1 << (top - shift)
+    ints = np.array([v >> shift for v in ints], dtype=object).reshape(nums.shape)
+    return np.array([v / den for v in ints.flat]).reshape(nums.shape), ints, den
 
 
 def _copy_weights(box, m: int):
@@ -147,14 +156,17 @@ def _copy_weights(box, m: int):
     if isinstance(box, BipartiteBox):
         require_valid(box, "search input fails validation")
         n, signs = 2, _CHSH_SIGNS
-        copies = [[Fraction(float(v)) for v in row] for row in box.p]
+        nums, exps = _binary_parts(box.p)
     elif isinstance(box, MultipartiteXorBox):
         n, signs = box.n, [1 - 2 * f for f in box.game.f]
-        even = [1 - 2 * (bin(a).count("1") & 1) for a in range(1 << n)]
-        copies = [[(1 + e * Fraction(float(d))) / (1 << n) for e in even] for d in box.delta]
+        even = np.array([1 - 2 * (bin(a).count("1") & 1) for a in range(1 << n)], dtype=object)
+        ds, ks = _binary_parts(box.delta)
+        # (1 + e * d) / 2^n with d = ds / 2^ks is ((1 << ks) + e * ds) / 2^(ks + n)
+        nums = np.array([(1 << int(k)) + even * d for d, k in zip(ds, ks)])
+        exps = np.repeat(ks[:, None] + n, 1 << n, axis=1)
     else:
         raise TypeError(f"expected BipartiteBox or MultipartiteXorBox, got {type(box).__name__}")
-    floats, ints, den = _on_one_denominator(np.array(copies, dtype=object))
+    floats, ints, den = _on_one_denominator(nums, exps)
     interleave = [axis for j in range(n) for axis in (j, n + j)]
     out = []
     for per_input in (floats, ints):
@@ -387,9 +399,7 @@ def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
     exact values, by the smallest encoding.
     """
     require_valid(box, "search input fails validation")
-    floats, ints, den = _on_one_denominator(
-        np.array([[Fraction(float(v)) for v in row] for row in box.p], dtype=object)
-    )
+    floats, ints, den = _on_one_denominator(*_binary_parts(box.p))
     # per row, 16 products p1*p2 on each of the four branches
     abs_p = np.abs(box.p)
     err = _rounding_bound(64, 2, float(abs_p.sum() * abs_p.sum(1).max()))
@@ -431,32 +441,33 @@ CSV_HEADER = "alpha,beta,delta,eps,valid,V,V_parity,V_OR,V_A_fit,winner,collapse
 _PROTOCOL_LABELS = ("PARITY", "OR", "A")
 
 # Cells computed, formatted and written at a time, so memory is O(chunk)
-# whatever the grid. On a 10^6-cell scan, 1024-cell chunks were a third
-# slower; 16384- and 65536-cell chunks were no faster and raised peak RSS by
-# 12 and 58 MB.
+# whatever the grid; also the cap on each per-scan text table. On a
+# 10^6-cell scan, 1024-cell chunks were a third slower; 16384- and
+# 65536-cell chunks were no faster and raised peak RSS by 12 and 58 MB.
 SCAN_CHUNK = 4096
 
+_CODE_FIELDS = ("valid", "winner", "collapses_cc")  # the code axes of a text table, in order
 
-def _format_floats(col: np.ndarray) -> list:
-    """`f"{v:.12g}"` of every value.
 
-    A column with few distinct values (an axis, or V when delta is fixed) is
-    formatted once per distinct bit pattern. Patterns, not values:
-    deduplicating by value would merge -0.0 with 0.0, which print as "-0"
-    and "0".
-    """
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(col):
-        return [f"{v:.12g}" for v in col.tolist()]
-    text = np.array([f"{v:.12g}" for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
+class _Field(NamedTuple):
+    """Adjacent CSV fields: one text table, or one column formatted per cell (table None)."""
+
+    names: tuple
+    table: np.ndarray | None  # over the grid axes then the code axes; length 1 where constant
 
 
 class RegionScanResult(Sequence):
     """Lazy scan result; indexes like a sequence of RegionRow.
 
-    Cells are computed on demand from the validated axes. write_csv streams
-    the grid in SCAN_CHUNK-cell chunks and never holds it whole; column()
+    One kernel (_chunk) computes SCAN_CHUNK cells at a time from the
+    validated axes. Once per scan, write_csv formats each column that
+    depends on only some axes over its own sub-grid: its broadcast shape
+    on an open mesh of the axes (V and V_parity on (delta, eps), V_A_fit
+    with the default combination on (alpha, delta, eps)). valid, winner and
+    collapses_cc are code axes of those tables, and adjacent fields share
+    one table while it stays within SCAN_CHUNK cells. Each chunk gathers the
+    tables by index and formats only the columns that vary along every axis,
+    so memory is one chunk plus tables of at most SCAN_CHUNK cells. column()
     and indexing compute every column once and cache them.
     """
 
@@ -467,10 +478,11 @@ class RegionScanResult(Sequence):
         self._shape = tuple(len(ax) for ax in self._axes)
         self._len = math.prod(self._shape)
         self._protocols = protocols
-        self._labels = np.array(("none",) + protocols)
+        self._labels = np.array(("none",) + protocols, dtype=object)
         self._allcock = allcock
         self._threads = threads
         self._columns: dict | None = None
+        self._layout: list | None = None
 
     def __len__(self) -> int:
         return self._len
@@ -478,46 +490,71 @@ class RegionScanResult(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(self._len))]
-        c = self._full_columns()
-        return RegionRow(
-            float(c["alpha"][i]),
-            float(c["beta"][i]),
-            float(c["delta"][i]),
-            float(c["eps"][i]),
-            bool(c["valid"][i]),
-            float(c["V"][i]),
-            float(c["V_parity"][i]),
-            float(c["V_OR"][i]),
-            float(c["V_A_fit"][i]),
-            str(self._labels[c["winner"][i]]),
-            bool(c["collapses_cc"][i]),
-        )
+        row = {name: col[i].item() for name, col in self._full_columns().items()}
+        row["winner"] = str(self._labels[row["winner"]])
+        return RegionRow(**row)
 
     def column(self, name: str) -> np.ndarray:
         """One full column; "winner" holds the labels, not their codes."""
         col = self._full_columns()[name]
-        return self._labels[col] if name == "winner" else col
+        return self._labels[col].astype(str) if name == "winner" else col
 
     def _bounds(self) -> list:
         return [(i, min(i + SCAN_CHUNK, self._len)) for i in range(0, self._len, SCAN_CHUNK)]
 
     def _full_columns(self) -> dict:
         if self._columns is None:
-            parts = _map_chunks(lambda b: self._scan_chunk(*b), self._bounds(), self._threads)
+            parts = _map_chunks(lambda b: self._chunk(*b)[1], self._bounds(), self._threads)
             self._columns = {
                 name: np.concatenate([part[name] for part in parts]) for name in parts[0]
             }
         return self._columns
 
-    def _scan_chunk(self, lo: int, hi: int) -> dict:
-        """The 11 columns of cells lo:hi; winner is a uint8 code into the labels."""
+    def _cells(self, per_axis) -> tuple:
+        """(alpha, beta, delta, eps) from one array per grid axis."""
+        per_axis = tuple(per_axis)
+        return per_axis[:1] + per_axis if self._tracked_beta else per_axis
+
+    def _mesh(self, counts) -> tuple:
+        """_cells of an open mesh of the first counts[k] values of each axis k."""
+        ndim = len(self._axes)
+        return self._cells(
+            ax[:n].reshape([-1 if j == k else 1 for j in range(ndim)])
+            for k, (ax, n) in enumerate(zip(self._axes, counts))
+        )
+
+    def _value(self, name: str, a, bt, d, e) -> np.ndarray:
+        """Axis or closed-form column `name` at cells (a, bt, d, e), arrays that broadcast."""
+        if name == "V":
+            return 3 * d - e
+        if name == "V_parity":
+            return 3 * d * d - e * e
+        if name == "V_OR":
+            # the squared marginals (1 + a) / 2 and (1 + bt) / 2
+            m0, m1 = ((1 + a) / 2) ** 2, ((1 + bt) / 2) ** 2
+            e_00 = 4 * ((1 + 2 * a + d) / 4) ** 2 - 4 * m0 + 1
+            e_01 = 4 * ((1 + a + bt + d) / 4) ** 2 - 2 * m0 - 2 * m1 + 1
+            e_11 = 4 * ((1 + 2 * bt + e) / 4) ** 2 - 4 * m1 + 1
+            return e_00 + 2 * e_01 - e_11
+        if name == "V_A_fit":
+            allcock = self._allcock
+            if allcock is None:
+                comb = -2 * a
+            elif isinstance(allcock, AllcockParams):
+                comb = allcock.combination
+            else:
+                cells = np.broadcast_arrays(a, bt, d, e)
+                comb = np.array([allcock(*c).combination for c in zip(*map(np.ravel, cells))])
+                comb = comb.reshape(cells[0].shape)
+            return 0.25 * (11 * d * d + 2 * d - 2 * e * d - 2 * e - e * e + comb * (d - e))
+        return {"alpha": a, "beta": bt, "delta": d, "eps": e}[name]
+
+    def _chunk(self, lo: int, hi: int) -> tuple:
+        """(grid indices, the 11 columns) of cells lo:hi; winner is a uint8 code into the labels."""
         index = np.unravel_index(np.arange(lo, hi), self._shape)
-        coords = [ax[i] for ax, i in zip(self._axes, index)]
-        if self._tracked_beta:
-            a, d, e = coords
-            bt = a
-        else:
-            a, bt, d, e = coords
+        a, bt, d, e = cells = self._cells(ax[i] for ax, i in zip(self._axes, index))
+        names = [name for name in RegionRow._fields if name not in _CODE_FIELDS]
+        c = {name: self._value(name, *cells) for name in names}
         entries = np.stack(
             [
                 1 + 2 * a + d, 1 - d, 1 - d, 1 - 2 * a + d,
@@ -525,58 +562,65 @@ class RegionScanResult(Sequence):
                 1 + 2 * bt + e, 1 - e, 1 - e, 1 - 2 * bt + e,
             ]
         ) / 4.0
-        valid = entries.min(axis=0) >= -VALIDITY_TOL
-        v_single = 3 * d - e
-        v_parity = 3 * d * d - e * e
-        p00_00 = (1 + 2 * a + d) / 4
-        p00_01 = (1 + a + bt + d) / 4
-        p00_11 = (1 + 2 * bt + e) / 4
-        m0 = (1 + a) / 2
-        m1 = (1 + bt) / 2
-        e_00 = 4 * p00_00**2 - 4 * m0**2 + 1
-        e_01 = 4 * p00_01**2 - 2 * m0**2 - 2 * m1**2 + 1
-        e_11 = 4 * p00_11**2 - 4 * m1**2 + 1
-        v_or = e_00 + 2 * e_01 - e_11
-        allcock = self._allcock
-        if allcock is None:
-            comb = -2 * a
-        elif isinstance(allcock, AllcockParams):
-            comb = np.full_like(a, allcock.combination)
-        else:
-            comb = np.array([allcock(*cell).combination for cell in zip(a, bt, d, e)])
-        v_a = 0.25 * (11 * d * d + 2 * d - 2 * e * d - 2 * e - e * e + comb * (d - e))
-        by_label = {"PARITY": v_parity, "OR": v_or, "A": v_a}
-        stack = np.stack([v_single] + [by_label[lb] for lb in self._protocols])
-        return {
-            "alpha": a,
-            "beta": bt,
-            "delta": d,
-            "eps": e,
-            "valid": valid,
-            "V": v_single,
-            "V_parity": v_parity,
-            "V_OR": v_or,
-            "V_A_fit": v_a,
-            "winner": stack.argmax(axis=0).astype(np.uint8),
-            "collapses_cc": valid & (stack.max(axis=0) > CC_COLLAPSE_THRESHOLD),
-        }
+        c["valid"] = entries.min(axis=0) >= -VALIDITY_TOL
+        by_label = {"PARITY": c["V_parity"], "OR": c["V_OR"], "A": c["V_A_fit"]}
+        stack = np.stack([c["V"]] + [by_label[lb] for lb in self._protocols])
+        c["winner"] = stack.argmax(axis=0).astype(np.uint8)
+        c["collapses_cc"] = c["valid"] & (stack.max(axis=0) > CC_COLLAPSE_THRESHOLD)
+        return index, c
+
+    def _text(self, name: str) -> np.ndarray | None:
+        """Field `name` as a _Field table, or None if it is formatted per cell.
+
+        A float column is tabled over its sub-grid, its broadcast shape on
+        an open mesh, if that has fewer cells than the grid and at most
+        SCAN_CHUNK. A callable allcock makes V_A_fit vary along every axis.
+        """
+        ndim = len(self._shape)
+        if name in _CODE_FIELDS:
+            text = self._labels if name == "winner" else np.array(["false", "true"], dtype=object)
+            return text.reshape((1,) * ndim + tuple(-1 if c == name else 1 for c in _CODE_FIELDS))
+        if name == "V_A_fit" and callable(self._allcock):
+            return None
+        probe = self._value(name, *self._mesh([2] * ndim)).shape
+        sub = tuple(n if p > 1 else 1 for n, p in zip(self._shape, probe))
+        if math.prod(sub) >= self._len or math.prod(sub) > SCAN_CHUNK:
+            return None
+        values = self._value(name, *self._mesh(sub)).ravel().tolist()
+        return np.array([f"{v:.12g}" for v in values], dtype=object).reshape(sub + (1, 1, 1))
+
+    def _fields(self) -> list:
+        """The CSV row as _Fields, adjacent tables joined while within SCAN_CHUNK cells."""
+        if self._layout is None:
+            layout = [_Field((), None)]
+            for name in CSV_HEADER.split(","):
+                last, text = layout[-1], self._text(name)
+                shapes = [t.shape for t in (last.table, text) if t is not None]
+                if len(shapes) == 2 and math.prod(np.broadcast_shapes(*shapes)) <= SCAN_CHUNK:
+                    layout[-1] = _Field(last.names + (name,), last.table + "," + text)
+                else:
+                    layout.append(_Field((name,), text))
+            self._layout = layout[1:]
+        return self._layout
 
     def _csv_chunk(self, bounds) -> str:
-        """CSV rows of one chunk, built one column at a time."""
-        c = self._scan_chunk(*bounds)
+        """CSV rows of one chunk: tables gathered by index, the other columns formatted."""
+        index, c = self._chunk(*bounds)
+        coords = index + tuple(c[name].view(np.uint8) for name in _CODE_FIELDS)
+        zero = np.zeros_like(index[0])
         fields = []
-        for name, col in c.items():
-            if col.dtype == bool:
-                fields.append(np.where(col, "true", "false").tolist())
-            elif name == "winner":
-                fields.append(self._labels[col].tolist())
-            else:
-                fields.append(_format_floats(col))
+        for f in self._fields():
+            if f.table is None:
+                fields.append([f"{v:.12g}" for v in c[f.names[0]].tolist()])
+            else:  # a table's length-1 axes are read at 0
+                at = tuple(i if n > 1 else zero for i, n in zip(coords, f.table.shape))
+                fields.append(f.table[at].tolist())
         return "\n".join(map(",".join, zip(*fields))) + "\n"
 
     def write_csv(self, stream) -> None:
         """Header, then one line per cell; batches of `threads` chunks at a time."""
         stream.write(CSV_HEADER + "\n")
+        self._fields()  # built once, before chunks run in threads
         bounds = self._bounds()
         for start in range(0, len(bounds), self._threads):
             batch = bounds[start : start + self._threads]

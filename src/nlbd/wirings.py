@@ -35,7 +35,6 @@ import numpy as np
 from .boxes import (
     BipartiteBox,
     CorrelatorForm,
-    box_from_correlators,
     make_named_box,
     require_valid,
 )
@@ -203,11 +202,10 @@ class AllcockParams:
 
 @dataclass(frozen=True)
 class ClosedFormValues:
-    """The three closed-form protocol values for a symmetric box."""
+    """The two closed-form protocol values for a symmetric box."""
 
     v_or: float
     v_a: float
-    v_orand: float
 
 
 def apply_nonadaptive(
@@ -304,7 +302,7 @@ def bs_output_box(delta: float) -> BipartiteBox:
 def closed_form_values(
     alpha: float, beta: float, delta: float, eps: float, allcock: AllcockParams = AllcockParams()
 ) -> ClosedFormValues:
-    """Evaluate the three closed-form two-copy values for a symmetric box.
+    """Evaluate the two closed-form two-copy values for a symmetric box.
 
     The box has marginals alpha (input 0) and beta (input 1) on both sides
     and correlators (delta, delta, delta, eps). The formulas are evaluated
@@ -321,10 +319,7 @@ def closed_form_values(
     v_a = 0.25 * (
         11 * delta**2 + 2 * delta - 2 * eps * delta - 2 * eps - eps**2 + x * (delta - eps)
     )
-    v_orand = (
-        2 * alpha**2 + 0.25 * eps**2 - 0.5 * eps - 0.75 * delta**2 + 1.5 * delta - 0.5
-    )
-    return ClosedFormValues(v_or=v_or, v_a=v_a, v_orand=v_orand)
+    return ClosedFormValues(v_or=v_or, v_a=v_a)
 
 
 def apply_nonadaptive_xor(boxes, proto: NonAdaptiveProtocol) -> tuple[float, np.ndarray]:
@@ -348,11 +343,3 @@ def apply_nonadaptive_xor(boxes, proto: NonAdaptiveProtocol) -> tuple[float, np.
 def symmetric_box(alpha: float, beta: float, delta: float, eps: float) -> CorrelatorForm:
     """Correlator form of the symmetric family (alpha=gamma, beta=omega, d1=d2=d3)."""
     return make_named_box("symmetric", alpha=alpha, beta=beta, delta=delta, eps=eps)
-
-
-def or_value_simulated(alpha: float, beta: float, delta: float, eps: float) -> float:
-    """Simulated OR-protocol value on a symmetric box (exact enumeration)."""
-    from .boxes import chsh_value_of_box
-
-    box = box_from_correlators(symmetric_box(alpha, beta, delta, eps))
-    return chsh_value_of_box(apply_nonadaptive(box, or_protocol()))

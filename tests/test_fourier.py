@@ -13,9 +13,7 @@ from nlbd.fourier import (
     even_parity_prob,
     nonadaptive_value_fourier,
     parity_bound,
-    spectrum_csv,
     walsh_transform,
-    walsh_transform_direct,
     weight_table,
 )
 from nlbd.xorboxes import MultipartiteXorBox, XorGame, simulate_nonadaptive_xor
@@ -57,6 +55,24 @@ def test_majority_spectrum():
             assert sp.coeff[z] == pytest.approx(-0.5, abs=1e-15)
         else:
             assert sp.coeff[z] == pytest.approx(0.0, abs=1e-15)
+
+
+def walsh_transform_direct(f: PmOutputFunction) -> FourierSpectrum:
+    """Direct O(4^m) summation; cross-check oracle for the butterfly.
+
+    Note the index convention makes the two transforms literally identical:
+    z . s is the parity of the bitwise AND of the integer indices.
+    """
+    size = 1 << f.m
+    vals = f.values()
+    coeff = []
+    for z in range(size):
+        total = 0.0
+        for s in range(size):
+            dot = bin(z & s).count("1") % 2
+            total += (-1) ** dot * vals[s]
+        coeff.append(total / size)
+    return FourierSpectrum(f.m, tuple(coeff))
 
 
 def test_butterfly_matches_direct():
@@ -200,11 +216,3 @@ def test_parity_bound_m1():
     b = parity_bound(CHSH, d, 1)
     assert b.value == pytest.approx(abs(float(CHSH.signs() @ np.array(d))))
     assert b.k == 1
-
-
-def test_spectrum_csv_shape():
-    sp = walsh_transform(PmOutputFunction.parity(2))
-    lines = spectrum_csv(sp).strip().splitlines()
-    assert lines[0] == "z,coeff"
-    assert len(lines) == 5
-    assert lines[-1].startswith("11,")

@@ -24,7 +24,6 @@ from nlbd.search import (
     CSV_HEADER,
     SCAN_CHUNK,
     RegionScanResult,
-    _format_floats,
     adaptive_search_max,
     enumerate_nonadaptive_max,
     format_table_report,
@@ -202,6 +201,61 @@ def test_search_budgets():
     )
     with pytest.raises(BudgetExceeded):
         enumerate_nonadaptive_max(xb3, 1, input_dependent=True)
+
+
+def _fraction_weights(rows, signs, n: int, m: int):
+    """Exact s_x * W_x * scale by Fractions: the construction _copy_weights must equal."""
+    den = max(f.denominator for row in rows for f in row)
+    out = []
+    for sign, row in zip(signs, rows):
+        w = np.empty((1 << m,) * n, dtype=object)
+        for idx in itertools.product(range(1 << m), repeat=n):
+            v = Fraction(sign)
+            for shift in range(m - 1, -1, -1):  # first copy most significant
+                v *= row[sum(((i >> shift) & 1) << (n - 1 - j) for j, i in enumerate(idx))]
+            w[idx] = v * den**m
+        out.append(w)
+    return out, den**m
+
+
+def _weight_cases():
+    rng = np.random.default_rng(83)
+    tiny = 2.0**-1000
+    for _ in range(3):
+        box = random_valid_box(rng)
+        yield box, [[Fraction(float(v)) for v in row] for row in box.p], (1, 1, 1, -1)
+    for row in ([0.5, 0.0, 0.0, 0.5], [0.5, tiny, 3 * tiny, 0.5]):
+        box = BipartiteBox(np.array([row] * 4))
+        yield box, [[Fraction(float(v)) for v in r] for r in box.p], (1, 1, 1, -1)
+    chsh = XorGame.chsh()
+    game3 = XorGame.from_predicate(3, lambda x: (x[0] & x[1]) ^ x[2])
+    for game, delta in [
+        (chsh, tuple(rng.uniform(-1, 1, 4))),
+        (chsh, (0.0, tiny, -tiny, 1.0)),
+        (game3, tuple(rng.uniform(-1, 1, 8))),
+        (game3, (0.0, -1.0, 2.0**-1074, 0.75, -tiny, tiny * 1.5, 0.5, -0.0)),
+    ]:
+        box = MultipartiteXorBox(game, delta)
+        n = game.n
+        even = [1 - 2 * (bin(a).count("1") & 1) for a in range(1 << n)]
+        rows = [[(1 + e * Fraction(d)) / (1 << n) for e in even] for d in delta]
+        yield box, rows, [1 - 2 * f for f in game.f]
+
+
+def test_copy_weights_equal_the_fraction_construction():
+    for box, rows, signs in _weight_cases():
+        n = 2 if isinstance(box, BipartiteBox) else box.n
+        for m in (1, 2):
+            floats, ints, scale = search_module._copy_weights(box, m)
+            want, want_scale = _fraction_weights(rows, signs, n, m)
+            assert scale == want_scale
+            for got, expected in zip(ints, want):
+                assert got.shape == expected.shape
+                assert all(type(v) is int for v in got.flat)
+                assert (got == expected).all()
+            if m == 1:
+                for got, expected in zip(floats, want):
+                    assert [float(v) for v in got.flat] == [float(v / scale) for v in expected.flat]
 
 
 def test_search_rejects_invalid_box():
@@ -408,27 +462,58 @@ CUBE_GRID = {
 SIGNED_ZERO_GRID = {
     "alpha": (-0.5, 0.5, 0.25), "beta": -0.0, "delta": (-0.0, 0.0, 1.0), "eps": (-1.0, 1.0, 0.5)
 }
+# the shape of the benchmark's plane: tracked beta, fixed delta, 201 x 501 cells
+BENCH_PLANE_GRID = {"alpha": (0.013, 0.513, 0.0025), "delta": 0.9, "eps": (-0.987, 0.963, 0.0039)}
+FOUR_D_GRID = {
+    "alpha": (-0.3, 0.45, 0.05),
+    "beta": (0.1, 0.5, 0.08),
+    "delta": (-0.2, 1.0, 0.3),
+    "eps": (-1.0, 0.4, 0.07),
+}
+FIXED_ALLCOCK_GRID = {
+    "alpha": (0.0, 0.5, 0.02),
+    "beta": (-0.25, 0.25, 0.125),
+    "delta": (0.6, 1.0, 0.1),
+    "eps": (-0.6, 0.6, 0.05),
+}
+CALLABLE_ALLCOCK_GRID = {"alpha": (0.1, 0.5, 0.04), "delta": (0.8, 1.0, 0.05), "eps": (-0.5, 0.5, 0.04)}
+
+
+def _callable_allcock(a, b, d, e):
+    return AllcockParams(b=a / 2, d=-e / 4)
 
 
 @pytest.mark.parametrize(
-    "grid, protocols, rows, digest",
+    "grid, protocols, allcock, rows, digest",
     [
         # SHA-256 of the CSV the row-wise writer printed for these grids
-        (PLANE_GRID, ("PARITY", "OR"), 10251,
+        (PLANE_GRID, ("PARITY", "OR"), None, 10251,
          "74d8a8276d94b2cfc31f1f2744649a6c790527f3a2ff0a6ae08c69b3acafaa33"),
-        (CUBE_GRID, ("PARITY", "OR", "A"), 55566,
+        (CUBE_GRID, ("PARITY", "OR", "A"), None, 55566,
          "1f9f2a5a3f1f90f5abb4e9d4524029e7410c878ff3869593934f100874e56ba2"),
-        (SIGNED_ZERO_GRID, ("A",), 25,
+        (SIGNED_ZERO_GRID, ("A",), None, 25,
          "8b3a8b9d188a05e42385e0202f8959407e4e4f8b8e1b18d8ed12b154e83db62b"),
+        # SHA-256 of the CSV the per-chunk writer printed before the text tables
+        (BENCH_PLANE_GRID, ("PARITY", "OR", "A"), None, 100701,
+         "d308ee62408850a90f8551a69943b0cc9721be8af54be8e1653e216679b1161e"),
+        (FOUR_D_GRID, ("A", "PARITY"), None, 10080,
+         "c2a1d29964967822525597a924f5a04cbe53acaae99a012580e856528a207b37"),
+        (FIXED_ALLCOCK_GRID, ("OR", "A"), AllcockParams(0.1, 0.2, 0, -0.3), 16250,
+         "aa5642acf363410345cd2aee88cf25283810910fc9b007f1501b7b1261a38006"),
+        (CALLABLE_ALLCOCK_GRID, ("PARITY", "A"), _callable_allcock, 1430,
+         "61ebeaddf9de523afe0a92d589bbea98fb1d33394a71776c7037eab4d41208e0"),
     ],
-    ids=["plane", "cube", "signed-zero"],
+    ids=["plane", "cube", "signed-zero", "bench-plane", "4d", "allcock-fixed", "allcock-callable"],
 )
-def test_region_scan_csv_bytes_match_row_wise_writer(grid, protocols, rows, digest):
-    scan = region_scan(grid, protocols=protocols)
+def test_region_scan_csv_bytes_match_row_wise_writer(grid, protocols, allcock, rows, digest):
+    scan = region_scan(grid, protocols=protocols, allcock=allcock)
     text = scan.to_csv()
     assert len(scan) == rows
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert text == reference_csv(scan)
+    # the row-wise writer takes about a second on the 100,701-row plane;
+    # its digest alone guards it
+    if rows < 100_000:
+        assert text == reference_csv(scan)
 
 
 def _plane(alpha_count: int, eps_count: int) -> dict:
@@ -457,11 +542,22 @@ def test_region_scan_csv_4d_grid_spanning_chunks():
     assert scan.to_csv() == reference_csv(scan)
 
 
-def test_format_floats_keeps_both_signed_zeros():
-    col = np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5, -2.0e-13])
-    # deduplicating by value would print the first zero for both
-    assert len(np.unique(col)) == 3
-    assert _format_floats(col) == ["0", "-0", "1.5", "-0", "0", "1.5", "-2e-13"]
+def _tabled(scan) -> set:
+    return {name for field in scan._fields() if field.table is not None for name in field.names}
+
+
+def test_signed_zeros_print_apart():
+    # at delta = -0.0 and eps = 0.0, V = 3 * -0.0 - 0.0 is -0.0 and V_parity
+    # = 0.0 - 0.0 is 0.0; deduplicating by value would print one for both
+    for alpha in [(0.0, 0.5, 0.25), 0.0]:
+        scan = region_scan({"alpha": alpha, "delta": -0.0, "eps": (-0.5, 0.5, 0.5)})
+        # V depends on (delta, eps): a table when alpha varies, per cell when not
+        assert ("V" in _tabled(scan)) == isinstance(alpha, tuple)
+        text = scan.to_csv()
+        rows = [line.split(",") for line in text.splitlines()[1:] if line.split(",")[3] == "0"]
+        assert len(rows) == len(scan) // 3
+        assert all(row[2] == "-0" and row[5] == "-0" and row[6] == "0" for row in rows)
+        assert text == reference_csv(scan)
 
 
 def test_region_scan_csv_signed_zero_scalars():
@@ -487,16 +583,60 @@ def test_region_scan_csv_every_protocol_list(protocols):
 
 def test_region_scan_write_csv_streams_fixed_chunks(monkeypatch):
     seen = []
-    original = RegionScanResult._scan_chunk
+    original = RegionScanResult._chunk
 
     def recording(self, lo, hi):
         seen.append((lo, hi))
         return original(self, lo, hi)
 
-    monkeypatch.setattr(RegionScanResult, "_scan_chunk", recording)
+    monkeypatch.setattr(RegionScanResult, "_chunk", recording)
     scan = region_scan(_plane(64, 129), threads=2)
     scan.write_csv(io.StringIO())
     assert seen == [(lo, min(lo + SCAN_CHUNK, len(scan))) for lo in range(0, len(scan), SCAN_CHUNK)]
+
+
+def _arrays(value):
+    """Every numpy array reachable from an object's attributes, lists, tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif hasattr(value, "__dict__"):
+        yield from _arrays(vars(value))
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_region_scan_keeps_no_array_above_scan_chunk_cells():
+    # 1001 x 2 x 1001 cells: alpha with eps, and V_A_fit on (alpha, delta,
+    # eps), each span more cells than a table may hold and fewer than the grid
+    grid = {"alpha": (0.0, 0.5, 0.0005), "beta": (0.0, 0.5, 0.5), "delta": 1.0,
+            "eps": (-1.0, 1.0, 0.002)}
+    scan = region_scan(grid)
+    assert len(scan) == 2_004_002
+
+    class Watch(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            sizes = [a.size for a in _arrays(scan)]
+            assert sizes and max(sizes) <= SCAN_CHUNK
+            Watch.writes += 1
+            if Watch.writes == 4:
+                raise _Stop
+            return super().write(text)
+
+    with pytest.raises(_Stop):
+        scan.write_csv(Watch())
+    # V_OR and V_A_fit are formatted per cell
+    assert _tabled(scan) == {"alpha", "beta", "delta", "eps", "valid", "V", "V_parity",
+                             "winner", "collapses_cc"}
 
 
 def test_scan_cli_threads_print_same_bytes(capsys):

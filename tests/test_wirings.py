@@ -27,7 +27,6 @@ from nlbd.wirings import (
     closed_form_values,
     identity_wiring,
     or_protocol,
-    or_value_simulated,
     parity_as_adaptive,
     parity_protocol,
     symmetric_box,
@@ -360,10 +359,10 @@ def test_closed_form_adaptive_at_table_point():
     assert shifted.v_a == pytest.approx(3.8275, abs=1e-12)
 
 
-def test_closed_form_orand_value():
-    vals = closed_form_values(0.5, 0.5, 1.0, 0.01)
-    expect = 2 * 0.25 + 0.25 * 1e-4 - 0.005 - 0.75 + 1.5 - 0.5
-    assert vals.v_orand == pytest.approx(expect, abs=1e-15)
+def or_value_simulated(alpha, beta, delta, eps) -> float:
+    """Simulated OR-protocol value on a symmetric box (exact enumeration)."""
+    box = box_from_correlators(symmetric_box(alpha, beta, delta, eps))
+    return chsh_value_of_box(apply_nonadaptive(box, or_protocol()))
 
 
 def test_or_closed_form_matches_simulation():
