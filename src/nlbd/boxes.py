@@ -40,7 +40,7 @@ from .errors import InvalidBox, UnknownKind
 INPUT_ORDER = ("00", "01", "10", "11")
 OUTPUT_ORDER = ("00", "01", "10", "11")
 
-# Default tolerances: 1e-9 for validity checks, 1e-12 for algebraic identities.
+# Tolerances: 1e-9 for validity checks, 1e-12 for algebraic identities.
 VALIDITY_TOL = 1e-9
 ALGEBRA_TOL = 1e-12
 
@@ -160,14 +160,14 @@ def box_from_correlators(c: CorrelatorForm) -> BipartiteBox:
     return BipartiteBox(p)
 
 
-def correlators_from_box(b: BipartiteBox, tol: float = VALIDITY_TOL) -> CorrelatorForm:
+def correlators_from_box(b: BipartiteBox) -> CorrelatorForm:
     """Exact inverse of box_from_correlators; validates the box first.
 
     Raises InvalidBox when validation fails. Marginals are read off the
     no-signalling-averaged rows so the roundtrip is exact to 1e-12 even in
     the presence of tolerance-level noise.
     """
-    require_valid(b, "cannot extract correlators", tol=tol)
+    require_valid(b, "cannot extract correlators")
     p = b.p
     # Alice's marginal bias per x: average over Bob's input (equal by no-signalling).
     ea = [
@@ -181,32 +181,33 @@ def correlators_from_box(b: BipartiteBox, tol: float = VALIDITY_TOL) -> Correlat
     return CorrelatorForm(*(float(min(1.0, max(-1.0, v))) for v in ea + eb + exy))
 
 
-def validate_box(b: BipartiteBox, tol: float = VALIDITY_TOL) -> ValidationReport:
+def validate_box(b: BipartiteBox) -> ValidationReport:
     """Report every violated box constraint with its magnitude.
 
-    Checks, in order: entrywise nonnegativity (>= -tol), row normalization
-    (sum 1 within tol), and no-signalling in both directions (each player's
-    output marginal independent of the other player's input, within tol).
+    Checks, in order: entrywise nonnegativity (>= -VALIDITY_TOL), row
+    normalization (sum 1 within VALIDITY_TOL), and no-signalling in both
+    directions (each player's output marginal independent of the other
+    player's input, within VALIDITY_TOL).
     """
     p = b.p
     violations: list[tuple[str, float]] = []
 
     # written as `not <=` so that a nan entry fails every check
     neg = float(-(p.min()))
-    if not neg <= tol:
+    if not neg <= VALIDITY_TOL:
         violations.append(("negativity", neg))
 
     norm = float(np.abs(p.sum(axis=1) - 1.0).max())
-    if not norm <= tol:
+    if not norm <= VALIDITY_TOL:
         violations.append(("normalization", norm))
 
     # Alice's marginal p(a|xy) must not depend on y, Bob's p(b|xy) not on x.
     marginal = p @ _MARGINALS  # [xy, (a=0, a=1, b=0, b=1)]
     sig_a = float(np.abs(marginal[0::2, :2] - marginal[1::2, :2]).max())
-    if not sig_a <= tol:
+    if not sig_a <= VALIDITY_TOL:
         violations.append(("no-signalling-to-alice", sig_a))
     sig_b = float(np.abs(marginal[:2, 2:] - marginal[2:, 2:]).max())
-    if not sig_b <= tol:
+    if not sig_b <= VALIDITY_TOL:
         violations.append(("no-signalling-to-bob", sig_b))
 
     return ValidationReport(valid=not violations, violations=tuple(violations))
@@ -216,10 +217,9 @@ def require_valid(
     b: BipartiteBox,
     message: str,
     error: type[Exception] = InvalidBox,
-    tol: float = VALIDITY_TOL,
 ) -> BipartiteBox:
     """b itself if it passes validate_box, else error(f"{message}: {violations}")."""
-    report = validate_box(b, tol)
+    report = validate_box(b)
     if not report.valid:
         raise error(f"{message}: {report.violations}")
     return b
@@ -230,9 +230,9 @@ def chsh_value(c: CorrelatorForm) -> float:
     return c.d1 + c.d2 + c.d3 - c.eps
 
 
-def chsh_value_of_box(b: BipartiteBox, tol: float = VALIDITY_TOL) -> float:
+def chsh_value_of_box(b: BipartiteBox) -> float:
     """CHSH value computed from a probability box (validates first)."""
-    return chsh_value(correlators_from_box(b, tol))
+    return chsh_value(correlators_from_box(b))
 
 
 # Parameter names of each named family, and the eight fields they fill in

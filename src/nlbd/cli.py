@@ -2,10 +2,11 @@
 
 Verbs: validate, value, distill, search, scan, tables, equiv. All numeric
 output is printed to 12 significant digits and is deterministic for a given
-argument vector; the thread count never changes printed numbers, only wall
-time. Exit codes: 0 success (validate: box valid), 1 invalid box or a
-computation that reports failure, 2 usage errors, 3 file errors, 4 exceeded
-enumeration budgets. Error messages go to stderr.
+argument vector. Every computation runs on one thread; search and scan still
+accept and validate --threads N and NLBD_THREADS, which have no effect, so
+existing command lines keep working. Exit codes: 0 success (validate: box
+valid), 1 invalid box or a computation that reports failure, 2 usage errors,
+3 file errors, 4 exceeded enumeration budgets. Error messages go to stderr.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .wirings import (
 )
 from .xorboxes import MultipartiteXorBox, xor_value
 
+_THREADS_HELP = "accepted for compatibility, no effect (also NLBD_THREADS); must be >= 1"
 _AXIS_OPTIONS = ("--alpha", "--beta", "--delta", "--eps")
 _NUMBER_STARTS = frozenset("0123456789.")
 
@@ -72,21 +74,25 @@ def _load_box(path: str):
         raise _CliError(3, f"{path}: {err}") from err
 
 
-def _resolve_threads(option: int | None) -> int:
+def _check_threads(option: int | None) -> None:
+    """Reject a --threads or NLBD_THREADS value below 1 or not an integer.
+
+    The count is accepted for compatibility and has no effect: on two
+    shared cores every count above 1 ran searches and scans 1.2-1.7x slower.
+    """
     if option is not None:
         if option < 1:
             raise _CliError(2, f"--threads must be >= 1, got {option}")
-        return option
+        return
     raw = os.environ.get("NLBD_THREADS")
     if raw is None or not raw.strip():
-        return 1
+        return
     try:
         value = int(raw)
     except ValueError:
         raise _CliError(2, f"NLBD_THREADS={raw!r} is not an integer") from None
     if value < 1:
         raise _CliError(2, f"NLBD_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _parse_axis(option: str, text: str):
@@ -226,7 +232,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     box = _load_box(args.boxfile)
-    threads = _resolve_threads(args.threads)
+    _check_threads(args.threads)
     if args.search_class == "adaptive":
         if args.m not in (None, 2):
             raise _CliError(2, "adaptive search is over two copies; omit --m or pass --m 2")
@@ -234,14 +240,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
             raise _CliError(2, "adaptive search takes no --input-dependent")
         if isinstance(box, MultipartiteXorBox):
             raise _CliError(2, "adaptive search takes a bipartite box file")
-        result = adaptive_search_max(box, threads=threads)
+        result = adaptive_search_max(box)
         proto_line = format_protocol(AdaptiveTwoCopyProtocol.decode(result.best_protocol))
     else:
         if args.m is None:
             raise _CliError(2, "nonadaptive search needs --m")
-        result = enumerate_nonadaptive_max(
-            box, args.m, input_dependent=args.input_dependent, threads=threads
-        )
+        result = enumerate_nonadaptive_max(box, args.m, input_dependent=args.input_dependent)
         proto_line = format_protocol(
             NonAdaptiveProtocol.decode(result.n, result.m, result.best_protocol)
         )
@@ -264,8 +268,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         "delta": _parse_axis("--delta", args.delta) if args.delta is not None else 1.0,
     }
     protocols = tuple(label for label in args.protocols.split(",") if label)
-    threads = _resolve_threads(args.threads)
-    result = region_scan(grid, protocols=protocols, threads=threads)
+    _check_threads(args.threads)
+    result = region_scan(grid, protocols=protocols)
     if args.out == "-":
         result.write_csv(sys.stdout)
     else:
@@ -344,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="let each player's table depend on their input",
     )
     p.add_argument("--exact", action="store_true", help="also print the exact maximum")
-    p.add_argument("--threads", type=int, help="worker threads (default: NLBD_THREADS or 1)")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("boxfile")
     p.set_defaults(handler=_cmd_search)
 
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LABELS",
         help="comma-separated from PARITY, OR, A (default: PARITY,OR)",
     )
-    p.add_argument("--threads", type=int, help="worker threads (default: NLBD_THREADS or 1)")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--out", required=True, help="CSV path, or - for stdout")
     p.set_defaults(handler=_cmd_scan)
 

@@ -20,8 +20,8 @@ smallest code (the infinity-to-one-norm step of Alon and Naor). A float
 pass totals every row of the other players' tables at once, one slot s
 at a time; an exact pass evaluates again in integers (box entries are
 binary floats) only the rows within a rigorous rounding bound of the
-float maximum, and breaks ties on those exact values. Any `threads`
-value gives identical results.
+float maximum, and breaks ties on those exact values. Everything runs
+on the calling thread, one block after another.
 
 Supported sizes: m <= 3 copies throughout (the protocol count doubles per
 outcome bit; beyond three copies enumeration is out of scope), n in {2, 3}
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -85,7 +84,7 @@ MAX_COPIES = 3
 CC_COLLAPSE_THRESHOLD = 4.0 * math.sqrt(2.0 / 3.0)
 
 # First-stage rows the float pass totals per block, in whole second-player
-# tables. Block bounds follow from the class alone, never the thread count.
+# tables: the cap on the float pass's memory, set by the class alone.
 _CHUNK_ROWS = 1 << 14
 
 _CHSH_SIGNS = (1, 1, 1, -1)
@@ -109,13 +108,6 @@ class SearchResult:
     n: int
     m: int
     best_exact: Fraction
-
-
-def _map_chunks(worker, chunks, threads: int) -> list:
-    if threads <= 1:
-        return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
 
 
 def _sign_matrix(m: int) -> np.ndarray:
@@ -243,7 +235,7 @@ def _rounding_bound(terms: int, roundings: int, l1: float) -> float:
     return 2 * (gamma * l1 + terms * roundings * 2.0**-1074)
 
 
-def _best_response_max(block, grid, exact_rows, scale: int, err: float, threads: int):
+def _best_response_max(block, grid, exact_rows, scale: int, err: float):
     """Exact class maximum and its smallest packed key, in two passes.
 
     Row r = a + b * first of grid = (seconds, first) fixes every player's
@@ -255,8 +247,7 @@ def _best_response_max(block, grid, exact_rows, scale: int, err: float, threads:
     """
     seconds, first = grid
     step = max(1, _CHUNK_ROWS // first)
-    blocks = _map_chunks(lambda lo: block(lo, lo + step), range(0, seconds, step), threads)
-    approx = np.concatenate(blocks, axis=None)
+    approx = np.concatenate([block(lo, lo + step) for lo in range(0, seconds, step)], axis=None)
     top = approx.max()
     # every total is within err of its float value, so every exact
     # maximiser is within 2*err of the float maximum
@@ -287,12 +278,7 @@ def _replayed(result: SearchResult, replay: float) -> SearchResult:
     return result
 
 
-def enumerate_nonadaptive_max(
-    box,
-    m: int,
-    input_dependent: bool = False,
-    threads: int = 1,
-) -> SearchResult:
+def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> SearchResult:
     """Exact maximum value over a non-adaptive protocol class.
 
     `box` is a BipartiteBox (CHSH-style objective) or a MultipartiteXorBox
@@ -359,7 +345,7 @@ def enumerate_nonadaptive_max(
             return _respond(v.T[None, None], key)
 
     grid = (count if input_dependent or n == 3 else 1, count)
-    exact, packed = _best_response_max(block, grid, exact_rows, scale, err, threads)
+    exact, packed = _best_response_max(block, grid, exact_rows, scale, err)
     result = SearchResult(float(exact), packed, examined, class_name, n, m, exact)
     return _replayed(result, _resimulate_nonadaptive(box, NonAdaptiveProtocol.decode(n, m, packed)))
 
@@ -389,7 +375,7 @@ def _adaptive_kernels(p: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.array(kernels), 1, -1).reshape(2, 4, 2, 2, 64)
 
 
-def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
+def adaptive_search_max(box: BipartiteBox) -> SearchResult:
     """Exact maximum CHSH-style value over all adaptive two-copy wirings.
 
     Both copies are `box`. A player's 12-bit block is the sum of her codes
@@ -413,7 +399,7 @@ def adaptive_search_max(box: BipartiteBox, threads: int = 1) -> SearchResult:
         a = pack_adaptive_player((rows >> 3 & 7, rows & 7, rows >> 9, rows >> 6 & 7))
         return _respond(v, lambda b: pack_adaptive_player(b) << 12 | a)
 
-    exact, packed = _best_response_max(block, (64, 64), exact_rows, den**2, err, threads)
+    exact, packed = _best_response_max(block, (64, 64), exact_rows, den**2, err)
     result = SearchResult(float(exact), packed, 4096 * 4096, "adaptive2", 2, 2, exact)
     proto = AdaptiveTwoCopyProtocol.decode(packed)
     return _replayed(result, chsh_value_of_box(apply_adaptive(box, box, proto)))
@@ -467,11 +453,12 @@ class RegionScanResult(Sequence):
     collapses_cc are code axes of those tables, and adjacent fields share
     one table while it stays within SCAN_CHUNK cells. Each chunk gathers the
     tables by index and formats only the columns that vary along every axis,
-    so memory is one chunk plus tables of at most SCAN_CHUNK cells. column()
-    and indexing compute every column once and cache them.
+    so memory is one chunk plus tables of at most SCAN_CHUNK cells. Indexing
+    computes the one-cell chunk of each cell it reads, and column() joins
+    one column chunk by chunk, so neither keeps anything.
     """
 
-    def __init__(self, axes: dict, protocols: tuple, allcock, threads: int) -> None:
+    def __init__(self, axes: dict, protocols: tuple, allcock) -> None:
         self._tracked_beta = axes["beta"] is None
         self._axes = [axes["alpha"]] + ([] if self._tracked_beta else [axes["beta"]])
         self._axes += [axes["delta"], axes["eps"]]
@@ -480,8 +467,6 @@ class RegionScanResult(Sequence):
         self._protocols = protocols
         self._labels = np.array(("none",) + protocols, dtype=object)
         self._allcock = allcock
-        self._threads = threads
-        self._columns: dict | None = None
         self._layout: list | None = None
 
     def __len__(self) -> int:
@@ -489,26 +474,19 @@ class RegionScanResult(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._len))]
-        row = {name: col[i].item() for name, col in self._full_columns().items()}
+            return [self[j] for j in range(self._len)[i]]
+        i = range(self._len)[i]  # negative indices count from the end
+        row = {name: col[0].item() for name, col in self._chunk(i, i + 1)[1].items()}
         row["winner"] = str(self._labels[row["winner"]])
         return RegionRow(**row)
 
     def column(self, name: str) -> np.ndarray:
         """One full column; "winner" holds the labels, not their codes."""
-        col = self._full_columns()[name]
+        col = np.concatenate([self._chunk(*bounds)[1][name] for bounds in self._bounds()])
         return self._labels[col].astype(str) if name == "winner" else col
 
     def _bounds(self) -> list:
         return [(i, min(i + SCAN_CHUNK, self._len)) for i in range(0, self._len, SCAN_CHUNK)]
-
-    def _full_columns(self) -> dict:
-        if self._columns is None:
-            parts = _map_chunks(lambda b: self._chunk(*b)[1], self._bounds(), self._threads)
-            self._columns = {
-                name: np.concatenate([part[name] for part in parts]) for name in parts[0]
-            }
-        return self._columns
 
     def _cells(self, per_axis) -> tuple:
         """(alpha, beta, delta, eps) from one array per grid axis."""
@@ -618,14 +596,10 @@ class RegionScanResult(Sequence):
         return "\n".join(map(",".join, zip(*fields))) + "\n"
 
     def write_csv(self, stream) -> None:
-        """Header, then one line per cell; batches of `threads` chunks at a time."""
+        """Header, then one line per cell, written chunk after chunk."""
         stream.write(CSV_HEADER + "\n")
-        self._fields()  # built once, before chunks run in threads
-        bounds = self._bounds()
-        for start in range(0, len(bounds), self._threads):
-            batch = bounds[start : start + self._threads]
-            for text in _map_chunks(self._csv_chunk, batch, self._threads):
-                stream.write(text)
+        for bounds in self._bounds():
+            stream.write(self._csv_chunk(bounds))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -647,7 +621,6 @@ def region_scan(
     grid: dict,
     protocols: Sequence[str] = ("PARITY", "OR"),
     allcock: "AllcockParams | Callable | None" = None,
-    threads: int = 1,
 ) -> RegionScanResult:
     """Sweep the symmetric box family over a parameter grid.
 
@@ -660,9 +633,9 @@ def region_scan(
     -2*alpha per cell, an AllcockParams applies everywhere, and a callable
     (alpha, beta, delta, eps) -> AllcockParams is evaluated per cell.
 
-    Labels, axes and the grid budget are checked here; the cells are
-    computed lazily by the returned result, cells ordered with alpha
-    slowest and eps fastest.
+    Labels, axes and the grid budget are checked here; the returned result
+    computes cells a chunk at a time whenever they are read, and keeps
+    none, cells ordered with alpha slowest and eps fastest.
     """
     for label in protocols:
         if label not in _PROTOCOL_LABELS:
@@ -676,7 +649,7 @@ def region_scan(
             raise ValueError(f"grid is missing the {name!r} axis")
         else:
             axes[name] = _axis(spec)
-    result = RegionScanResult(axes, tuple(protocols), allcock, threads)
+    result = RegionScanResult(axes, tuple(protocols), allcock)
     if len(result) > GRID_BUDGET:
         raise BudgetExceeded(f"{len(result)} grid cells exceed the {GRID_BUDGET} budget")
     return result

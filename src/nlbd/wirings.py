@@ -211,7 +211,6 @@ class ClosedFormValues:
 def apply_nonadaptive(
     boxes: "BipartiteBox | Sequence[BipartiteBox]",
     proto: NonAdaptiveProtocol,
-    tol: float = 1e-9,
 ) -> BipartiteBox:
     """Wire m (not necessarily identical) bipartite boxes non-adaptively.
 
@@ -229,7 +228,7 @@ def apply_nonadaptive(
     if len(box_list) != proto.m:
         raise ArityMismatch(f"protocol expects {proto.m} boxes, got {len(box_list)}")
     for b in {id(b): b for b in box_list}.values():
-        require_valid(b, "input box fails validation", tol=tol)
+        require_valid(b, "input box fails validation")
 
     # indicator[v, o, s] = 1 where the player's output on input v, string s is o
     g, h = (np.array(proto.tables[j], dtype=float) for j in (0, 1))
@@ -245,7 +244,6 @@ def apply_nonadaptive(
         BipartiteBox(out),
         "non-adaptive wiring produced an invalid box",
         VerificationFailed,
-        max(tol, 1e-9),
     )
 
 
@@ -253,11 +251,10 @@ def apply_adaptive(
     box1: BipartiteBox,
     box2: BipartiteBox,
     proto: AdaptiveTwoCopyProtocol,
-    tol: float = 1e-9,
 ) -> BipartiteBox:
     """Wire two boxes adaptively, summing the 16 intermediate outcomes exactly."""
     for b in (box1, box2):
-        require_valid(b, "input box fails validation", tol=tol)
+        require_valid(b, "input box fails validation")
     out = np.zeros((4, 4))
     for row in range(4):
         x, y = row >> 1, row & 1
@@ -279,7 +276,6 @@ def apply_adaptive(
         BipartiteBox(out),
         "adaptive wiring produced an invalid box",
         VerificationFailed,
-        max(tol, 1e-9),
     )
 
 

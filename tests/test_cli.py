@@ -606,7 +606,7 @@ def test_invalid_wiring_output_exits_one(boxdir, capsys, monkeypatch):
     real = nlbd.boxes.validate_box
     failing = ValidationReport(False, (("signalling", 0.25),))
     monkeypatch.setattr(
-        nlbd.boxes, "validate_box", lambda box, tol: real(box, tol) if box == inputs else failing
+        nlbd.boxes, "validate_box", lambda box: real(box) if box == inputs else failing
     )
     for protocol in ("or", "adaptive:33333c"):
         code, out, err = run(capsys, "distill", "--protocol", protocol, "--copies", "2",
@@ -644,3 +644,14 @@ def test_checks_survive_python_optimize(boxdir):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("nlbd: replay of the best protocol gives -1.0")
+
+
+def test_cli_import_starts_no_thread_pool_module():
+    # every computation runs on the calling thread; --threads is only validated
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nlbd.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "False\n"

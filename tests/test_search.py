@@ -305,24 +305,6 @@ def test_adaptive_uniform_box_reaches_only_local_bound():
     assert r.best_protocol == 0
 
 
-def test_searches_deterministic_across_threads():
-    box = box_from_correlators(symmetric_box(0.05, 0.05, 0.9, 0.1))
-    # three players: at m=3 the float pass maps 4 blocks of 64 middle-player
-    # tables, a count that 3 threads do not divide
-    game3 = XorGame.from_predicate(3, lambda bits: (bits[0] | bits[1]) ^ bits[2])
-    xb3 = MultipartiteXorBox(game3, tuple(np.random.default_rng(29).uniform(-1, 1, 8)))
-    searches = (
-        lambda threads: enumerate_nonadaptive_max(box, 3, input_dependent=True, threads=threads),
-        lambda threads: enumerate_nonadaptive_max(box, 3, threads=threads),
-        lambda threads: enumerate_nonadaptive_max(xb3, 3, threads=threads),
-        lambda threads: adaptive_search_max(box, threads=threads),
-    )
-    for search in searches:
-        base = search(1)
-        for threads in (2, 3, 4, 8):
-            assert search(threads) == base, threads
-
-
 def test_region_scan_or_window_at_alpha_half():
     scan = region_scan({"alpha": 0.5, "delta": 1.0, "eps": (-0.10, 0.40, 0.0005)})
     eps = scan.column("eps")
@@ -421,6 +403,12 @@ def test_region_scan_csv_format():
     buf = io.StringIO()
     scan.write_csv(buf)
     assert buf.getvalue() == text
+    assert scan[-1] == scan[2] and scan[1:] == [scan[1], scan[2]]
+    assert scan[::-2] == [scan[2], scan[0]]
+    with pytest.raises(IndexError):
+        scan[3]
+    with pytest.raises(IndexError):
+        scan[-4]
 
 
 def test_region_scan_errors():
@@ -590,7 +578,7 @@ def test_region_scan_write_csv_streams_fixed_chunks(monkeypatch):
         return original(self, lo, hi)
 
     monkeypatch.setattr(RegionScanResult, "_chunk", recording)
-    scan = region_scan(_plane(64, 129), threads=2)
+    scan = region_scan(_plane(64, 129))
     scan.write_csv(io.StringIO())
     assert seen == [(lo, min(lo + SCAN_CHUNK, len(scan))) for lo in range(0, len(scan), SCAN_CHUNK)]
 
@@ -637,6 +625,10 @@ def test_region_scan_keeps_no_array_above_scan_chunk_cells():
     # V_OR and V_A_fit are formatted per cell
     assert _tabled(scan) == {"alpha", "beta", "delta", "eps", "valid", "V", "V_parity",
                              "winner", "collapses_cc"}
+    # indexing and column() read through the chunk kernel and keep nothing
+    assert scan[0].alpha == 0.0 and scan[-1].eps == pytest.approx(1.0)
+    scan.column("V_OR")
+    assert max(a.size for a in _arrays(scan)) <= SCAN_CHUNK
 
 
 def test_scan_cli_threads_print_same_bytes(capsys):
@@ -650,17 +642,6 @@ def test_scan_cli_threads_print_same_bytes(capsys):
         printed.append(captured.out)
     assert len(printed[0].splitlines()) == 1 + 51 * 201 * 3
     assert printed[1] == printed[0] and printed[2] == printed[0]
-
-
-def test_region_scan_deterministic_across_threads():
-    grid = {"alpha": (0.25, 0.75, 0.002), "delta": 1.0, "eps": (-0.5, 0.5, 0.002)}
-    base = region_scan(grid, threads=1)
-    for threads in (4, 8):
-        scan = region_scan(grid, threads=threads)
-        for name in ("V", "V_parity", "V_OR", "V_A_fit"):
-            assert (scan.column(name) == base.column(name)).all()
-        for name in ("valid", "winner", "collapses_cc"):
-            assert (scan.column(name) == base.column(name)).all()
 
 
 def test_reference_table_one():
@@ -830,9 +811,9 @@ def _float_and_exact_stages(call, monkeypatch):
     seen = {}
     real = search_module._best_response_max
 
-    def spy(block, grid, exact_rows, scale, err, threads):
+    def spy(block, grid, exact_rows, scale, err):
         seen.update(block=block, grid=grid, exact_rows=exact_rows, scale=scale, err=err)
-        return real(block, grid, exact_rows, scale, err, threads)
+        return real(block, grid, exact_rows, scale, err)
 
     monkeypatch.setattr(search_module, "_best_response_max", spy)
     call()
