@@ -92,10 +92,6 @@ class FourierSpectrum:
     def array(self) -> np.ndarray:
         return np.array(self.coeff, dtype=float)
 
-    def parseval_defect(self) -> float:
-        """|sum_z coeff_z^2 - 1|; within 1e-12 for spectra of +-1 functions."""
-        return float(abs(self.array() @ self.array() - 1.0))
-
 
 def weight_table(m: int) -> np.ndarray:
     """Hamming weight |z| for every z < 2^m."""

@@ -46,7 +46,6 @@ expected and documented: the third table's printed parity column).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -353,26 +352,25 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
 # ------------------------------------------------------------------ adaptive
 
 
-def _adaptive_kernels(p: np.ndarray) -> np.ndarray:
-    """M[x, 2y + b1, u, b2, P_A] per input pair (x, y), CHSH sign folded into x = y = 1.
+def _adaptive_kernels(p: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """M[key, 2y + b1, u, b2] for keys x * 64 + P_A, CHSH sign folded into x = y = 1.
 
     The first copy's weight times the second copy's expected sign product,
-    for player A's branch pair P_A = beh(a1=0) * 8 + beh(a1=1) and player
-    B's first output b1, box-2 input u and box-2 output b2. A branch
-    behavior is beh = u_A | bit(a2=0) << 1 | bit(a2=1) << 2, with output sign
-    (-1)^bit. p holds the box entries, as floats or as integers.
+    on player A's input x, for her branch pair P_A = beh(a1=0) * 8 +
+    beh(a1=1), player B's input y and first output b1, box-2 input u and
+    box-2 output b2. A branch behavior is beh = u_A | bit(a2=0) << 1 |
+    bit(a2=1) << 2, with output sign (-1)^bit. p holds the box entries, as
+    floats or as integers.
     """
     beh = np.arange(8)
     sign = 1 - 2 * ((beh[:, None] >> np.array([1, 2])) & 1)  # [beh, a2]
     second = p[((beh & 1) << 1)[:, None] | np.arange(2)].reshape(8, 2, 2, 2)  # [beh, u, a2, b2]
     g = (sign[:, None, :, None] * second).sum(2)  # [beh, u, b2]
-    pair = np.arange(64)
-    halves = (g[pair >> 3][:, None], g[pair & 7][:, None])  # P_A's behavior on a1 = 0, 1
-    kernels = [  # [P_A, b1, u, b2] per input pair 2x + y
-        s * sum(first[a1][None, :, None, None] * halves[a1] for a1 in (0, 1))
-        for s, first in zip(_CHSH_SIGNS, p.reshape(4, 2, 2))
-    ]
-    return np.moveaxis(np.array(kernels), 1, -1).reshape(2, 4, 2, 2, 64)
+    halves = (g[keys >> 3 & 7], g[keys & 7])  # [key, u, b2]: P_A's behavior on a1 = 0, 1
+    signed = np.array(_CHSH_SIGNS)[:, None, None] * p.reshape(4, 2, 2)  # [2x + y, a1, b1]
+    first = signed.reshape(2, 2, 2, 2)[keys >> 6]  # [key, y, a1, b1]
+    kernels = sum(first[:, :, a1, :, None, None] * halves[a1][:, None, None] for a1 in (0, 1))
+    return kernels.reshape(len(keys), 4, 2, 2)
 
 
 def adaptive_search_max(box: BipartiteBox) -> SearchResult:
@@ -389,13 +387,17 @@ def adaptive_search_max(box: BipartiteBox) -> SearchResult:
     # per row, 16 products p1*p2 on each of the four branches
     abs_p = np.abs(box.p)
     err = _rounding_bound(64, 2, float(abs_p.sum() * abs_p.sum(1).max()))
-    kf, ki = _adaptive_kernels(floats), _narrowed(_adaptive_kernels(ints))
+    kf = _adaptive_kernels(floats, np.arange(128)).reshape(2, 64, 4, 2, 2)
+    kf = np.moveaxis(kf, 1, -1)  # [x, branch, u, b2, P_A]
     block = lambda lo, hi: _outer_totals(kf[1], kf[0], lo, hi)  # noqa: E731
 
     def exact_rows(rows):
+        # the kernels of the distinct keys x * 64 + P_A among the rows
+        keys = np.concatenate((rows % 64, 64 + rows // 64))
+        k = _distinct(keys, lambda t: _narrowed([_adaptive_kernels(ints, t)])[0])
         # player B's branch 2y + b1 takes a box-2 input u, then her behavior
         # on it is u | bit(b2=0) << 1 | bit(b2=1) << 2
-        v = ki[0][..., rows % 64] + ki[1][..., rows // 64]  # [branch, u, b2, row]
+        v = np.moveaxis(k[: len(rows)] + k[len(rows) :], 0, -1)  # [branch, u, b2, row]
         a = pack_adaptive_player((rows >> 3 & 7, rows & 7, rows >> 9, rows >> 6 & 7))
         return _respond(v, lambda b: pack_adaptive_player(b) << 12 | a)
 
@@ -424,7 +426,7 @@ class RegionRow(NamedTuple):
 
 CSV_HEADER = "alpha,beta,delta,eps,valid,V,V_parity,V_OR,V_A_fit,winner,collapses_cc"
 
-_PROTOCOL_LABELS = ("PARITY", "OR", "A")
+_LABEL_COLUMNS = {"PARITY": "V_parity", "OR": "V_OR", "A": "V_A_fit"}
 
 # Cells computed, formatted and written at a time, so memory is O(chunk)
 # whatever the grid; also the cap on each per-scan text table. On a
@@ -445,17 +447,18 @@ class _Field(NamedTuple):
 class RegionScanResult(Sequence):
     """Lazy scan result; indexes like a sequence of RegionRow.
 
-    One kernel (_chunk) computes SCAN_CHUNK cells at a time from the
-    validated axes. Once per scan, write_csv formats each column that
-    depends on only some axes over its own sub-grid: its broadcast shape
-    on an open mesh of the axes (V and V_parity on (delta, eps), V_A_fit
-    with the default combination on (alpha, delta, eps)). valid, winner and
-    collapses_cc are code axes of those tables, and adjacent fields share
-    one table while it stays within SCAN_CHUNK cells. Each chunk gathers the
-    tables by index and formats only the columns that vary along every axis,
-    so memory is one chunk plus tables of at most SCAN_CHUNK cells. Indexing
-    computes the one-cell chunk of each cell it reads, and column() joins
-    one column chunk by chunk, so neither keeps anything.
+    One kernel (_chunk) computes the columns asked for, SCAN_CHUNK cells at
+    a time, from the validated axes. Once per scan, write_csv formats each
+    column that depends on only some axes over its own sub-grid: its
+    broadcast shape on an open mesh of the axes (V and V_parity on
+    (delta, eps), V_A_fit with the default combination on (alpha, delta,
+    eps)). valid, winner and collapses_cc are code axes of those tables,
+    and adjacent fields share one table while it stays within SCAN_CHUNK
+    cells. Each chunk is one % template: a row of %.12g (per-cell columns)
+    and %s (table entries, gathered by index) fields, repeated once per
+    cell. Memory is one chunk plus tables of at most SCAN_CHUNK cells.
+    Indexing computes the one-cell chunk of each cell it reads, and
+    column() one column chunk by chunk, so neither keeps anything.
     """
 
     def __init__(self, axes: dict, protocols: tuple, allcock) -> None:
@@ -482,7 +485,7 @@ class RegionScanResult(Sequence):
 
     def column(self, name: str) -> np.ndarray:
         """One full column; "winner" holds the labels, not their codes."""
-        col = np.concatenate([self._chunk(*bounds)[1][name] for bounds in self._bounds()])
+        col = np.concatenate([self._chunk(lo, hi, [name])[1][name] for lo, hi in self._bounds()])
         return self._labels[col].astype(str) if name == "winner" else col
 
     def _bounds(self) -> list:
@@ -527,24 +530,29 @@ class RegionScanResult(Sequence):
             return 0.25 * (11 * d * d + 2 * d - 2 * e * d - 2 * e - e * e + comb * (d - e))
         return {"alpha": a, "beta": bt, "delta": d, "eps": e}[name]
 
-    def _chunk(self, lo: int, hi: int) -> tuple:
-        """(grid indices, the 11 columns) of cells lo:hi; winner is a uint8 code into the labels."""
+    def _chunk(self, lo: int, hi: int, names=None) -> tuple:
+        """(grid indices, columns) of cells lo:hi; winner is a uint8 code into the labels.
+
+        Computes the columns in `names` (default all 11); with any code
+        column, all three codes and the value columns they compare.
+        """
         index = np.unravel_index(np.arange(lo, hi), self._shape)
         a, bt, d, e = cells = self._cells(ax[i] for ax, i in zip(self._axes, index))
-        names = [name for name in RegionRow._fields if name not in _CODE_FIELDS]
-        c = {name: self._value(name, *cells) for name in names}
-        entries = np.stack(
-            [
-                1 + 2 * a + d, 1 - d, 1 - d, 1 - 2 * a + d,
+        names = set(RegionRow._fields if names is None else names)
+        codes = not names.isdisjoint(_CODE_FIELDS)
+        if codes:
+            names |= {"V", *(_LABEL_COLUMNS[lb] for lb in self._protocols)}
+        c = {name: self._value(name, *cells) for name in names.difference(_CODE_FIELDS)}
+        if codes:
+            entries = [  # the box entries times 4, each distinct one once
+                1 + 2 * a + d, 1 - d, 1 - 2 * a + d,
                 1 + a + bt + d, 1 + a - bt - d, 1 + bt - a - d, 1 - a - bt + d,
-                1 + 2 * bt + e, 1 - e, 1 - e, 1 - 2 * bt + e,
+                1 + 2 * bt + e, 1 - e, 1 - 2 * bt + e,
             ]
-        ) / 4.0
-        c["valid"] = entries.min(axis=0) >= -VALIDITY_TOL
-        by_label = {"PARITY": c["V_parity"], "OR": c["V_OR"], "A": c["V_A_fit"]}
-        stack = np.stack([c["V"]] + [by_label[lb] for lb in self._protocols])
-        c["winner"] = stack.argmax(axis=0).astype(np.uint8)
-        c["collapses_cc"] = c["valid"] & (stack.max(axis=0) > CC_COLLAPSE_THRESHOLD)
+            c["valid"] = np.minimum.reduce(entries) / 4.0 >= -VALIDITY_TOL
+            stack = np.stack([c["V"]] + [c[_LABEL_COLUMNS[lb]] for lb in self._protocols])
+            c["winner"] = stack.argmax(axis=0).astype(np.uint8)
+            c["collapses_cc"] = c["valid"] & (stack.max(axis=0) > CC_COLLAPSE_THRESHOLD)
         return index, c
 
     def _text(self, name: str) -> np.ndarray | None:
@@ -581,30 +589,24 @@ class RegionScanResult(Sequence):
             self._layout = layout[1:]
         return self._layout
 
-    def _csv_chunk(self, bounds) -> str:
-        """CSV rows of one chunk: tables gathered by index, the other columns formatted."""
-        index, c = self._chunk(*bounds)
-        coords = index + tuple(c[name].view(np.uint8) for name in _CODE_FIELDS)
-        zero = np.zeros_like(index[0])
-        fields = []
-        for f in self._fields():
-            if f.table is None:
-                fields.append([f"{v:.12g}" for v in c[f.names[0]].tolist()])
-            else:  # a table's length-1 axes are read at 0
-                at = tuple(i if n > 1 else zero for i, n in zip(coords, f.table.shape))
-                fields.append(f.table[at].tolist())
-        return "\n".join(map(",".join, zip(*fields))) + "\n"
-
     def write_csv(self, stream) -> None:
-        """Header, then one line per cell, written chunk after chunk."""
+        """Header, then one line per cell, written chunk after chunk by one template."""
+        fields = self._fields()
+        names = [f.names[0] for f in fields if f.table is None] + list(_CODE_FIELDS)
+        row = ",".join("%.12g" if f.table is None else "%s" for f in fields) + "\n"
         stream.write(CSV_HEADER + "\n")
-        for bounds in self._bounds():
-            stream.write(self._csv_chunk(bounds))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        for lo, hi in self._bounds():
+            index, c = self._chunk(lo, hi, names)
+            coords = index + tuple(c[name].view(np.uint8) for name in _CODE_FIELDS)
+            zero = np.zeros_like(index[0])
+            flat = [None] * (len(fields) * (hi - lo))
+            for j, f in enumerate(fields):
+                if f.table is None:
+                    col = c[f.names[0]]
+                else:  # a table's length-1 axes are read at 0
+                    col = f.table[tuple(i if n > 1 else zero for i, n in zip(coords, f.table.shape))]
+                flat[j :: len(fields)] = col.tolist()
+            stream.write(row * (hi - lo) % tuple(flat))
 
 
 def _axis(spec) -> np.ndarray:
@@ -638,7 +640,7 @@ def region_scan(
     none, cells ordered with alpha slowest and eps fastest.
     """
     for label in protocols:
-        if label not in _PROTOCOL_LABELS:
+        if label not in _LABEL_COLUMNS:
             raise UnknownKind(f"unknown protocol label {label!r}")
     axes = {}
     for name in ("alpha", "beta", "delta", "eps"):

@@ -65,6 +65,11 @@ from nlbd.wirings import NonAdaptiveProtocol
 FIELDS = ("alpha", "beta", "gamma", "omega", "d1", "d2", "d3", "eps")
 
 
+def parseval_defect(spectrum) -> float:
+    """|sum_z coeff_z^2 - 1|; within 1e-12 for spectra of +-1 functions."""
+    return float(abs(spectrum.array() @ spectrum.array() - 1.0))
+
+
 def _random_valid_forms(count: int, rng: np.random.Generator) -> list[CorrelatorForm]:
     """Uniform draws from [-1,1]^8 kept when every induced entry is >= 0."""
     sa = np.array([1.0, 1.0, -1.0, -1.0])
@@ -246,12 +251,12 @@ def test_criterion_08_factorization_rewrites_wiring_as_parity():
 def test_criterion_09_fourier_machinery():
     for code in range(16):
         f = PmOutputFunction.from_bits(2, [(code >> s) & 1 for s in range(4)])
-        assert walsh_transform(f).parseval_defect() <= 1e-12
+        assert parseval_defect(walsh_transform(f)) <= 1e-12
     rng = np.random.default_rng(9)
     for _ in range(1000):
         m = int(rng.integers(3, 5))
         bits = rng.integers(0, 2, size=1 << m)
-        assert walsh_transform(PmOutputFunction.from_bits(m, bits)).parseval_defect() <= 1e-12
+        assert parseval_defect(walsh_transform(PmOutputFunction.from_bits(m, bits))) <= 1e-12
 
     for _ in range(100):
         n = int(rng.integers(2, 4))

@@ -23,6 +23,7 @@ from nlbd.search import (
     CC_COLLAPSE_THRESHOLD,
     CSV_HEADER,
     SCAN_CHUNK,
+    RegionRow,
     RegionScanResult,
     adaptive_search_max,
     enumerate_nonadaptive_max,
@@ -393,16 +394,13 @@ def test_region_scan_winner_can_be_adaptive_label():
 
 def test_region_scan_csv_format():
     scan = region_scan({"alpha": 0.5, "delta": 1.0, "eps": (0.0, 0.01, 0.005)})
-    text = scan.to_csv()
+    text = to_csv(scan)
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + len(scan)
     fields = lines[1].split(",")
     assert len(fields) == 11
     assert fields[4] in ("true", "false") and fields[10] in ("true", "false")
-    buf = io.StringIO()
-    scan.write_csv(buf)
-    assert buf.getvalue() == text
     assert scan[-1] == scan[2] and scan[1:] == [scan[1], scan[2]]
     assert scan[::-2] == [scan[2], scan[0]]
     with pytest.raises(IndexError):
@@ -423,6 +421,13 @@ def test_region_scan_errors():
 
 
 # ------------------------------------------------- streamed CSV byte identity
+
+
+def to_csv(scan) -> str:
+    """The whole CSV that write_csv streams, as one string."""
+    buf = io.StringIO()
+    scan.write_csv(buf)
+    return buf.getvalue()
 
 
 def reference_csv(scan) -> str:
@@ -495,7 +500,7 @@ def _callable_allcock(a, b, d, e):
 )
 def test_region_scan_csv_bytes_match_row_wise_writer(grid, protocols, allcock, rows, digest):
     scan = region_scan(grid, protocols=protocols, allcock=allcock)
-    text = scan.to_csv()
+    text = to_csv(scan)
     assert len(scan) == rows
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     # the row-wise writer takes about a second on the 100,701-row plane;
@@ -517,17 +522,66 @@ def _plane(alpha_count: int, eps_count: int) -> dict:
 def test_region_scan_csv_across_the_chunk_edge(alpha_count, eps_count):
     scan = region_scan(_plane(alpha_count, eps_count), protocols=("PARITY", "OR", "A"))
     assert len(scan) - SCAN_CHUNK in (-1, 0, 1)
-    assert scan.to_csv() == reference_csv(scan)
+    assert to_csv(scan) == reference_csv(scan)
+
+
+SPANNING_4D_GRID = {
+    "alpha": (0.1, 0.4, 0.05), "beta": (0.0, 0.45, 0.05), "delta": (0.7, 1.0, 0.1),
+    "eps": (-0.5, 0.5, 0.025),
+}
 
 
 def test_region_scan_csv_4d_grid_spanning_chunks():
-    scan = region_scan(
-        {"alpha": (0.1, 0.4, 0.05), "beta": (0.0, 0.45, 0.05), "delta": (0.7, 1.0, 0.1),
-         "eps": (-0.5, 0.5, 0.025)},
-        protocols=("OR", "A"),
-    )
+    scan = region_scan(SPANNING_4D_GRID, protocols=("OR", "A"))
     assert len(scan) > 2 * SCAN_CHUNK
-    assert scan.to_csv() == reference_csv(scan)
+    assert to_csv(scan) == reference_csv(scan)
+
+
+@pytest.mark.parametrize("grid", [_plane(64, 129), SPANNING_4D_GRID], ids=["tracked-beta", "free-beta"])
+def test_region_scan_column_matches_rows(grid):
+    scan = region_scan(grid, protocols=("PARITY", "OR", "A"))
+    assert len(scan) > 2 * SCAN_CHUNK
+    rows = list(scan)
+    for name in RegionRow._fields:
+        assert scan.column(name).tolist() == [getattr(row, name) for row in rows], name
+
+
+# per-cell columns at 0.0, -0.0 and below 1e-4, where %g prints an exponent
+EDGE_4D_GRID = {
+    "alpha": (0.0, 2**-14, 2**-16), "beta": (0.0, 2**-15, 2**-16), "delta": (-1.0, 0.0, 0.5),
+    "eps": (-1.0, 0.0, 0.25),
+}
+EDGE_PLANE_GRID = {"alpha": 0.25, "delta": -0.0, "eps": (-(2**-13), 2**-13, 2**-15)}
+
+
+def _edge_allcock(a, b, d, e):
+    # the combination alpha - 1: V_A_fit is alpha / 4 at delta = 0, eps = -1
+    return AllcockParams(a=1.0, b=a)
+
+
+@pytest.mark.parametrize(
+    "grid, hits",
+    [
+        # alpha = beta = 0, delta = eps = -1 gives V_OR = 0
+        (EDGE_4D_GRID, {"V_OR": {"0", "e-"}, "V_A_fit": {"0", "e-"}}),
+        # V = 3 * -0.0 - 0.0 is -0.0; eps steps of 2^-15
+        (EDGE_PLANE_GRID, {"eps": {"0", "e-"}, "V": {"-0", "e-"}, "V_parity": {"0", "e-"},
+                           "V_OR": {"0", "e-"}, "V_A_fit": {"0", "e-"}}),
+    ],
+    ids=["4d", "plane"],
+)
+def test_region_scan_csv_per_cell_zeros_and_exponents(grid, hits):
+    scan = region_scan(grid, protocols=("PARITY", "OR", "A"), allcock=_edge_allcock)
+    assert not _tabled(scan) & set(hits)
+    text = to_csv(scan)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    for name, kinds in hits.items():
+        printed = {row[CSV_HEADER.split(",").index(name)] for row in rows}
+        found = {k for k in ("0", "-0") if k in printed}
+        if any("e-" in v for v in printed):
+            found.add("e-")
+        assert found == kinds, name
+    assert text == reference_csv(scan)
 
 
 def _tabled(scan) -> set:
@@ -541,7 +595,7 @@ def test_signed_zeros_print_apart():
         scan = region_scan({"alpha": alpha, "delta": -0.0, "eps": (-0.5, 0.5, 0.5)})
         # V depends on (delta, eps): a table when alpha varies, per cell when not
         assert ("V" in _tabled(scan)) == isinstance(alpha, tuple)
-        text = scan.to_csv()
+        text = to_csv(scan)
         rows = [line.split(",") for line in text.splitlines()[1:] if line.split(",")[3] == "0"]
         assert len(rows) == len(scan) // 3
         assert all(row[2] == "-0" and row[5] == "-0" and row[6] == "0" for row in rows)
@@ -550,7 +604,7 @@ def test_signed_zeros_print_apart():
 
 def test_region_scan_csv_signed_zero_scalars():
     scan = region_scan({"alpha": -0.0, "delta": 1.0, "eps": -0.0})
-    text = scan.to_csv()
+    text = to_csv(scan)
     assert text.splitlines()[1].startswith("-0,-0,1,-0,")
     assert text == reference_csv(scan)
 
@@ -566,16 +620,16 @@ def test_region_scan_csv_every_protocol_list(protocols):
         protocols=protocols,
     )
     assert set(scan.column("winner")) <= {"none", *protocols}
-    assert scan.to_csv() == reference_csv(scan)
+    assert to_csv(scan) == reference_csv(scan)
 
 
 def test_region_scan_write_csv_streams_fixed_chunks(monkeypatch):
     seen = []
     original = RegionScanResult._chunk
 
-    def recording(self, lo, hi):
+    def recording(self, lo, hi, *args):
         seen.append((lo, hi))
-        return original(self, lo, hi)
+        return original(self, lo, hi, *args)
 
     monkeypatch.setattr(RegionScanResult, "_chunk", recording)
     scan = region_scan(_plane(64, 129))
