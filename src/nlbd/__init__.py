@@ -78,7 +78,6 @@ from .fourier import (
 )
 from .search import (
     CC_COLLAPSE_THRESHOLD,
-    RegionRow,
     RegionScanResult,
     SearchResult,
     TableReport,
@@ -138,7 +137,6 @@ __all__ = [
     "ParityBound",
     "PmOutputFunction",
     "RangeInfeasible",
-    "RegionRow",
     "RegionScanResult",
     "SearchResult",
     "TableReport",

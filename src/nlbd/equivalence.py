@@ -125,41 +125,29 @@ def _product_coefficients(factors: Sequence[AffineFactor]) -> tuple[float, ...]:
 
 
 def _spread(total: float, caps: Sequence[float]) -> list[float]:
-    """Scale magnitudes multiplying to total, each at most its cap.
+    """Two scale magnitudes multiplying to total, each at most its cap.
 
-    Equal geometric split; factors whose cap falls below the current share
-    are clamped to it and the remainder is re-split over the rest.  The
-    caller guarantees feasibility (prod(caps) >= total), which implies the
-    loop always terminates via the no-clamp branch.
+    Equal geometric split, total ** 0.5 each; a factor whose cap falls below
+    that share takes its cap and the other the rest, up to its own cap.  The
+    caller guarantees feasibility (cap_0 * cap_1 >= total, up to RANGE_TOL).
     """
-    scales = [0.0] * len(caps)
-    free = list(range(len(caps)))
-    remaining = total
-    while free:
-        share = remaining ** (1.0 / len(free))
-        tight = [i for i in free if caps[i] < share]
-        if not tight:
-            for i in free:
-                scales[i] = share
-            break
-        for i in tight:
-            scales[i] = caps[i]
-            remaining /= caps[i]
-        free = [i for i in free if caps[i] >= share]
-    return scales
+    share = total ** 0.5
+    if caps[0] < share:
+        return [caps[0], min(caps[1], total / caps[0])]
+    if caps[1] < share:
+        return [min(caps[0], total / caps[1]), caps[1]]
+    return [share, share]
 
 
-def factor_affine_target(
-    target: DeltaPolynomial, count: int = 2
-) -> tuple[AffineFactor, ...]:
-    """Split target into count affine factors, each mapping [0, 1] into [-1, 1].
+def factor_affine_target(target: DeltaPolynomial) -> tuple[AffineFactor, ...]:
+    """Split target into two affine factors, each mapping [0, 1] into [-1, 1].
 
     Canonical form: affine factors ordered by descending root, constant
     factors last; the leading-coefficient magnitude is spread over the
-    factors by equal geometric split with per-factor caps (clamp the capped
-    ones, re-split the rest); a negative leading coefficient is carried by
-    the affine factor with the smallest root, or by the first constant
-    factor when the target is constant.  The zero polynomial becomes
+    factors by equal geometric split with per-factor caps (a factor whose
+    cap binds takes its cap, the other the rest); a negative leading
+    coefficient is carried by the affine factor with the smallest root, or
+    by the first constant factor when the target is constant.  The zero polynomial becomes
     all-zero factors.
 
     Raises NoRealFactorization when the target has complex roots and
@@ -169,19 +157,17 @@ def factor_affine_target(
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs.pop()
     degree = len(coeffs) - 1
-    if degree > count:
-        raise ValueError(
-            f"degree-{degree} target cannot split into {count} affine factors"
-        )
+    if degree > 2:
+        raise ValueError(f"degree-{degree} target cannot split into two affine factors")
     if coeffs == [0.0]:
-        return tuple(AffineFactor(0.0, 0.0) for _ in range(count))
+        return (AffineFactor(0.0, 0.0),) * 2
 
     lead = coeffs[-1]
     if degree == 0:
         roots: list[float] = []
     elif degree == 1:
         roots = [-coeffs[0] / coeffs[1]]
-    elif degree == 2:
+    else:
         c0, c1, c2 = coeffs
         disc = c1 * c1 - 4.0 * c2 * c0
         if disc < -COEFF_TOL:
@@ -191,20 +177,12 @@ def factor_affine_target(
             )
         s = math.sqrt(max(disc, 0.0))
         roots = [(-c1 + s) / (2.0 * c2), (-c1 - s) / (2.0 * c2)]
-    else:
-        found = np.roots(coeffs[::-1])  # companion-matrix eigenvalues
-        if np.any(np.abs(found.imag) > 1e-7):
-            raise NoRealFactorization(
-                f"target with coefficients {tuple(coeffs)} has complex roots "
-                f"{found[np.abs(found.imag) > 1e-7]}"
-            )
-        roots = [float(r) for r in found.real]
     roots.sort(reverse=True)
 
     # |(delta - r)| on [0, 1] peaks at an endpoint, so the largest scale that
     # keeps a factor inside [-1, 1] is 1/max(|r|, |1 - r|); constants cap at 1.
     caps = [1.0 / max(abs(r), abs(1.0 - r)) for r in roots]
-    caps += [1.0] * (count - degree)
+    caps += [1.0] * (2 - degree)
     total = abs(lead)
     if math.prod(caps) < total - RANGE_TOL:
         raise RangeInfeasible(
@@ -235,7 +213,7 @@ def _even_output_target(q: DeltaPolynomial) -> DeltaPolynomial:
     )
 
 
-def affine_factorize(q: DeltaPolynomial, count: int = 2) -> tuple[AffineFactor, ...]:
+def affine_factorize(q: DeltaPolynomial) -> tuple[AffineFactor, ...]:
     """Factor the even-output target 4*q - 1 into per-copy expected values.
 
     q is the probability polynomial for joint outcome 00 on one input; the
@@ -243,7 +221,7 @@ def affine_factorize(q: DeltaPolynomial, count: int = 2) -> tuple[AffineFactor, 
     returned factors reproduces q there, since the product of the factors
     equals 4*q(delta) - 1 for every delta.
     """
-    return factor_affine_target(_even_output_target(q), count)
+    return factor_affine_target(_even_output_target(q))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,11 @@ reports, per grid cell: validity, the undistilled value V = 3*delta - eps,
 the two-copy parity and OR values, the adaptive closed-form value, the
 winning label, and whether the best value crosses the collapse threshold
 4*sqrt(2/3) above which communication complexity becomes trivial. Values
-are evaluated even at invalid cells; the `valid` flag marks them.
+are evaluated even at invalid cells; the `valid` flag marks them. The
+closed forms come from wirings.or_value and wirings.adaptive_value, the
+latter with the free-parameter combination -2*alpha. A scan result has
+len(), column(name) and write_csv(stream), and computes cells only as
+they are read.
 
 reproduce_tables recomputes the three reference tables this code base is
 checked against and diffs every computed column against the frozen printed
@@ -49,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,11 +69,13 @@ from .wirings import (
     AdaptiveTwoCopyProtocol,
     AllcockParams,
     NonAdaptiveProtocol,
+    adaptive_value,
     apply_adaptive,
     apply_nonadaptive,
     apply_nonadaptive_xor,
     closed_form_values,
     or_protocol,
+    or_value,
     pack_adaptive_player,
     parity_protocol,
     symmetric_box,
@@ -410,20 +416,6 @@ def adaptive_search_max(box: BipartiteBox) -> SearchResult:
 # ---------------------------------------------------------------- region scan
 
 
-class RegionRow(NamedTuple):
-    alpha: float
-    beta: float
-    delta: float
-    eps: float
-    valid: bool
-    V: float
-    V_parity: float
-    V_OR: float
-    V_A_fit: float
-    winner: str
-    collapses_cc: bool
-
-
 CSV_HEADER = "alpha,beta,delta,eps,valid,V,V_parity,V_OR,V_A_fit,winner,collapses_cc"
 
 _LABEL_COLUMNS = {"PARITY": "V_parity", "OR": "V_OR", "A": "V_A_fit"}
@@ -444,8 +436,8 @@ class _Field(NamedTuple):
     table: np.ndarray | None  # over the grid axes then the code axes; length 1 where constant
 
 
-class RegionScanResult(Sequence):
-    """Lazy scan result; indexes like a sequence of RegionRow.
+class RegionScanResult:
+    """Lazy scan result: len(), column(name) and write_csv(stream).
 
     One kernel (_chunk) computes the columns asked for, SCAN_CHUNK cells at
     a time, from the validated axes. Once per scan, write_csv formats each
@@ -457,11 +449,10 @@ class RegionScanResult(Sequence):
     cells. Each chunk is one % template: a row of %.12g (per-cell columns)
     and %s (table entries, gathered by index) fields, repeated once per
     cell. Memory is one chunk plus tables of at most SCAN_CHUNK cells.
-    Indexing computes the one-cell chunk of each cell it reads, and
-    column() one column chunk by chunk, so neither keeps anything.
+    column() computes one column chunk by chunk and keeps nothing.
     """
 
-    def __init__(self, axes: dict, protocols: tuple, allcock) -> None:
+    def __init__(self, axes: dict, protocols: tuple) -> None:
         self._tracked_beta = axes["beta"] is None
         self._axes = [axes["alpha"]] + ([] if self._tracked_beta else [axes["beta"]])
         self._axes += [axes["delta"], axes["eps"]]
@@ -469,19 +460,10 @@ class RegionScanResult(Sequence):
         self._len = math.prod(self._shape)
         self._protocols = protocols
         self._labels = np.array(("none",) + protocols, dtype=object)
-        self._allcock = allcock
         self._layout: list | None = None
 
     def __len__(self) -> int:
         return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(self._len)[i]]
-        i = range(self._len)[i]  # negative indices count from the end
-        row = {name: col[0].item() for name, col in self._chunk(i, i + 1)[1].items()}
-        row["winner"] = str(self._labels[row["winner"]])
-        return RegionRow(**row)
 
     def column(self, name: str) -> np.ndarray:
         """One full column; "winner" holds the labels, not their codes."""
@@ -511,34 +493,20 @@ class RegionScanResult(Sequence):
         if name == "V_parity":
             return 3 * d * d - e * e
         if name == "V_OR":
-            # the squared marginals (1 + a) / 2 and (1 + bt) / 2
-            m0, m1 = ((1 + a) / 2) ** 2, ((1 + bt) / 2) ** 2
-            e_00 = 4 * ((1 + 2 * a + d) / 4) ** 2 - 4 * m0 + 1
-            e_01 = 4 * ((1 + a + bt + d) / 4) ** 2 - 2 * m0 - 2 * m1 + 1
-            e_11 = 4 * ((1 + 2 * bt + e) / 4) ** 2 - 4 * m1 + 1
-            return e_00 + 2 * e_01 - e_11
+            return or_value(a, bt, d, e)
         if name == "V_A_fit":
-            allcock = self._allcock
-            if allcock is None:
-                comb = -2 * a
-            elif isinstance(allcock, AllcockParams):
-                comb = allcock.combination
-            else:
-                cells = np.broadcast_arrays(a, bt, d, e)
-                comb = np.array([allcock(*c).combination for c in zip(*map(np.ravel, cells))])
-                comb = comb.reshape(cells[0].shape)
-            return 0.25 * (11 * d * d + 2 * d - 2 * e * d - 2 * e - e * e + comb * (d - e))
+            return adaptive_value(d, e, -2 * a)
         return {"alpha": a, "beta": bt, "delta": d, "eps": e}[name]
 
-    def _chunk(self, lo: int, hi: int, names=None) -> tuple:
+    def _chunk(self, lo: int, hi: int, names) -> tuple:
         """(grid indices, columns) of cells lo:hi; winner is a uint8 code into the labels.
 
-        Computes the columns in `names` (default all 11); with any code
-        column, all three codes and the value columns they compare.
+        Computes the columns in `names`; with any code column, all three
+        codes and the value columns they compare.
         """
         index = np.unravel_index(np.arange(lo, hi), self._shape)
         a, bt, d, e = cells = self._cells(ax[i] for ax, i in zip(self._axes, index))
-        names = set(RegionRow._fields if names is None else names)
+        names = set(names)
         codes = not names.isdisjoint(_CODE_FIELDS)
         if codes:
             names |= {"V", *(_LABEL_COLUMNS[lb] for lb in self._protocols)}
@@ -560,14 +528,12 @@ class RegionScanResult(Sequence):
 
         A float column is tabled over its sub-grid, its broadcast shape on
         an open mesh, if that has fewer cells than the grid and at most
-        SCAN_CHUNK. A callable allcock makes V_A_fit vary along every axis.
+        SCAN_CHUNK.
         """
         ndim = len(self._shape)
         if name in _CODE_FIELDS:
             text = self._labels if name == "winner" else np.array(["false", "true"], dtype=object)
             return text.reshape((1,) * ndim + tuple(-1 if c == name else 1 for c in _CODE_FIELDS))
-        if name == "V_A_fit" and callable(self._allcock):
-            return None
         probe = self._value(name, *self._mesh([2] * ndim)).shape
         sub = tuple(n if p > 1 else 1 for n, p in zip(self._shape, probe))
         if math.prod(sub) >= self._len or math.prod(sub) > SCAN_CHUNK:
@@ -609,52 +575,59 @@ class RegionScanResult(Sequence):
             stream.write(row * (hi - lo) % tuple(flat))
 
 
-def _axis(spec) -> np.ndarray:
-    if np.isscalar(spec):
-        return np.array([float(spec)])
-    start, stop, step = (float(v) for v in spec)
+def _axis_range(spec) -> tuple:
+    """(start, step, count) of a scalar axis (step None) or a (start, stop, step) range.
+
+    count is a float taken from the quotient, inf where that overflows, so
+    the grid budget is checked before any axis is built.
+    """
+    scalar = np.isscalar(spec)
+    values = [float(v) for v in ([spec] if scalar else spec)]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"axis values must be finite, got {spec!r}")
+    if scalar:
+        return values[0], None, 1.0
+    start, stop, step = values
     if step <= 0:
         raise ValueError(f"axis step must be positive, got {step}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(max(count, 1))
+    quotient = max((stop - start) / step + 1e-9, 0.0)
+    return start, step, math.floor(quotient) + 1.0 if quotient < math.inf else math.inf
 
 
-def region_scan(
-    grid: dict,
-    protocols: Sequence[str] = ("PARITY", "OR"),
-    allcock: "AllcockParams | Callable | None" = None,
-) -> RegionScanResult:
+def region_scan(grid: dict, protocols: Sequence[str] = ("PARITY", "OR")) -> RegionScanResult:
     """Sweep the symmetric box family over a parameter grid.
 
-    `grid` maps "alpha", "beta", "delta", "eps" to a scalar or a
+    `grid` maps "alpha", "beta", "delta", "eps" to a finite scalar or a
     (start, stop, step) range; omitting "beta" (or passing None) locks
     beta = alpha instead of forming a cross product. `protocols` lists the
     labels competing with the undistilled value for the winner column and
-    the collapse flag, in tie-break order after "none". `allcock` fixes the
-    adaptive closed form's free parameters: None uses the combination
-    -2*alpha per cell, an AllcockParams applies everywhere, and a callable
-    (alpha, beta, delta, eps) -> AllcockParams is evaluated per cell.
+    the collapse flag, in tie-break order after "none". V_A_fit takes the
+    adaptive closed form's free-parameter combination as -2*alpha.
 
-    Labels, axes and the grid budget are checked here; the returned result
-    computes cells a chunk at a time whenever they are read, and keeps
-    none, cells ordered with alpha slowest and eps fastest.
+    Labels, axes and the grid budget are checked here, the budget before
+    any axis is built. The returned result offers len(), column(name) and
+    write_csv(stream); it computes cells a chunk at a time whenever they
+    are read, and keeps none, cells ordered with alpha slowest and eps
+    fastest.
     """
     for label in protocols:
         if label not in _LABEL_COLUMNS:
             raise UnknownKind(f"unknown protocol label {label!r}")
-    axes = {}
+    ranges = {}
     for name in ("alpha", "beta", "delta", "eps"):
         spec = grid.get(name)
-        if name == "beta" and spec is None:
-            axes[name] = None
-        elif spec is None:
+        if spec is not None:
+            ranges[name] = _axis_range(spec)
+        elif name != "beta":
             raise ValueError(f"grid is missing the {name!r} axis")
-        else:
-            axes[name] = _axis(spec)
-    result = RegionScanResult(axes, tuple(protocols), allcock)
-    if len(result) > GRID_BUDGET:
-        raise BudgetExceeded(f"{len(result)} grid cells exceed the {GRID_BUDGET} budget")
-    return result
+    cells = math.prod(count for _, _, count in ranges.values())
+    if cells > GRID_BUDGET:
+        raise BudgetExceeded(f"{cells:.12g} grid cells exceed the {GRID_BUDGET} budget")
+    axes = {"beta": None}
+    for name, (start, step, count) in ranges.items():
+        # a scalar keeps its sign: start + 0.0 would turn -0.0 into 0.0
+        axes[name] = np.array([start]) if step is None else start + step * np.arange(int(count))
+    return RegionScanResult(axes, tuple(protocols))
 
 
 # ------------------------------------------------------------ reference tables

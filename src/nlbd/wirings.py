@@ -295,6 +295,33 @@ def bs_output_box(delta: float) -> BipartiteBox:
     return BipartiteBox(np.vstack([plain, plain, plain, last]))
 
 
+def or_value(alpha, beta, delta, eps):
+    """Two-copy OR-protocol value on the symmetric family; arrays broadcast.
+
+    On each input the OR outputs' correlator is 4 q^2 - 2 m_A - 2 m_B + 1:
+    q is one copy's probability of both outcomes 0, and m_A, m_B are each
+    player's probability of output 0, her squared probability of outcome 0.
+    """
+    # the squared marginals (1 + alpha) / 2 and (1 + beta) / 2
+    m0, m1 = ((1 + alpha) / 2) ** 2, ((1 + beta) / 2) ** 2
+    e_00 = 4 * ((1 + 2 * alpha + delta) / 4) ** 2 - 4 * m0 + 1
+    e_01 = 4 * ((1 + alpha + beta + delta) / 4) ** 2 - 2 * m0 - 2 * m1 + 1
+    e_11 = 4 * ((1 + 2 * beta + eps) / 4) ** 2 - 4 * m1 + 1
+    return e_00 + 2 * e_01 - e_11
+
+
+def adaptive_value(delta, eps, combination):
+    """Adaptive two-copy closed form on the symmetric family; arrays broadcast.
+
+    `combination` is the free-parameter combination b - a + 2 d of
+    AllcockParams.
+    """
+    return 0.25 * (
+        11 * delta * delta + 2 * delta - 2 * eps * delta - 2 * eps - eps * eps
+        + combination * (delta - eps)
+    )
+
+
 def closed_form_values(
     alpha: float, beta: float, delta: float, eps: float, allcock: AllcockParams = AllcockParams()
 ) -> ClosedFormValues:
@@ -304,18 +331,10 @@ def closed_form_values(
     and correlators (delta, delta, delta, eps). The formulas are evaluated
     verbatim; they are meaningful on the symmetric family only.
     """
-    x = allcock.combination
-    v_or = (
-        0.25 * (3 * delta**2 - eps**2)
-        + 0.5 * (3 * delta - eps)
-        + (beta + 2 * delta - 2) * alpha
-        + (delta - eps) * beta
-        - 0.5 * (alpha**2 + beta**2 - 1)
+    return ClosedFormValues(
+        v_or=or_value(alpha, beta, delta, eps),
+        v_a=adaptive_value(delta, eps, allcock.combination),
     )
-    v_a = 0.25 * (
-        11 * delta**2 + 2 * delta - 2 * eps * delta - 2 * eps - eps**2 + x * (delta - eps)
-    )
-    return ClosedFormValues(v_or=v_or, v_a=v_a)
 
 
 def apply_nonadaptive_xor(boxes, proto: NonAdaptiveProtocol) -> tuple[float, np.ndarray]:

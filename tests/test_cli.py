@@ -365,6 +365,14 @@ def test_scan_grid_budget(capsys):
     assert "budget" in err
 
 
+def test_scan_grid_budget_is_checked_before_any_axis_is_built(capsys):
+    # built first, this axis of 10^12 cells would need terabytes
+    code, out, err = run(capsys, "scan", "--alpha", "0:1:1e-12", "--eps", "0", "--out", "-")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("nlbd: ") and "budget" in err
+
+
 def test_scan_write_failure_is_io_error(tmp_path, capsys):
     code, out, err = run(capsys, *SCAN_ARGS, "--out", tmp_path / "missing" / "sweep.csv")
     assert code == 3
