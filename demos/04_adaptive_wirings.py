@@ -26,6 +26,7 @@ from nlbd import (
     NoRealFactorization,
     RangeInfeasible,
     adaptive_search_max,
+    adaptive_value,
     affine_factorize,
     apply_nonadaptive,
     box_from_correlators,
@@ -33,7 +34,6 @@ from nlbd import (
     bs_wiring,
     build_equivalent_boxes,
     chsh_value_of_box,
-    closed_form_values,
     format_protocol,
     make_named_box,
     parity_protocol,
@@ -49,9 +49,8 @@ print("(adaptivity buys nothing without marginals: parity already gives 3.6)")
 
 strong = box_from_correlators(symmetric_box(0.0, 0.0, 1.0, -0.7))
 result = adaptive_search_max(strong)
-closed = closed_form_values(0.0, 0.0, 1.0, -0.7)
 print(f"symmetric(0, 0, 1, -0.7): best {result.best_value:.6g}, "
-      f"closed form {closed.v_a:.6g}")
+      f"closed form {adaptive_value(1.0, -0.7, 0.0):.6g}")
 
 witness = box_from_correlators(symmetric_box(0.42, 0.42, 0.99, -0.16))
 result = adaptive_search_max(witness)

@@ -11,7 +11,8 @@ The package is organized as:
   upper bound for non-adaptive distillation.
 * :mod:`nlbd.wirings` - applying non-adaptive and adaptive two-copy
   protocols by exact outcome enumeration; named protocols (parity, OR);
-  closed-form protocol values for symmetric boxes.
+  the closed-form OR and adaptive values for symmetric boxes
+  (``or_value``, ``adaptive_value``).
 * :mod:`nlbd.search` - exhaustive protocol searches, parameter-region scans,
   and reproduction of the reference value tables.
 * :mod:`nlbd.equivalence` - interpolation of adaptive-protocol output
@@ -89,16 +90,16 @@ from .search import (
 )
 from .wirings import (
     AdaptiveTwoCopyProtocol,
-    AllcockParams,
     NonAdaptiveProtocol,
+    adaptive_value,
     apply_adaptive,
     apply_nonadaptive,
     apply_nonadaptive_xor,
     bs_output_box,
     bs_wiring,
-    closed_form_values,
     identity_wiring,
     or_protocol,
+    or_value,
     parity_protocol,
     symmetric_box,
 )
@@ -116,7 +117,6 @@ __all__ = [
     "AdaptiveTwoCopyProtocol",
     "AffineFactor",
     "AffineFactorization",
-    "AllcockParams",
     "ArityMismatch",
     "BipartiteBox",
     "BudgetExceeded",
@@ -145,6 +145,7 @@ __all__ = [
     "VerificationFailed",
     "XorGame",
     "adaptive_search_max",
+    "adaptive_value",
     "affine_factorize",
     "apply_adaptive",
     "apply_nonadaptive",
@@ -155,7 +156,6 @@ __all__ = [
     "build_equivalent_boxes",
     "chsh_value",
     "chsh_value_of_box",
-    "closed_form_values",
     "correlators_from_box",
     "enumerate_nonadaptive_max",
     "even_parity_prob",
@@ -170,6 +170,7 @@ __all__ = [
     "make_named_box",
     "nonadaptive_value_fourier",
     "or_protocol",
+    "or_value",
     "parity_bound",
     "parity_distill_value",
     "parity_protocol",

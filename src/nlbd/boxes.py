@@ -38,11 +38,9 @@ import numpy as np
 from .errors import InvalidBox, UnknownKind
 
 INPUT_ORDER = ("00", "01", "10", "11")
-OUTPUT_ORDER = ("00", "01", "10", "11")
 
-# Tolerances: 1e-9 for validity checks, 1e-12 for algebraic identities.
+# Tolerance of every validity check.
 VALIDITY_TOL = 1e-9
-ALGEBRA_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -140,14 +140,21 @@ def _fuse_negative_values(argv: Sequence) -> list:
     return out
 
 
-def _emit_box(box, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(format_box(box))
-    else:
+def _emit_box(box, out: str | None, head: str) -> None:
+    """Print head, then the box text or, once out is written, where it went.
+
+    out is written before anything is printed, so a failed write prints
+    nothing.
+    """
+    if out is not None:
         try:
             write_box_file(out, box)
         except OSError as err:
             raise _CliError(3, f"{out}: {err.strerror or err}") from err
+    print(head)
+    if out is None:
+        sys.stdout.write(format_box(box))
+    else:
         print(f"wrote {out}")
 
 
@@ -225,8 +232,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
             )
         distilled = _apply_bipartite_protocol(args.protocol, boxes, args.copies)
         value = chsh_value_of_box(distilled)
-    print(_fmt(value))
-    _emit_box(distilled, args.out)
+    _emit_box(distilled, args.out, _fmt(value))
     return 0
 
 
@@ -296,19 +302,20 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     else:
         proto = parse_protocol(f"proto=adaptive2;tables={args.proto}")
     result = build_equivalent_boxes(proto)
-    print(format_protocol(proto))
+    # every line is built before any is printed, so a failure prints nothing
+    lines = [format_protocol(proto)]
     fact = result.factorization
     for row, label in enumerate(INPUT_ORDER):
         coeffs = ",".join(_fmt(c) for c in fact.targets[row].coeffs)
         factors = ";".join(f"{_fmt(f.c1)},{_fmt(f.c0)}" for f in fact.entries[row])
-        print(f"target{label}={coeffs}")
-        print(f"factors{label}={factors}")
+        lines += [f"target{label}={coeffs}", f"factors{label}={factors}"]
     for i, label in enumerate(("box1", "box2")):
         form = result.boxes[i].correlator_form(args.delta)
         fields = " ".join(f"{name}={_fmt(value)}" for name, value in form.as_dict().items())
-        print(f"{label}: {fields}")
-    print(f"certificate_max_deviation={_fmt(result.certificate.max_deviation)}")
-    print(f"certificate_p00_deviation={_fmt(result.certificate.p00_deviation)}")
+        lines.append(f"{label}: {fields}")
+    lines.append(f"certificate_max_deviation={_fmt(result.certificate.max_deviation)}")
+    lines.append(f"certificate_p00_deviation={_fmt(result.certificate.p00_deviation)}")
+    print("\n".join(lines))
     return 0
 
 

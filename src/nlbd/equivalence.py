@@ -236,22 +236,6 @@ class AffineFactorization:
     entries: tuple[tuple[AffineFactor, ...], ...]
 
 
-def _input_row(xy) -> int:
-    """Normalize a joint input given as a row index, an (x, y) pair, or '01'-style bits."""
-    if isinstance(xy, str):
-        if len(xy) == 2 and set(xy) <= {"0", "1"}:
-            return int(xy, 2)
-        raise ValueError(f"joint input string must be two bits, got {xy!r}")
-    if isinstance(xy, (tuple, list)):
-        if len(xy) == 2 and all(bit in (0, 1) for bit in xy):
-            return (int(xy[0]) << 1) | int(xy[1])
-        raise ValueError(f"joint input pair must be two bits, got {xy!r}")
-    row = int(xy)
-    if not 0 <= row <= 3:
-        raise ValueError(f"joint input row must be in 0..3, got {xy!r}")
-    return row
-
-
 def _one_parameter_box(delta: float) -> BipartiteBox:
     return box_from_correlators(make_named_box("isotropic", delta=delta))
 
@@ -271,14 +255,17 @@ def _q_through(samples: Sequence[BipartiteBox], row: int) -> DeltaPolynomial:
     return _quadratic_through(*(float(sample.p[row, 0]) for sample in samples))
 
 
-def interpolate_qxy(proto: AdaptiveTwoCopyProtocol, xy) -> DeltaPolynomial:
+def interpolate_qxy(proto: AdaptiveTwoCopyProtocol, row: int) -> DeltaPolynomial:
     """Recover p(ab=00|xy) of the adaptive wiring on identical one-parameter boxes.
 
-    Every output probability of a two-copy wiring is a quadratic in the noise
-    parameter (each copy contributes one affine entry per term), so sampling
-    the exact simulator at delta in {0, 1/2, 1} determines it exactly.
+    row is the joint input xy as an index 0..3 into INPUT_ORDER; anything
+    else raises ValueError. Every output probability of a two-copy wiring is
+    a quadratic in the noise parameter (each copy contributes one affine
+    entry per term), so sampling the exact simulator at delta in {0, 1/2, 1}
+    determines it exactly.
     """
-    row = _input_row(xy)
+    if not isinstance(row, (int, np.integer)) or not 0 <= row <= 3:
+        raise ValueError(f"joint input must be a row index 0..3, got {row!r}")
     return _q_through(_sampled_outputs(proto), row)
 
 

@@ -206,9 +206,17 @@ def format_xor_box(box: MultipartiteXorBox) -> str:
 
 
 def read_box_file(path) -> BipartiteBox | MultipartiteXorBox:
-    """Read and parse a box file; OSError propagates, parse errors are FormatError."""
+    """Read and parse a UTF-8 box file.
+
+    OSError propagates; bytes that are not UTF-8 and parse errors are
+    FormatError.
+    """
     with open(path, "r", encoding="utf-8") as stream:
-        return parse_box_text(stream.read())
+        try:
+            text = stream.read()
+        except UnicodeDecodeError as err:
+            raise FormatError(f"not UTF-8 text: {err}") from err
+    return parse_box_text(text)
 
 
 def format_box(box) -> str:

@@ -67,13 +67,11 @@ from .boxes import (
 from .errors import BudgetExceeded, UnknownKind, VerificationFailed
 from .wirings import (
     AdaptiveTwoCopyProtocol,
-    AllcockParams,
     NonAdaptiveProtocol,
     adaptive_value,
     apply_adaptive,
     apply_nonadaptive,
     apply_nonadaptive_xor,
-    closed_form_values,
     or_protocol,
     or_value,
     pack_adaptive_player,
@@ -655,7 +653,7 @@ class TableReport:
 
 
 _TABLE1 = (
-    # delta, eps, a, b, c, d, V, V_A
+    ("delta", "eps", "a", "b", "c", "d", "V", "V_A"),
     ("1.00", "-0.70", "0.01", "0.01", "0.01", "0.01", "3.70", "3.8360"),
     ("1.00", "-0.70", "0.0", "0.0", "0.0", "0.0", "3.70", "3.8275"),
     ("0.92", "-0.22", "0.01", "0.01", "0.01", "0.01", "2.98", "2.9924"),
@@ -665,7 +663,7 @@ _TABLE1 = (
 )
 
 _TABLE2 = (
-    # eps_lo, eps_hi, alpha, delta, eps, V, V_parity, V_OR, V_A
+    ("eps_lo", "eps_hi", "alpha", "delta", "eps", "V", "V_parity", "V_OR", "V_A"),
     ("-0.04", "0.013", "0.26", "1.00", "0.01", "2.99", "2.9999", "3.00", "3.1112"),
     ("-0.20", "0.066", "0.30", "1.00", "0.01", "2.99", "2.9999", "3.04", "3.0914"),
     ("-0.30", "0.133", "0.35", "1.00", "0.01", "2.99", "2.9999", "3.09", "3.0667"),
@@ -675,7 +673,7 @@ _TABLE2 = (
 )
 
 _TABLE3 = (
-    # alpha, delta, eps, V, V_parity, V_A, V_OR  (beta = alpha)
+    ("alpha", "delta", "eps", "V", "V_parity", "V_A", "V_OR"),  # beta = alpha
     ("0.42", "0.99", "-0.16", "3.13", "2.9744", "3.101575", "3.2683"),
     ("0.41", "0.99", "-0.18", "3.15", "2.9676", "3.121425", "3.2735"),
     ("0.40", "0.99", "-0.20", "3.17", "2.9600", "3.141275", "3.2781"),
@@ -705,22 +703,18 @@ def reproduce_tables(which: int, audit_adaptive: bool = False) -> TableReport:
 
     Every computed column is checked against the printed value at its
     printed precision. Free closed-form parameters are reported per row as
-    the fitted combination that reproduces the printed adaptive value. With
+    the fitted combination that reproduces the printed adaptive value; the
+    computed adaptive value takes the combination b - a + 2 d from table 1's
+    printed a, b, d, and -2*alpha, as region_scan does, in tables 2 and 3. With
     audit_adaptive=True, each row's box also gets an exact adaptive-class
     search, added to the computed rows as "V_search" (no printed
     counterpart).
     """
-    if which == 1:
-        printed_rows = _TABLE1
-        columns = ("delta", "eps", "a", "b", "c", "d", "V", "V_A")
-    elif which == 2:
-        printed_rows = _TABLE2
-        columns = ("eps_lo", "eps_hi", "alpha", "delta", "eps", "V", "V_parity", "V_OR", "V_A")
-    elif which == 3:
-        printed_rows = _TABLE3
-        columns = ("alpha", "delta", "eps", "V", "V_parity", "V_A", "V_OR")
-    else:
+    tables = {1: _TABLE1, 2: _TABLE2, 3: _TABLE3}
+    if which not in tables:
         raise UnknownKind(f"no reference table {which}")
+    columns, *printed = tables[which]
+    printed_rows = tuple(printed)
 
     checks: list[TableCheck] = []
     computed_rows = []
@@ -738,21 +732,19 @@ def reproduce_tables(which: int, audit_adaptive: bool = False) -> TableReport:
         rec = dict(zip(columns, row))
         delta, eps = float(rec["delta"]), float(rec["eps"])
         computed = {"V": 3 * delta - eps}
-        if which == 1:
-            alpha = 0.0
-            params = AllcockParams(
-                float(rec["a"]), float(rec["b"]), float(rec["c"]), float(rec["d"])
-            )
-        else:
+        if "alpha" in rec:
             alpha = float(rec["alpha"])
-            params = AllcockParams(a=2 * alpha)
+            combination = -2 * alpha
             box = box_from_correlators(symmetric_box(alpha, alpha, delta, eps))
             computed["V_parity"] = chsh_value_of_box(apply_nonadaptive(box, parity_protocol(2, 2)))
             computed["V_OR"] = chsh_value_of_box(apply_nonadaptive(box, or_protocol()))
-            if which == 2:
-                computed["eps_lo"] = max(1 - 4 * alpha, 2 * alpha - 1)
-                computed["eps_hi"] = (4 * alpha - 1) / 3
-        computed["V_A"] = closed_form_values(alpha, alpha, delta, eps, params).v_a
+        else:
+            alpha = 0.0
+            combination = float(rec["b"]) - float(rec["a"]) + 2.0 * float(rec["d"])
+        if "eps_lo" in rec:
+            computed["eps_lo"] = max(1 - 4 * alpha, 2 * alpha - 1)
+            computed["eps_hi"] = (4 * alpha - 1) / 3
+        computed["V_A"] = adaptive_value(delta, eps, combination)
         fitted.append(_fitted_combination(float(rec["V_A"]), delta, eps))
         if audit_adaptive:
             computed["V_search"] = audited(alpha, alpha, delta, eps)
@@ -784,8 +776,7 @@ def format_table_report(report: TableReport) -> str:
             f"computed {check.computed:.12g} [{status}]"
         )
     for i, comb in enumerate(report.fitted_combinations):
-        if comb is not None:
-            lines.append(f"  row {i} fitted free-parameter combination: {comb:.12g}")
+        lines.append(f"  row {i} fitted free-parameter combination: {comb:.12g}")
     for i, computed in enumerate(report.computed_rows):
         if "V_search" in computed:
             lines.append(f"  row {i} adaptive-class search maximum: {computed['V_search']:.12g}")

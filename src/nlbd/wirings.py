@@ -23,6 +23,11 @@ outcomes per input copy by copy, in O(m 2^m) operations, and apply_adaptive
 sums the 16 intermediate outcome combinations. Both check that the output
 passes box validation (local wirings cannot create signalling) and raise
 VerificationFailed if it does not.
+
+Two closed forms give protocol values on the symmetric family without
+wiring a box: or_value(alpha, beta, delta, eps) for the two-copy OR
+protocol, and adaptive_value(delta, eps, combination) for the adaptive
+protocol, whose free parameters enter only through one combination.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .boxes import (
     require_valid,
 )
 from .errors import ArityMismatch, FormatError, VerificationFailed
+from .xorboxes import MultipartiteXorBox, simulate_nonadaptive_xor
 
 
 @dataclass(frozen=True)
@@ -174,40 +180,6 @@ def bs_wiring() -> AdaptiveTwoCopyProtocol:
     return AdaptiveTwoCopyProtocol(and_b2, xor_out, and_b2, xor_out)
 
 
-@dataclass(frozen=True)
-class AllcockParams:
-    """Free marginal-like parameters (a, b, c, d) of the adaptive closed form.
-
-    The closed form only uses the combination b - a + 2 d; no identification
-    of a, b, c, d with the box marginals is asserted anywhere (the reference
-    tables are consistent with more than one reading; see reproduce_tables,
-    which reports the fitted combination per table row).
-    """
-
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 0.0
-    d: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"AllcockParams.{name}={v} outside [-1, 1]")
-
-    @property
-    def combination(self) -> float:
-        return self.b - self.a + 2.0 * self.d
-
-
-@dataclass(frozen=True)
-class ClosedFormValues:
-    """The two closed-form protocol values for a symmetric box."""
-
-    v_or: float
-    v_a: float
-
-
 def apply_nonadaptive(
     boxes: "BipartiteBox | Sequence[BipartiteBox]",
     proto: NonAdaptiveProtocol,
@@ -313,27 +285,13 @@ def or_value(alpha, beta, delta, eps):
 def adaptive_value(delta, eps, combination):
     """Adaptive two-copy closed form on the symmetric family; arrays broadcast.
 
-    `combination` is the free-parameter combination b - a + 2 d of
-    AllcockParams.
+    The box has correlators (delta, delta, delta, eps). The closed form's
+    free parameters (a, b, c, d), from Allcock et al., PRA 80, 062107 (2009),
+    enter only as `combination` = b - a + 2 d.
     """
     return 0.25 * (
         11 * delta * delta + 2 * delta - 2 * eps * delta - 2 * eps - eps * eps
         + combination * (delta - eps)
-    )
-
-
-def closed_form_values(
-    alpha: float, beta: float, delta: float, eps: float, allcock: AllcockParams = AllcockParams()
-) -> ClosedFormValues:
-    """Evaluate the two closed-form two-copy values for a symmetric box.
-
-    The box has marginals alpha (input 0) and beta (input 1) on both sides
-    and correlators (delta, delta, delta, eps). The formulas are evaluated
-    verbatim; they are meaningful on the symmetric family only.
-    """
-    return ClosedFormValues(
-        v_or=or_value(alpha, beta, delta, eps),
-        v_a=adaptive_value(delta, eps, allcock.combination),
     )
 
 
@@ -343,8 +301,6 @@ def apply_nonadaptive_xor(boxes, proto: NonAdaptiveProtocol) -> tuple[float, np.
     Thin adapter over the exact enumeration oracle in xorboxes; the protocol
     supplies the per-player, per-input output tables.
     """
-    from .xorboxes import MultipartiteXorBox, simulate_nonadaptive_xor
-
     probe = boxes if isinstance(boxes, MultipartiteXorBox) else boxes[0]
     if probe.n != proto.n:
         raise ArityMismatch(f"protocol has n={proto.n}, boxes have n={probe.n}")

@@ -35,6 +35,7 @@ from nlbd import (
     PmOutputFunction,
     XorGame,
     adaptive_search_max,
+    adaptive_value,
     affine_factorize,
     apply_nonadaptive,
     apply_nonadaptive_xor,
@@ -43,12 +44,12 @@ from nlbd import (
     bs_wiring,
     build_equivalent_boxes,
     chsh_value_of_box,
-    closed_form_values,
     correlators_from_box,
     enumerate_nonadaptive_max,
     make_named_box,
     nonadaptive_value_fourier,
     or_protocol,
+    or_value,
     parity_bound,
     parity_distill_value,
     parity_protocol,
@@ -208,17 +209,15 @@ def test_criterion_06_closed_forms_match_simulation():
             continue
         if not validate_box(box).valid:
             continue
-        closed = closed_form_values(alpha, beta, delta, eps)
         simulated = chsh_value_of_box(apply_nonadaptive(box, or_protocol()))
-        assert abs(closed.v_or - simulated) <= 1e-9
+        assert abs(or_value(alpha, beta, delta, eps) - simulated) <= 1e-9
         checked += 1
 
-    assert closed_form_values(0.0, 0.0, 1.0, -0.7).v_a == 3.8275
+    assert adaptive_value(1.0, -0.7, 0.0) == 3.8275
     for which in (1, 3):
         report = reproduce_tables(which)
-        fitted = [c for c in report.fitted_combinations if c is not None]
-        assert len(fitted) == len(report.printed_rows)
-        assert all(math.isfinite(c) for c in fitted)
+        assert len(report.fitted_combinations) == len(report.printed_rows)
+        assert all(math.isfinite(c) for c in report.fitted_combinations)
 
 
 # (delta, eps, published adaptive value) for the trivial-marginal rows.

@@ -84,6 +84,14 @@ def test_value_malformed_file_is_io_error(boxdir, capsys):
     assert "garbled.box" in err
 
 
+def test_value_file_that_is_not_utf8_is_io_error(boxdir, capsys):
+    path = boxdir / "bad.box"
+    path.write_bytes(b"kind=correlators\nalpha=0.5\xff\n")
+    code, out, err = run(capsys, "value", path)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"nlbd: {path}: not UTF-8 text")
+
+
 def test_value_invalid_box(boxdir, capsys):
     code, out, err = run(capsys, "value", boxdir / "invalid.box")
     assert code == 1
@@ -128,6 +136,14 @@ def test_distill_out_file_reparses(boxdir, capsys):
     assert code == 0
     assert out == f"3.239975\nwrote {target}\n"
     assert chsh_value_of_box(read_box_file(str(target))) == pytest.approx(3.239975, abs=1e-12)
+
+
+def test_distill_failed_out_write_prints_nothing(boxdir, capsys):
+    target = boxdir / "absent-dir" / "distilled.box"
+    code, out, err = run(capsys, "distill", "--protocol", "or", "--copies", 2,
+                         "--out", target, boxdir / "correlated.box")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"nlbd: {target}: ")
 
 
 def test_distill_repeated_file_equals_file_list(boxdir, capsys):
@@ -522,6 +538,12 @@ def test_equiv_non_finite_delta_is_usage(capsys, delta):
 def test_equiv_reports_construction_failures(capsys, digits):
     code, out, err = run(capsys, "equiv", "--delta", 0.5, "--proto", digits)
     assert code == 1
+    assert err != ""
+
+
+def test_equiv_failure_after_the_factorization_prints_nothing(capsys):
+    code, out, err = run(capsys, "equiv", "--delta", 5)
+    assert (code, out) == (1, "")
     assert err != ""
 
 

@@ -79,7 +79,7 @@ def test_interpolated_parity_wiring_is_quadratic():
 
 
 def test_interpolated_bs_wiring_input_11():
-    q = interpolate_qxy(bs_wiring(), (1, 1))
+    q = interpolate_qxy(bs_wiring(), 3)
     assert q.coeffs == pytest.approx((0.25, -0.125, -0.125), abs=1e-15)
     for delta in (0.0, 0.25, 0.8, 1.0):
         assert 4.0 * q(delta) - 1.0 == pytest.approx(
@@ -105,12 +105,9 @@ def test_interpolation_matches_simulation_at_fresh_points():
                 )
 
 
-def test_joint_input_forms_are_interchangeable():
+def test_joint_input_other_than_a_row_index_is_rejected():
     proto = bs_wiring()
-    by_row = interpolate_qxy(proto, 3).coeffs
-    assert interpolate_qxy(proto, (1, 1)).coeffs == by_row
-    assert interpolate_qxy(proto, "11").coeffs == by_row
-    for bad in ("2", "111", (0, 2), (1,), 5, -1):
+    for bad in (2.7, 3.0, "11", "3", (1, 1), [1, 1], None, 4, -1):
         with pytest.raises(ValueError):
             interpolate_qxy(proto, bad)
 

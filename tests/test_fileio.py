@@ -169,6 +169,13 @@ def test_file_read_write(tmp_path):
         write_box_file(tmp_path / "bad.txt", "not a box")
 
 
+def test_box_file_that_is_not_utf8_is_format_error(tmp_path):
+    path = tmp_path / "bad.box"
+    path.write_bytes(b"kind=correlators\nalpha=0.5\xff\n")
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_box_file(path)
+
+
 def test_protocol_serialization_canonical_strings():
     assert format_protocol(parity_protocol(2, 2)) == "proto=nonadaptive;n=2;m=2;tables=6666"
     assert format_protocol(or_protocol()) == "proto=nonadaptive;n=2;m=2;tables=eeee"

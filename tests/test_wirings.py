@@ -15,18 +15,19 @@ from nlbd.boxes import (
 )
 import nlbd.wirings
 from nlbd.errors import ArityMismatch, FormatError, InvalidBox
+from nlbd.search import reproduce_tables
 from nlbd.wirings import (
     AdaptiveTwoCopyProtocol,
-    AllcockParams,
     NonAdaptiveProtocol,
+    adaptive_value,
     apply_adaptive,
     apply_nonadaptive,
     apply_nonadaptive_xor,
     bs_output_box,
     bs_wiring,
-    closed_form_values,
     identity_wiring,
     or_protocol,
+    or_value,
     parity_as_adaptive,
     parity_protocol,
     symmetric_box,
@@ -340,23 +341,18 @@ def test_bs_output_box_endpoints():
 
 
 def test_closed_form_or_at_table_points():
-    assert closed_form_values(0.42, 0.42, 0.99, -0.16).v_or == pytest.approx(
-        3.268275, abs=1e-12
-    )
-    assert closed_form_values(0.43, 0.44, 0.99, 0.28).v_or == pytest.approx(
-        2.864225, abs=1e-12
-    )
+    assert or_value(0.42, 0.42, 0.99, -0.16) == pytest.approx(3.268275, abs=1e-12)
+    assert or_value(0.43, 0.44, 0.99, 0.28) == pytest.approx(2.864225, abs=1e-12)
 
 
 def test_closed_form_adaptive_at_table_point():
     # delta=1, eps=-0.7 with all free parameters zero.
-    vals = closed_form_values(0.0, 0.0, 1.0, -0.7)
-    assert vals.v_a == pytest.approx(3.8275, abs=1e-12)
-    # The free parameters enter only through b - a + 2d.
-    shifted = closed_form_values(
-        0.0, 0.0, 1.0, -0.7, AllcockParams(a=0.1, b=0.3, c=0.9, d=-0.1)
-    )
-    assert shifted.v_a == pytest.approx(3.8275, abs=1e-12)
+    assert adaptive_value(1.0, -0.7, 0.0) == pytest.approx(3.8275, abs=1e-12)
+    # Table 1 prints a = b = c = d = 0.01 beside 3.8360: the free parameters
+    # enter only through b - a + 2d = 0.02, which the printed value fits.
+    combination = 0.01 - 0.01 + 2.0 * 0.01
+    assert adaptive_value(1.0, -0.7, combination) == pytest.approx(3.8360, abs=1e-12)
+    assert reproduce_tables(1).fitted_combinations[0] == pytest.approx(combination, abs=1e-12)
 
 
 def or_value_simulated(alpha, beta, delta, eps) -> float:
@@ -369,11 +365,5 @@ def test_or_closed_form_matches_simulation():
     rng = np.random.default_rng(61)
     for alpha, beta, delta, eps in random_symmetric_params(rng, 200):
         sim = or_value_simulated(alpha, beta, delta, eps)
-        closed = closed_form_values(alpha, beta, delta, eps).v_or
+        closed = or_value(alpha, beta, delta, eps)
         assert sim == pytest.approx(closed, abs=1e-9)
-
-
-def test_allcock_params_range_check():
-    with pytest.raises(ValueError):
-        AllcockParams(a=1.2)
-    assert AllcockParams(b=0.3, d=0.1).combination == pytest.approx(0.5)
