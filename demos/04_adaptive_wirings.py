@@ -9,11 +9,12 @@ searched exhaustively.
 
 Two results below. First, on boxes with marginals the best adaptive
 wiring beats every non-adaptive one. Second, a known two-step wiring is
-secretly a parity protocol: interpolating its output correlators as
-polynomials in delta and factoring each into affine pieces yields two
-effective boxes whose plain parity combination reproduces the wiring
-exactly, with a numerical certificate. The factorization can fail in
-three distinct ways, each reported by its own exception.
+secretly a parity protocol: interpolating the eight marginal and
+correlator entries of its output as polynomials in delta and factoring
+each into two affine pieces yields two effective boxes whose plain parity
+combination reproduces the wiring exactly, with a numerical certificate.
+Factoring a polynomial can fail in two ways, and the assembled boxes can
+be invalid; each is reported by its own exception.
 """
 
 import numpy as np
@@ -34,6 +35,7 @@ from nlbd import (
     bs_wiring,
     build_equivalent_boxes,
     chsh_value_of_box,
+    factor_affine_target,
     format_protocol,
     make_named_box,
     parity_protocol,
@@ -66,26 +68,28 @@ print(format_protocol(proto))
 print()
 print("== the wiring is a parity protocol in disguise ==")
 equiv = build_equivalent_boxes(proto)
+assert all(t.coeffs == (0.0, 0.0, 0.0) for t in equiv.targets[:4])
 print("output correlators of the wiring on the isotropic family,")
-print("interpolated as polynomials q(delta) and factored affine*affine:")
+print("interpolated as polynomials in delta and factored affine*affine")
+print("(its output marginals are 0 = 0 * 0):")
 def _fmt_factor(factor):
     sign = "-" if factor.c0 < 0 else "+"
     return f"({factor.c1:g}*d {sign} {abs(factor.c0):g})"
 
+box1, box2 = equiv.boxes
 labels = ("00", "01", "10", "11")
-for label, target, pair in zip(labels, equiv.factorization.targets,
-                               equiv.factorization.entries):
+for label, target, *pair in zip(labels, equiv.targets[4:], box1.correlator,
+                                box2.correlator):
     coeffs = ", ".join(f"{c:g}" for c in target.coeffs)
     facs = " * ".join(_fmt_factor(f) for f in pair)
     print(f"  input {label}: [{coeffs}]  =  {facs}")
-box1, box2 = equiv.boxes
 for name, eb in (("box1", box1), ("box2", box2)):
     form = eb.correlator_form(0.6)
     print(f"{name} at delta=0.6: d=({form.d1:g}, {form.d2:g}, {form.d3:g}), "
           f"eps={form.eps:g}")
 cert = equiv.certificate
-print(f"certificate: max deviation {cert.max_deviation:.3g}, "
-      f"p(00|00) deviation {cert.p00_deviation:.3g}")
+print(f"certificate at delta = 0, 0.1, ..., 1: max deviation "
+      f"{cert.max_deviation:.3g}, p(00|xy) deviation {cert.p00_deviation:.3g}")
 
 print()
 print("rebuilding the wiring from the two effective boxes with parity:")
@@ -100,22 +104,30 @@ print("== factoring a single polynomial ==")
 poly = DeltaPolynomial((0.25, 0.125, 0.125))
 factors = affine_factorize(poly)
 print("q(d) = 0.25 + 0.125 d + 0.125 d^2, so 4q - 1 = d (1 + d) / 2")
+print("(for an output without marginals, 4q - 1 is the correlator)")
 print(f"factors of 4q - 1: {' * '.join(_fmt_factor(f) for f in factors)}")
 assert factors == (AffineFactor(1.0, 0.0), AffineFactor(0.5, 0.5))
 
 print()
 print("== three ways the rewrite can fail ==")
-cases = (
-    (0x52E6B4, "complex roots: a correlator polynomial has no real factorization"),
-    (0x269E0D, "infeasible range: a factor leaves [-1, 1] on delta in [0, 1]"),
-    (0x0C5C7F, "negative entries: the factored boxes are not probability tables"),
+polys = (
+    ((0.5, 0.0, 0.5), "(1 + d^2) / 2 has complex roots"),
+    ((1.5,), "the constant 1.5 needs a factor outside [-1, 1]"),
+)
+for coeffs, why in polys:
+    try:
+        factor_affine_target(DeltaPolynomial(coeffs))
+    except (NoRealFactorization, RangeInfeasible) as err:
+        print(f"  {type(err).__name__}: {why}")
+wirings = (
+    (0x0C5C7F, "the factored boxes are not probability tables"),
     (0xA6A3A4, "this one is fine"),
 )
-for enc, why in cases:
+for enc, why in wirings:
     proto = AdaptiveTwoCopyProtocol.decode(enc)
     try:
         equiv = build_equivalent_boxes(proto)
-    except (NoRealFactorization, RangeInfeasible, InvalidConstructedBox) as err:
+    except InvalidConstructedBox as err:
         print(f"  {enc:06x}: {type(err).__name__} ({why})")
     else:
         print(f"  {enc:06x}: ok, certificate max deviation "

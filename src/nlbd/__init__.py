@@ -15,9 +15,10 @@ The package is organized as:
   (``or_value``, ``adaptive_value``).
 * :mod:`nlbd.search` - exhaustive protocol searches, parameter-region scans,
   and reproduction of the reference value tables.
-* :mod:`nlbd.equivalence` - interpolation of adaptive-protocol output
-  polynomials, affine factorization, and construction of nonidentical boxes
-  whose parity wiring simulates an adaptive protocol.
+* :mod:`nlbd.equivalence` - the eight correlator-form polynomials of an
+  adaptive two-copy wiring's output, each split into two affine factors,
+  and the two nonidentical boxes, one per factor, whose parity wiring
+  simulates the adaptive protocol.
 * :mod:`nlbd.fileio` - the box/xor file formats and protocol serialization.
 * :mod:`nlbd.cli` - the ``nlbd`` command-line front end.
 """
@@ -35,7 +36,6 @@ from .boxes import (
 )
 from .equivalence import (
     AffineFactor,
-    AffineFactorization,
     DeltaPolynomial,
     EquivalenceCertificate,
     EquivalenceResult,
@@ -43,7 +43,6 @@ from .equivalence import (
     affine_factorize,
     build_equivalent_boxes,
     factor_affine_target,
-    interpolate_qxy,
 )
 from .errors import (
     ArityMismatch,
@@ -116,7 +115,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveTwoCopyProtocol",
     "AffineFactor",
-    "AffineFactorization",
     "ArityMismatch",
     "BipartiteBox",
     "BudgetExceeded",
@@ -166,7 +164,6 @@ __all__ = [
     "format_table_report",
     "format_xor_box",
     "identity_wiring",
-    "interpolate_qxy",
     "make_named_box",
     "nonadaptive_value_fourier",
     "or_protocol",

@@ -304,13 +304,16 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     result = build_equivalent_boxes(proto)
     # every line is built before any is printed, so a failure prints nothing
     lines = [format_protocol(proto)]
-    fact = result.factorization
-    for row, label in enumerate(INPUT_ORDER):
-        coeffs = ",".join(_fmt(c) for c in fact.targets[row].coeffs)
-        factors = ";".join(f"{_fmt(f.c1)},{_fmt(f.c0)}" for f in fact.entries[row])
+    # input xy's target is its correlator polynomial (field d1, d2, d3 or eps),
+    # and its factors are the two boxes' correlator entries on xy
+    box1, box2 = result.boxes
+    rows = zip(INPUT_ORDER, result.targets[4:], box1.correlator, box2.correlator)
+    for label, target, *pair in rows:
+        coeffs = ",".join(_fmt(c) for c in target.coeffs)
+        factors = ";".join(f"{_fmt(f.c1)},{_fmt(f.c0)}" for f in pair)
         lines += [f"target{label}={coeffs}", f"factors{label}={factors}"]
-    for i, label in enumerate(("box1", "box2")):
-        form = result.boxes[i].correlator_form(args.delta)
+    for label, built in zip(("box1", "box2"), result.boxes):
+        form = built.correlator_form(args.delta)
         fields = " ".join(f"{name}={_fmt(value)}" for name, value in form.as_dict().items())
         lines.append(f"{label}: {fields}")
     lines.append(f"certificate_max_deviation={_fmt(result.certificate.max_deviation)}")

@@ -2,19 +2,18 @@
 
 An adaptive two-copy wiring applied to two identical one-parameter boxes
 produces output probabilities that are quadratics in the noise parameter.
-This module recovers those quadratics exactly by interpolation, splits each
-into affine factors bounded on the physical parameter range, and assembles
-two (generally nonidentical) boxes whose two-copy parity wiring reproduces
-the adaptive output.  A numeric certificate reports the worst-case
-reconstruction error, both for the full distribution and for the even-even
-output probabilities alone.
-
-The even-even probability q_xy pins only one entry per input: its product
-target is 4*q_xy - 1.  Matching the whole distribution in addition needs the
-adaptive output's marginal-bias polynomials split the same way, because the
+So are the eight entries of its correlator form (marginal biases and
+correlators).  This module recovers those eight quadratics exactly by
+interpolation, splits each into two affine factors bounded on the physical
+parameter range, and assembles two (generally nonidentical) boxes, one per
+factor, whose two-copy parity wiring reproduces the adaptive output: the
 parity wiring multiplies marginal biases exactly as it multiplies
-correlators.  Both factorizations are canonical (see factor_affine_target),
-so the constructed pair is deterministic; failures (complex roots, range
+correlators.  A numeric certificate reports the reconstruction error at
+eleven parameter values, both for the full distribution and for the
+even-even output probabilities alone.
+
+The factorization is canonical (see factor_affine_target), so the
+constructed pair is deterministic; failures (complex roots, range
 infeasibility, an invalid assembled box) are reported as typed errors, never
 patched over.
 """
@@ -51,7 +50,6 @@ from .wirings import (
 
 __all__ = [
     "AffineFactor",
-    "AffineFactorization",
     "DeltaPolynomial",
     "EquivalenceCertificate",
     "EquivalenceResult",
@@ -59,7 +57,6 @@ __all__ = [
     "affine_factorize",
     "build_equivalent_boxes",
     "factor_affine_target",
-    "interpolate_qxy",
 ]
 
 COEFF_TOL = 1e-12
@@ -81,13 +78,6 @@ class DeltaPolynomial:
         if len(self.coeffs) == 0:
             raise ValueError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and abs(self.coeffs[d]) <= COEFF_TOL:
-            d -= 1
-        return d
 
     def __call__(self, delta: float) -> float:
         acc = 0.0
@@ -216,57 +206,19 @@ def _even_output_target(q: DeltaPolynomial) -> DeltaPolynomial:
 def affine_factorize(q: DeltaPolynomial) -> tuple[AffineFactor, ...]:
     """Factor the even-output target 4*q - 1 into per-copy expected values.
 
-    q is the probability polynomial for joint outcome 00 on one input; the
-    parity wiring over boxes whose expected values on that input are the
-    returned factors reproduces q there, since the product of the factors
-    equals 4*q(delta) - 1 for every delta.
+    q is the probability polynomial for joint outcome 00 on one input xy, so
+    4*q - 1 = A_x + B_y + E_xy: it equals the correlator E_xy only where both
+    output marginals vanish.  For such an output, parity over two boxes
+    without marginals whose correlators on that input are the returned
+    factors reproduces q there.  build_equivalent_boxes does not take this
+    path; it splits the correlator-form polynomials themselves.
     """
     return factor_affine_target(_even_output_target(q))
 
 
-@dataclass(frozen=True)
-class AffineFactorization:
-    """Affine factor lists for all four joint inputs of a two-copy wiring.
-
-    targets[row] is the polynomial 4*q_row - 1 and entries[row] its factors,
-    rows in input order 00, 01, 10, 11.
-    """
-
-    targets: tuple[DeltaPolynomial, ...]
-    entries: tuple[tuple[AffineFactor, ...], ...]
-
-
-def _one_parameter_box(delta: float) -> BipartiteBox:
-    return box_from_correlators(make_named_box("isotropic", delta=delta))
-
-
 def _adaptive_output(proto: AdaptiveTwoCopyProtocol, delta: float) -> BipartiteBox:
-    box = _one_parameter_box(delta)
+    box = box_from_correlators(make_named_box("isotropic", delta=delta))
     return apply_adaptive(box, box, proto)
-
-
-def _sampled_outputs(proto: AdaptiveTwoCopyProtocol) -> list[BipartiteBox]:
-    """The adaptive output at each interpolation node in SAMPLE_DELTAS."""
-    return [_adaptive_output(proto, d) for d in SAMPLE_DELTAS]
-
-
-def _q_through(samples: Sequence[BipartiteBox], row: int) -> DeltaPolynomial:
-    """The quadratic through p(ab=00|xy) of the sampled outputs, xy = row."""
-    return _quadratic_through(*(float(sample.p[row, 0]) for sample in samples))
-
-
-def interpolate_qxy(proto: AdaptiveTwoCopyProtocol, row: int) -> DeltaPolynomial:
-    """Recover p(ab=00|xy) of the adaptive wiring on identical one-parameter boxes.
-
-    row is the joint input xy as an index 0..3 into INPUT_ORDER; anything
-    else raises ValueError. Every output probability of a two-copy wiring is
-    a quadratic in the noise parameter (each copy contributes one affine
-    entry per term), so sampling the exact simulator at delta in {0, 1/2, 1}
-    determines it exactly.
-    """
-    if not isinstance(row, (int, np.integer)) or not 0 <= row <= 3:
-        raise ValueError(f"joint input must be a row index 0..3, got {row!r}")
-    return _q_through(_sampled_outputs(proto), row)
 
 
 def _clip_entry(value: float) -> float:
@@ -301,7 +253,13 @@ class EquivalentBox:
 
 
 class EquivalenceCertificate(NamedTuple):
-    """Worst-case gap between the parity reconstruction and the adaptive output."""
+    """Largest gap between the parity reconstruction and the adaptive output.
+
+    Measured at the eleven points of CERTIFICATE_DELTAS; not a bound over
+    [0, 1].  The construction is exact, so the gap is float rounding, which
+    can peak between the points and is often exactly 0 at the three
+    interpolation nodes: neither set of points bounds it.
+    """
 
     max_deviation: float
     p00_deviation: float
@@ -309,39 +267,37 @@ class EquivalenceCertificate(NamedTuple):
 
 @dataclass(frozen=True)
 class EquivalenceResult:
-    """Constructed box pair, per-input factorization, and reconstruction errors."""
+    """Constructed box pair, the polynomials it was split from, and its certificate.
+
+    targets holds the eight correlator-form polynomials of the adaptive output
+    in CORRELATOR_FIELDS order; box i carries factor i of each of them.
+    """
 
     boxes: tuple[EquivalentBox, EquivalentBox]
-    factorization: AffineFactorization
+    targets: tuple[DeltaPolynomial, ...]
     certificate: EquivalenceCertificate
 
 
 def build_equivalent_boxes(proto: AdaptiveTwoCopyProtocol) -> EquivalenceResult:
     """Rewrite an adaptive two-copy wiring as parity over two tailored boxes.
 
-    Factors the four even-output targets 4*q_xy - 1 (reported in
-    .factorization) and, for the distribution-level construction, the eight
-    marginal-bias and correlator polynomials of the adaptive output.  The
-    two boxes take the first and second factor of every family; the
-    certificate holds the worst entrywise and even-even-probability
-    deviations between their parity wiring and the adaptive output over
-    delta in {0, 0.1, ..., 1}.
+    Interpolates the eight marginal-bias and correlator polynomials of the
+    adaptive output (reported in .targets) and factors each into two affine
+    factors; the two boxes take the first and second factor of every field.
+    The certificate holds the largest entrywise and even-even-probability
+    deviations between their parity wiring and the adaptive output at
+    delta in {0, 0.1, ..., 1}; it is not a bound between those points.
 
-    Raises NoRealFactorization or RangeInfeasible when a family cannot be
+    Raises NoRealFactorization or RangeInfeasible when a polynomial cannot be
     split into bounded affine factors, InvalidConstructedBox when the factor
-    assignment fails box validation at some sampled delta.
+    assignment fails box validation at some certificate point.
     """
-    samples = _sampled_outputs(proto)
-    targets = tuple(_even_output_target(_q_through(samples, row)) for row in range(4))
-    entries = tuple(factor_affine_target(t) for t in targets)
-    factorization = AffineFactorization(targets=targets, entries=entries)
-
-    forms = [correlators_from_box(sample) for sample in samples]
-    # one factor pair per field, in CORRELATOR_FIELDS order
-    split = [
-        factor_affine_target(_quadratic_through(*(getattr(form, name) for form in forms)))
+    forms = [correlators_from_box(_adaptive_output(proto, d)) for d in SAMPLE_DELTAS]
+    targets = tuple(
+        _quadratic_through(*(getattr(form, name) for form in forms))
         for name in CORRELATOR_FIELDS
-    ]
+    )
+    split = [factor_affine_target(target) for target in targets]
     boxes = tuple(
         EquivalentBox(
             marginal_a=(split[0][i], split[1][i]),
@@ -371,6 +327,6 @@ def build_equivalent_boxes(proto: AdaptiveTwoCopyProtocol) -> EquivalenceResult:
 
     return EquivalenceResult(
         boxes=boxes,
-        factorization=factorization,
+        targets=targets,
         certificate=EquivalenceCertificate(max_dev, p00_dev),
     )

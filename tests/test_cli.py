@@ -23,16 +23,20 @@ import nlbd.equivalence
 import nlbd.search
 import nlbd.wirings
 from nlbd import (
+    AdaptiveTwoCopyProtocol,
     CorrelatorForm,
+    apply_adaptive,
+    apply_nonadaptive,
     box_from_correlators,
     bs_output_box,
     chsh_value_of_box,
     format_box_correlators,
     make_named_box,
+    parity_protocol,
     parse_box_text,
     read_box_file,
 )
-from nlbd.boxes import ValidationReport
+from nlbd.boxes import INPUT_ORDER, ValidationReport
 from nlbd.cli import main
 from nlbd.wirings import symmetric_box
 
@@ -513,17 +517,60 @@ EQUIV_DIGESTS = {
     ("cccccc", "0.8"): "1ccbbd21d8c39898a630f99af2b0e1ed7359987bf61afb829f315ee5ec6878cd",
     ("33333c", "0.35"): "bfa19d174ecf1f02bc8056f00c5aa8e0d7a8bc4258364a632a43be44ac36b6bb",
     ("33333c", "0.8"): "f679a4d7416b4d3d05a52bfb27354aa3e25a8da6a4dfae97d455137197aaaaf2",
-    ("064c64", "0.35"): "cde435ad44a7990b00e07bfc54ea8578a3be5436bb91d581ea7efb7fd532fa5d",
-    ("064c64", "0.8"): "dc34d0c5353bedda990888cd339409b0808975b6e36ded6d63405bbc6b5170b2",
+    ("064c64", "0.35"): "7299d116bcd96b33c13344d1ab8c4a3d2fb8faaf6d8aaec4cc10eef1b1b0eb0d",
+    ("064c64", "0.8"): "82396e7c21594a3a81fdac887f345d8d660e2b460e895f04ba3077773f3e8eec",
+    ("000000", "0.5"): "8d0a335020d6018b302e365932b8e9fd345983740d267b21d2da30ff418be43c",
 }
+
+
+def run_equiv(capsys, proto, delta):
+    argv = ("equiv", "--delta", delta) + (() if proto is None else ("--proto", proto))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    return out
+
+
+def parse_equiv(out):
+    """The target/factors lines of an equiv printout as numbers, and its two boxes."""
+    lines = out.splitlines()[1:]
+    values = {}
+    for line in lines[:8]:
+        key, _, text = line.partition("=")
+        values[key] = [[float(c) for c in part.split(",")] for part in text.split(";")]
+    boxes = [
+        CorrelatorForm(**{k: float(v) for k, v in (f.split("=") for f in line.split()[1:])})
+        for line in lines[8:10]
+    ]
+    return values, boxes
 
 
 @pytest.mark.parametrize("proto, delta", sorted(EQUIV_DIGESTS, key=str))
 def test_equiv_prints_pinned_bytes(capsys, proto, delta):
-    argv = ("equiv", "--delta", delta) + (() if proto is None else ("--proto", proto))
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
+    out = run_equiv(capsys, proto, delta)
     assert hashlib.sha256(out.encode()).hexdigest() == EQUIV_DIGESTS[proto, delta]
+
+
+@pytest.mark.parametrize("proto, delta", sorted(EQUIV_DIGESTS, key=str))
+def test_equiv_factors_are_the_printed_boxes_correlators(capsys, proto, delta):
+    values, boxes = parse_equiv(run_equiv(capsys, proto, delta))
+    for label, field in zip(INPUT_ORDER, ("d1", "d2", "d3", "eps")):
+        [target] = values[f"target{label}"]
+        (a1, a0), (b1, b0) = values[f"factors{label}"]
+        for (c1, c0), box in zip(((a1, a0), (b1, b0)), boxes):
+            assert c1 * float(delta) + c0 == pytest.approx(getattr(box, field), abs=1e-11)
+        assert [a0 * b0, a0 * b1 + a1 * b0, a1 * b1] == pytest.approx(target, abs=1e-9)
+
+
+@pytest.mark.parametrize("proto, delta", sorted(EQUIV_DIGESTS, key=str))
+def test_equiv_printed_boxes_rebuild_the_wiring(capsys, proto, delta):
+    _, boxes = parse_equiv(run_equiv(capsys, proto, delta))
+    if proto is None:
+        wiring = nlbd.wirings.bs_wiring()
+    else:
+        wiring = AdaptiveTwoCopyProtocol.decode(int(proto, 16))
+    rebuilt = apply_nonadaptive([box_from_correlators(b) for b in boxes], parity_protocol(2, 2))
+    iso = box_from_correlators(make_named_box("isotropic", delta=float(delta)))
+    assert np.abs(rebuilt.p - apply_adaptive(iso, iso, wiring).p).max() <= 1e-9
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "--delta=-inf", "--delta=nan"])

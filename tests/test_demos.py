@@ -16,7 +16,7 @@ DEMO_DIGESTS = {
     "01": "d5e5c31922d4f0eeddce11662297134092b7e34e0f2f2ff19c56942de0af28cb",
     "02": "3dd84755369a83172e3b211ea4ff886ea2f574f0d6af1ad44c581c381f91ffaf",
     "03": "f2b17e279f3bc7ad0f3c4ceb15b433dc5c3e2819b97f712ad945fe0431748f83",
-    "04": "9f512e6b4acac0dcc5d81b13ff683830c1732e92d6bd61e63929815bf2323479",
+    "04": "450ac204b1ef13d12f7cedc66775283e05c3ca087f2c8f71a99d9ed949b00222",
 }
 
 

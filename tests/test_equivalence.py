@@ -9,14 +9,19 @@ import numpy as np
 import pytest
 
 import nlbd.equivalence
-from nlbd.boxes import box_from_correlators, make_named_box, validate_box
+from nlbd.boxes import (
+    CORRELATOR_FIELDS,
+    box_from_correlators,
+    correlators_from_box,
+    make_named_box,
+    validate_box,
+)
 from nlbd.equivalence import (
     AffineFactor,
     DeltaPolynomial,
     affine_factorize,
     build_equivalent_boxes,
     factor_affine_target,
-    interpolate_qxy,
 )
 from nlbd.errors import InvalidConstructedBox, NoRealFactorization, RangeInfeasible
 from nlbd.wirings import (
@@ -31,16 +36,26 @@ from nlbd.wirings import (
 )
 
 
-def max_product_drift(factorization) -> float:
-    """Largest coefficientwise gap between a row's factor product and its target."""
+def field_factors(box):
+    """A constructed box's eight affine entries, in CORRELATOR_FIELDS order."""
+    return (*box.marginal_a, *box.marginal_b, *box.correlator)
+
+
+def max_product_drift(result) -> float:
+    """Largest coefficientwise gap between a field's factor product and its target."""
     worst = 0.0
-    for target, factors in zip(factorization.targets, factorization.entries):
+    first, second = (field_factors(box) for box in result.boxes)
+    for target, *factors in zip(result.targets, first, second):
         product = [1.0]
         for f in factors:
             product = np.polynomial.polynomial.polymul(product, [f.c0, f.c1])
         gap = np.polynomial.polynomial.polysub(product, target.coeffs)
         worst = max(worst, float(np.abs(gap).max()))
     return worst
+
+
+def targets_by_field(proto):
+    return dict(zip(CORRELATOR_FIELDS, build_equivalent_boxes(proto).targets))
 
 
 def one_parameter_box(delta):
@@ -52,39 +67,37 @@ def adaptive_output(proto, delta):
     return apply_adaptive(box, box, proto)
 
 
-def test_polynomial_evaluation_and_degree():
+def test_polynomial_evaluation():
     p = DeltaPolynomial((1.0, 2.0, 3.0))
     assert p(0.0) == 1.0
     assert p(0.5) == 1.0 + 1.0 + 0.75
-    assert p.degree == 2
-    assert DeltaPolynomial((0.5, 1.0, 1e-15)).degree == 1
-    assert DeltaPolynomial((0.25,)).degree == 0
     with pytest.raises(ValueError):
         DeltaPolynomial(())
 
 
-def test_interpolated_identity_wiring_probabilities():
-    # Returning box 1 unchanged: p(00|xy) = (1 + delta)/4 except on input 11,
-    # where the one-parameter family has correlator -delta.
-    for row in (0, 1, 2):
-        q = interpolate_qxy(identity_wiring(), row)
-        assert q.coeffs == pytest.approx((0.25, 0.25, 0.0), abs=1e-15)
-    q = interpolate_qxy(identity_wiring(), 3)
-    assert q.coeffs == pytest.approx((0.25, -0.25, 0.0), abs=1e-15)
+def test_interpolated_identity_wiring_correlators():
+    # Returning box 1 unchanged: no marginals, correlator delta except on
+    # input 11, where the one-parameter family has correlator -delta.
+    targets = targets_by_field(identity_wiring())
+    for name in ("alpha", "beta", "gamma", "omega"):
+        assert targets[name].coeffs == (0.0, 0.0, 0.0)
+    for name in ("d1", "d2", "d3"):
+        assert targets[name].coeffs == (0.0, 1.0, 0.0)
+    assert targets["eps"].coeffs == (0.0, -1.0, 0.0)
 
 
 def test_interpolated_parity_wiring_is_quadratic():
-    q = interpolate_qxy(parity_as_adaptive(), 0)
-    assert q.coeffs == pytest.approx((0.25, 0.0, 0.25), abs=1e-15)
+    # parity squares every correlator, -delta on input 11 included
+    targets = targets_by_field(parity_as_adaptive())
+    for name in ("d1", "d2", "d3", "eps"):
+        assert targets[name].coeffs == (0.0, 0.0, 1.0)
 
 
 def test_interpolated_bs_wiring_input_11():
-    q = interpolate_qxy(bs_wiring(), 3)
-    assert q.coeffs == pytest.approx((0.25, -0.125, -0.125), abs=1e-15)
+    targets = targets_by_field(bs_wiring())
+    assert targets["eps"].coeffs == (0.0, -0.5, -0.5)
     for delta in (0.0, 0.25, 0.8, 1.0):
-        assert 4.0 * q(delta) - 1.0 == pytest.approx(
-            -(delta + delta * delta) / 2.0, abs=1e-12
-        )
+        assert targets["eps"](delta) == pytest.approx(-(delta + delta * delta) / 2.0, abs=1e-12)
 
 
 def test_interpolation_matches_simulation_at_fresh_points():
@@ -93,23 +106,17 @@ def test_interpolation_matches_simulation_at_fresh_points():
         parity_as_adaptive(),
         bs_wiring(),
         AdaptiveTwoCopyProtocol.decode(0xA6A3A4),
+        AdaptiveTwoCopyProtocol.decode(0x000000),
     ]
     deltas = np.linspace(0.037, 0.963, 10)
     for proto in protos:
-        polys = [interpolate_qxy(proto, row) for row in range(4)]
+        targets = targets_by_field(proto)
         for delta in deltas:
-            out = adaptive_output(proto, float(delta))
-            for row in range(4):
-                assert polys[row](float(delta)) == pytest.approx(
-                    float(out.p[row, 0]), abs=1e-9
+            form = correlators_from_box(adaptive_output(proto, float(delta)))
+            for name in CORRELATOR_FIELDS:
+                assert targets[name](float(delta)) == pytest.approx(
+                    getattr(form, name), abs=1e-9
                 )
-
-
-def test_joint_input_other_than_a_row_index_is_rejected():
-    proto = bs_wiring()
-    for bad in (2.7, 3.0, "11", "3", (1, 1), [1, 1], None, 4, -1):
-        with pytest.raises(ValueError):
-            interpolate_qxy(proto, bad)
 
 
 def test_factorize_bs_target():
@@ -209,7 +216,7 @@ def test_bs_construction_matches_reference_pair():
     result = build_equivalent_boxes(bs_wiring())
     assert result.certificate.max_deviation <= 1e-9
     assert result.certificate.p00_deviation <= result.certificate.max_deviation
-    assert max_product_drift(result.factorization) <= 1e-9
+    assert max_product_drift(result) <= 1e-9
 
     first, second = result.boxes
     assert first.correlator == (AffineFactor(1.0, 0.0),) * 4
@@ -283,15 +290,15 @@ def test_constant_output_wiring_carries_marginals():
 
 
 def test_failure_kinds_on_frozen_wirings():
-    # Encodings drawn from random.Random(7); each is the first of its kind.
-    with pytest.raises(NoRealFactorization):
-        build_equivalent_boxes(AdaptiveTwoCopyProtocol.decode(0x52E6B4))
-    with pytest.raises(RangeInfeasible):
-        build_equivalent_boxes(AdaptiveTwoCopyProtocol.decode(0x269E0D))
-    with pytest.raises(InvalidConstructedBox):
-        build_equivalent_boxes(AdaptiveTwoCopyProtocol.decode(0x0C5C7F))
-    ok = build_equivalent_boxes(AdaptiveTwoCopyProtocol.decode(0xA6A3A4))
-    assert ok.certificate.max_deviation <= 1e-9
+    # Encodings drawn from random.Random(7).  All eight correlator-form
+    # polynomials of each split into bounded factors; the failing three fail
+    # box validation.  The factoring errors are tested on polynomials above.
+    for enc in (0x52E6B4, 0x269E0D, 0x0C5C7F):
+        with pytest.raises(InvalidConstructedBox):
+            build_equivalent_boxes(AdaptiveTwoCopyProtocol.decode(enc))
+    for enc in (0xA6A3A4, 0x000000):
+        ok = build_equivalent_boxes(AdaptiveTwoCopyProtocol.decode(enc))
+        assert ok.certificate.max_deviation <= 1e-9
 
 
 def test_random_wirings_end_to_end():
@@ -311,10 +318,10 @@ def test_random_wirings_end_to_end():
             counts["ok"] += 1
             assert result.certificate.max_deviation <= 1e-9
             assert result.certificate.p00_deviation <= result.certificate.max_deviation
-            assert max_product_drift(result.factorization) <= 1e-9
+            assert max_product_drift(result) <= 1e-9
     assert sum(counts.values()) == 50
-    # Seed-pinned split; every outcome kind occurs, successes reconstruct exactly.
-    assert counts == {"ok": 6, "noreal": 12, "range": 16, "invalid": 16}
+    # Seed-pinned split; successes reconstruct exactly.
+    assert counts == {"ok": 8, "noreal": 0, "range": 0, "invalid": 42}
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
