@@ -6,9 +6,9 @@ The package is organized as:
   correlator/marginal form), validation, CHSH value, named families.
 * :mod:`nlbd.xorboxes` - n-player XOR-game boxes with trivial marginals,
   their value, and the parity-distillation oracle.
-* :mod:`nlbd.fourier` - Walsh transforms of +-1 output functions, the
-  even-parity probability, values via Fourier coefficients, and the parity
-  upper bound for non-adaptive distillation.
+* :mod:`nlbd.fourier` - Walsh transforms of +-1 output functions, values
+  via Fourier coefficients, and the parity upper bound for non-adaptive
+  distillation.
 * :mod:`nlbd.wirings` - applying non-adaptive and adaptive two-copy
   protocols by exact outcome enumeration; named protocols (parity, OR);
   the closed-form OR and adaptive values for symmetric boxes
@@ -67,14 +67,11 @@ from .fileio import (
     write_box_file,
 )
 from .fourier import (
-    FourierSpectrum,
     ParityBound,
     PmOutputFunction,
-    even_parity_prob,
     nonadaptive_value_fourier,
     parity_bound,
     walsh_transform,
-    weight_table,
 )
 from .search import (
     CC_COLLAPSE_THRESHOLD,
@@ -93,7 +90,6 @@ from .wirings import (
     adaptive_value,
     apply_adaptive,
     apply_nonadaptive,
-    apply_nonadaptive_xor,
     bs_output_box,
     bs_wiring,
     identity_wiring,
@@ -125,7 +121,6 @@ __all__ = [
     "EquivalenceResult",
     "EquivalentBox",
     "FormatError",
-    "FourierSpectrum",
     "InvalidBox",
     "InvalidConstructedBox",
     "MultipartiteXorBox",
@@ -147,7 +142,6 @@ __all__ = [
     "affine_factorize",
     "apply_adaptive",
     "apply_nonadaptive",
-    "apply_nonadaptive_xor",
     "box_from_correlators",
     "bs_output_box",
     "bs_wiring",
@@ -156,7 +150,6 @@ __all__ = [
     "chsh_value_of_box",
     "correlators_from_box",
     "enumerate_nonadaptive_max",
-    "even_parity_prob",
     "factor_affine_target",
     "format_box_correlators",
     "format_box_matrix",
@@ -180,7 +173,6 @@ __all__ = [
     "symmetric_box",
     "validate_box",
     "walsh_transform",
-    "weight_table",
     "write_box_file",
     "xor_value",
 ]

@@ -11,15 +11,21 @@ with Parseval sum_z fhat_z^2 = 1 for +-1-valued f. Outcome strings and
 frequency vectors z are indexed as integers with the first copy's bit most
 significant, matching the rest of the package.
 
+A spectrum is the float array of the 2^m coefficients, as walsh_transform
+returns it.
+
 For n players applying input-independent functions f_1..f_n to m copies of
 an even-parity-bias box (bias delta on the queried input), the probability
 that the XOR of their answers is 0 is
 
     R(delta) = (1 + sum_z delta^|z| prod_j fhat_z^j) / 2,
 
-and the resulting game value is
+since chi_z of the copies' joint XOR pattern has mean delta^|z|. Summing
+2 R - 1 over the inputs with sign (-1)^f(x) gives the game value
 
-    V = sum_z (prod_j fhat_z^j) T_|z|,    T_k = sum_x (-1)^f(x) delta_x^k.
+    V = sum_z (prod_j fhat_z^j) T_|z|,    T_k = sum_x (-1)^f(x) delta_x^k,
+
+so with one bias delta on every input, R(delta) = (1 + V / T_0) / 2.
 
 The parity protocol over k copies realizes V = T_k, and the maximum of
 |T_k| over k in {1..m} upper-bounds every input-independent non-adaptive
@@ -38,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ArityMismatch
-from .xorboxes import MultipartiteXorBox, XorGame
+from .xorboxes import XorGame
 
 
 @dataclass(frozen=True)
@@ -78,92 +84,46 @@ class PmOutputFunction:
         return np.array(self.table, dtype=float)
 
 
-@dataclass(frozen=True)
-class FourierSpectrum:
-    """Walsh coefficients of a +-1 function; coeff[z] with z an integer index."""
+def walsh_transform(f: PmOutputFunction) -> np.ndarray:
+    """The 2^m coefficients fhat_z, by the butterfly one copy at a time, O(m 2^m).
 
-    m: int
-    coeff: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeff) != 1 << self.m:
-            raise ValueError(f"spectrum must have 2^{self.m} entries, got {len(self.coeff)}")
-
-    def array(self) -> np.ndarray:
-        return np.array(self.coeff, dtype=float)
-
-
-def weight_table(m: int) -> np.ndarray:
-    """Hamming weight |z| for every z < 2^m."""
-    z = np.arange(1 << m)
-    w = np.zeros(1 << m, dtype=np.int64)
-    for b in range(m):
-        w += (z >> b) & 1
-    return w
-
-
-def walsh_transform(f: PmOutputFunction) -> FourierSpectrum:
-    """Walsh transform by the in-place butterfly, O(m 2^m)."""
-    a = f.values().copy()
-    h = 1
-    size = 1 << f.m
-    while h < size:
-        for start in range(0, size, h * 2):
-            lo = a[start : start + h].copy()
-            hi = a[start + h : start + 2 * h].copy()
-            a[start : start + h] = lo + hi
-            a[start + h : start + 2 * h] = lo - hi
-        h *= 2
-    return FourierSpectrum(f.m, tuple(a / size))
-
-
-def _common_arity(spectra: Sequence[FourierSpectrum]) -> int:
-    if not spectra:
-        raise ArityMismatch("need at least one spectrum")
-    m = spectra[0].m
-    if any(sp.m != m for sp in spectra):
-        raise ArityMismatch(f"spectra mix arities {[sp.m for sp in spectra]}")
-    return m
-
-
-def even_parity_prob(spectra: Sequence[FourierSpectrum], delta: float) -> float:
-    """Probability that n players' outputs XOR to 0 on an even-parity-bias box.
-
-    R(delta) = (1 + sum_z delta^|z| prod_j fhat_z^j) / 2, all players reading
-    the same m copies with per-copy even-parity bias delta.
+    Copy c is axis c of a (2,)*m view, so z is indexed first copy most
+    significant, like s.
     """
-    if not -1.0 <= delta <= 1.0:
-        raise ValueError(f"|delta| must be <= 1, got {delta}")
-    m = _common_arity(spectra)
-    prod = np.ones(1 << m)
-    for sp in spectra:
-        prod *= sp.array()
-    powers = np.power(float(delta), weight_table(m), dtype=float)
-    return float((1.0 + prod @ powers) / 2.0)
+    a = f.values().reshape((2,) * f.m)
+    for axis in range(f.m):
+        lo, hi = a.take(0, axis), a.take(1, axis)
+        a = np.stack((lo + hi, lo - hi), axis)
+    return a.reshape(-1) / (1 << f.m)
 
 
 def nonadaptive_value_fourier(
-    spectra: Sequence[FourierSpectrum],
+    spectra: Sequence[np.ndarray],
     game: XorGame,
     delta: Sequence[float],
 ) -> float:
     """Game value of input-independent output functions, via Fourier coefficients.
 
     V = sum_z (prod_j fhat_z^j) T_|z| with T_k = sum_x (-1)^f(x) delta_x^k.
-    One spectrum per player.
+    One coefficient array (as walsh_transform returns) per player.
     """
     if len(spectra) != game.n:
         raise ArityMismatch(f"game has {game.n} players, got {len(spectra)} spectra")
-    m = _common_arity(spectra)
+    sizes = [len(sp) for sp in spectra]
+    size = sizes[0]
+    if size < 1 or size & (size - 1) or any(s != size for s in sizes):
+        raise ArityMismatch(f"spectra need one common length 2^m, got lengths {sizes}")
+    m = size.bit_length() - 1
     d = np.asarray(delta, dtype=float)
     if d.shape != (1 << game.n,):
         raise ArityMismatch(f"delta must have 2^{game.n} entries")
     signs = game.signs()
     t = np.array([signs @ d**k for k in range(m + 1)])  # T_0 .. T_m
-    prod = np.ones(1 << m)
+    prod = np.ones(size)
     for sp in spectra:
-        prod *= sp.array()
-    return float(prod @ t[weight_table(m)])
+        prod *= sp
+    weight = [bin(z).count("1") for z in range(size)]  # |z|
+    return float(prod @ t[weight])
 
 
 class ParityBound(NamedTuple):

@@ -71,14 +71,13 @@ from .wirings import (
     adaptive_value,
     apply_adaptive,
     apply_nonadaptive,
-    apply_nonadaptive_xor,
     or_protocol,
     or_value,
     pack_adaptive_player,
     parity_protocol,
     symmetric_box,
 )
-from .xorboxes import MultipartiteXorBox
+from .xorboxes import MultipartiteXorBox, simulate_nonadaptive_xor
 
 PROTOCOL_BUDGET = 1 << 32
 GRID_BUDGET = 10_000_000
@@ -268,8 +267,7 @@ def _best_response_max(block, grid, exact_rows, scale: int, err: float):
 def _resimulate_nonadaptive(box, proto: NonAdaptiveProtocol) -> float:
     if isinstance(box, BipartiteBox):
         return chsh_value_of_box(apply_nonadaptive(box, proto))
-    value, _ = apply_nonadaptive_xor(box, proto)
-    return value
+    return simulate_nonadaptive_xor(box, proto.tables, proto.m)[0]
 
 
 def _replayed(result: SearchResult, replay: float) -> SearchResult:

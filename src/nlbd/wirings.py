@@ -44,7 +44,6 @@ from .boxes import (
     require_valid,
 )
 from .errors import ArityMismatch, FormatError, VerificationFailed
-from .xorboxes import MultipartiteXorBox, simulate_nonadaptive_xor
 
 
 @dataclass(frozen=True)
@@ -293,22 +292,6 @@ def adaptive_value(delta, eps, combination):
         11 * delta * delta + 2 * delta - 2 * eps * delta - 2 * eps - eps * eps
         + combination * (delta - eps)
     )
-
-
-def apply_nonadaptive_xor(boxes, proto: NonAdaptiveProtocol) -> tuple[float, np.ndarray]:
-    """n-player variant: wire parity-bias boxes, return (game value, biases).
-
-    Thin adapter over the exact enumeration oracle in xorboxes; the protocol
-    supplies the per-player, per-input output tables.
-    """
-    probe = boxes if isinstance(boxes, MultipartiteXorBox) else boxes[0]
-    if probe.n != proto.n:
-        raise ArityMismatch(f"protocol has n={proto.n}, boxes have n={probe.n}")
-    tables = [
-        [np.array(proto.tables[j][v], dtype=np.int64) for v in (0, 1)]
-        for j in range(proto.n)
-    ]
-    return simulate_nonadaptive_xor(boxes, tables, proto.m)
 
 
 def symmetric_box(alpha: float, beta: float, delta: float, eps: float) -> CorrelatorForm:

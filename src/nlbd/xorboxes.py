@@ -31,6 +31,7 @@ at ``n*m <= 24``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -57,10 +58,10 @@ class XorGame:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"XOR games need n >= 2 players, got {self.n}")
-        if len(self.f) != 1 << self.n:
-            raise ValueError(
-                f"truth table must have 2^{self.n} = {1 << self.n} entries, got {len(self.f)}"
-            )
+        # 2^n itself is never built: n comes from a file and may be huge
+        size = len(self.f)
+        if size & (size - 1) or size.bit_length() != self.n + 1:
+            raise ValueError(f"truth table must have 2^n entries for n={self.n}, got {size}")
         if any(bit not in (0, 1) for bit in self.f):
             raise ValueError("truth table entries must be bits")
 
@@ -237,16 +238,17 @@ def simulate_parity(b: MultipartiteXorBox, m: int) -> MultipartiteXorBox:
 
 def simulate_nonadaptive_xor(
     boxes: "MultipartiteXorBox | list[MultipartiteXorBox]",
-    player_tables: list[list[np.ndarray]],
+    player_tables: Sequence[Sequence[Sequence[int]]],
     m: int,
 ) -> tuple[float, np.ndarray]:
     """Value and distilled parity biases of a general non-adaptive protocol.
 
     ``player_tables[j][v]`` is player j's boolean output table over her m
-    outcome bits (array of 2^m bits, outcome string indexed first-copy most
-    significant) when her own input bit is v. Boxes may be a single box
-    (m identical copies) or a list of m boxes sharing the game; copies are
-    queried on the original input.
+    outcome bits (2^m bits, outcome string indexed first-copy most
+    significant) when her own input bit is v, as in
+    ``NonAdaptiveProtocol.tables``. Boxes may be a single box (m identical
+    copies) or a list of m boxes sharing the game; copies are queried on the
+    original input.
 
     Unlike the parity protocol, a general protocol's distillate need not be
     an even-parity-bias box (players can bias their outputs), so this oracle
@@ -268,9 +270,11 @@ def simulate_nonadaptive_xor(
     for j, tables in enumerate(player_tables):
         if len(tables) != 2 or any(len(t) != 1 << m for t in tables):
             raise ArityMismatch(f"player {j} needs two tables of 2^{m} bits")
-    tables = [[np.asarray(t, dtype=np.int64) for t in pair] for pair in player_tables]
+    # entries are checked before the cast, which would read 0.5 as 0
+    tables = [[np.asarray(t) for t in pair] for pair in player_tables]
     if any(((t != 0) & (t != 1)).any() for pair in tables for t in pair):
         raise ValueError("output tables must hold bits")
+    tables = [[t.astype(np.int64) for t in pair] for pair in tables]
     _budget_check(n, m)
 
     deltas = np.stack([bx.delta_array() for bx in box_list], axis=1)  # (2^n, m)

@@ -96,6 +96,16 @@ def test_value_file_that_is_not_utf8_is_io_error(boxdir, capsys):
     assert err.startswith(f"nlbd: {path}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("n", [20000, 1000000000])
+def test_validate_xor_with_huge_n_names_the_truth_table(boxdir, capsys, n):
+    # 2^n is never built, so neither its decimal form nor its memory can fail
+    path = boxdir / "huge.box"
+    path.write_text(f"kind=xor\nn={n}\nf=0001\ndelta=0.9,0.9,0.9,-0.9\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (3, "")
+    assert err == f"nlbd: {path}: truth table must have 2^n entries for n={n}, got 4\n"
+
+
 def test_value_invalid_box(boxdir, capsys):
     code, out, err = run(capsys, "value", boxdir / "invalid.box")
     assert code == 1

@@ -1,4 +1,4 @@
-"""Walsh transforms, even-parity probability, Fourier values, parity bound."""
+"""Walsh transforms, Fourier values, parity bound."""
 
 import itertools
 
@@ -7,14 +7,11 @@ import pytest
 
 from nlbd.errors import ArityMismatch
 from nlbd.fourier import (
-    FourierSpectrum,
     ParityBound,
     PmOutputFunction,
-    even_parity_prob,
     nonadaptive_value_fourier,
     parity_bound,
     walsh_transform,
-    weight_table,
 )
 from nlbd.xorboxes import MultipartiteXorBox, XorGame, simulate_nonadaptive_xor
 
@@ -27,7 +24,7 @@ def random_function(rng, m):
 
 def parseval_defect(spectrum) -> float:
     """|sum_z coeff_z^2 - 1|; within 1e-12 for spectra of +-1 functions."""
-    return float(abs(spectrum.array() @ spectrum.array() - 1.0))
+    return float(abs(spectrum @ spectrum - 1.0))
 
 
 def test_parity_function_spectrum():
@@ -35,14 +32,14 @@ def test_parity_function_spectrum():
         sp = walsh_transform(PmOutputFunction.parity(m))
         expect = np.zeros(1 << m)
         expect[-1] = 1.0  # z = all ones
-        assert np.allclose(sp.coeff, expect, atol=1e-15)
+        assert np.allclose(sp, expect, atol=1e-15)
 
 
 def test_constant_function_spectrum():
     sp = walsh_transform(PmOutputFunction.constant(3))
     expect = np.zeros(8)
     expect[0] = 1.0
-    assert np.allclose(sp.coeff, expect, atol=1e-15)
+    assert np.allclose(sp, expect, atol=1e-15)
 
 
 def test_majority_spectrum():
@@ -52,17 +49,17 @@ def test_majority_spectrum():
         zeros = 3 - bin(s).count("1")
         table.append(+1 if zeros >= 2 else -1)
     sp = walsh_transform(PmOutputFunction(3, tuple(table)))
-    w = weight_table(3)
     for z in range(8):
-        if w[z] == 1:
-            assert sp.coeff[z] == pytest.approx(0.5, abs=1e-15)
-        elif w[z] == 3:
-            assert sp.coeff[z] == pytest.approx(-0.5, abs=1e-15)
+        w = bin(z).count("1")
+        if w == 1:
+            assert sp[z] == pytest.approx(0.5, abs=1e-15)
+        elif w == 3:
+            assert sp[z] == pytest.approx(-0.5, abs=1e-15)
         else:
-            assert sp.coeff[z] == pytest.approx(0.0, abs=1e-15)
+            assert sp[z] == pytest.approx(0.0, abs=1e-15)
 
 
-def walsh_transform_direct(f: PmOutputFunction) -> FourierSpectrum:
+def walsh_transform_direct(f: PmOutputFunction) -> np.ndarray:
     """Direct O(4^m) summation; cross-check oracle for the butterfly.
 
     Note the index convention makes the two transforms literally identical:
@@ -77,17 +74,18 @@ def walsh_transform_direct(f: PmOutputFunction) -> FourierSpectrum:
             dot = bin(z & s).count("1") % 2
             total += (-1) ** dot * vals[s]
         coeff.append(total / size)
-    return FourierSpectrum(f.m, tuple(coeff))
+    return np.array(coeff)
 
 
 def test_butterfly_matches_direct():
     rng = np.random.default_rng(31)
-    for m in (1, 2, 3, 4):
+    for m in (0, 1, 2, 3, 4):
         for _ in range(10):
             f = random_function(rng, m)
-            fast = walsh_transform(f).array()
-            slow = walsh_transform_direct(f).array()
-            assert np.allclose(fast, slow, atol=1e-12)
+            fast = walsh_transform(f)
+            assert isinstance(fast, np.ndarray) and fast.dtype == float
+            # every coefficient is a sum of +-1 over a power of two: exact
+            assert np.array_equal(fast, walsh_transform_direct(f))
 
 
 def test_parseval_exhaustive_m2():
@@ -103,67 +101,13 @@ def test_parseval_random_m3_m4():
             assert parseval_defect(walsh_transform(random_function(rng, m))) < 1e-12
 
 
-def test_even_parity_prob_parity_players():
-    rng = np.random.default_rng(33)
-    for n in (2, 3):
-        for m in (1, 2, 3):
-            sp = walsh_transform(PmOutputFunction.parity(m))
-            for _ in range(5):
-                delta = float(rng.uniform(-1, 1))
-                r = even_parity_prob([sp] * n, delta)
-                # Only z = all-ones survives; prod of coefficients is 1.
-                assert r == pytest.approx((1 + delta**m * (1 if n % 2 == 0 else 1)) / 2, abs=1e-12)
-
-
-def test_even_parity_prob_delta_zero():
-    rng = np.random.default_rng(34)
-    fs = [random_function(rng, 2) for _ in range(2)]
-    sps = [walsh_transform(f) for f in fs]
-    r = even_parity_prob(sps, 0.0)
-    expect = (1 + sps[0].coeff[0] * sps[1].coeff[0]) / 2
-    assert r == pytest.approx(expect, abs=1e-12)
-
-
-def brute_even_parity_prob(functions, delta):
-    """Direct enumeration over all joint outcome tuples of m copies, n players."""
-    n = len(functions)
-    m = functions[0].m
-    bits = [f.bits() for f in functions]
-    total = 0.0
-    for outcome in range(1 << (n * m)):
-        prob = 1.0
-        out_parity = 0
-        strings = [0] * n
-        for c in range(m):
-            copy_parity = 0
-            for j in range(n):
-                bit = (outcome >> (c * n + j)) & 1
-                copy_parity ^= bit
-                strings[j] |= bit << (m - 1 - c)
-            prob *= (1 + delta) / (1 << n) if copy_parity == 0 else (1 - delta) / (1 << n)
-        for j in range(n):
-            out_parity ^= int(bits[j][strings[j]])
-        if out_parity == 0:
-            total += prob
-    return total
-
-
-def test_even_parity_prob_matches_enumeration():
-    rng = np.random.default_rng(35)
-    for n, m in ((2, 2), (2, 3), (3, 2)):
-        for _ in range(5):
-            fs = [random_function(rng, m) for _ in range(n)]
-            delta = float(rng.uniform(-1, 1))
-            fourier = even_parity_prob([walsh_transform(f) for f in fs], delta)
-            direct = brute_even_parity_prob(fs, delta)
-            assert fourier == pytest.approx(direct, abs=1e-9)
-
-
 def test_arity_mismatch_rejected():
     sp2 = walsh_transform(PmOutputFunction.parity(2))
     sp3 = walsh_transform(PmOutputFunction.parity(3))
     with pytest.raises(ArityMismatch):
-        even_parity_prob([sp2, sp3], 0.5)
+        nonadaptive_value_fourier([sp2, sp3], CHSH, (1, 1, 1, 0))
+    with pytest.raises(ArityMismatch):
+        nonadaptive_value_fourier([sp2[:3], sp2[:3]], CHSH, (1, 1, 1, 0))
     with pytest.raises(ArityMismatch):
         nonadaptive_value_fourier([sp2], CHSH, (1, 1, 1, 0))
     with pytest.raises(ArityMismatch):

@@ -9,6 +9,7 @@ import hashlib
 import io
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,12 @@ import nlbd.search as search_module
 from nlbd.boxes import BipartiteBox, box_from_correlators, chsh_value_of_box, make_named_box
 from nlbd.cli import main as cli_main
 from nlbd.errors import BudgetExceeded, InvalidBox, UnknownKind
-from nlbd.fourier import parity_bound
+from nlbd.fourier import (
+    PmOutputFunction,
+    nonadaptive_value_fourier,
+    parity_bound,
+    walsh_transform,
+)
 from nlbd.search import (
     CC_COLLAPSE_THRESHOLD,
     CSV_HEADER,
@@ -134,6 +140,40 @@ def test_parity_bound_attained_in_distillation_regime():
         r = enumerate_nonadaptive_max(xb, 2)
         assert r.best_value <= bound.value + 1e-9
         assert r.best_value == pytest.approx(bound.value, abs=1e-9)
+
+
+def test_xor_invariant_sweep():
+    """Relations every exact answer satisfies, on 40 seeded XOR boxes.
+
+    Exact m-monotonicity; input-free <= input-dependent (n = 2, m <= 2);
+    the printed protocol's Fourier value is the class maximum; and the
+    maximum is parity_bound wherever the bound reaches |T_0|.
+    """
+    rng = random.Random(11)
+    bound_applied = []
+    for _ in range(40):
+        n = rng.choice((2, 3))
+        game = XorGame(n, tuple(rng.getrandbits(1) for _ in range(1 << n)))
+        box = MultipartiteXorBox(game, tuple(rng.uniform(-1, 1) for _ in range(1 << n)))
+        t0 = abs(float(game.signs().sum()))
+        free = [enumerate_nonadaptive_max(box, m) for m in (1, 2, 3)]
+        for low, high in zip(free, free[1:]):
+            assert low.best_exact <= high.best_exact
+        for m, r in enumerate(free, 1):
+            proto = NonAdaptiveProtocol.decode(n, m, r.best_protocol)
+            assert proto.is_input_free()
+            spectra = [walsh_transform(PmOutputFunction.from_bits(m, t)) for t, _ in proto.tables]
+            value = nonadaptive_value_fourier(spectra, game, box.delta)
+            assert value == pytest.approx(r.best_value, abs=1e-9)
+            bound = parity_bound(game, box.delta, m)
+            if bound.value >= t0:
+                assert r.best_value == pytest.approx(bound.value, abs=1e-9)
+                bound_applied.append((n, m))
+        if n == 2:
+            for m in (1, 2):
+                dep = enumerate_nonadaptive_max(box, m, input_dependent=True)
+                assert free[m - 1].best_exact <= dep.best_exact
+    assert (3, 3) in bound_applied
 
 
 def test_input_dependent_at_least_input_free():

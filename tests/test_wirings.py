@@ -22,7 +22,6 @@ from nlbd.wirings import (
     adaptive_value,
     apply_adaptive,
     apply_nonadaptive,
-    apply_nonadaptive_xor,
     bs_output_box,
     bs_wiring,
     identity_wiring,
@@ -32,7 +31,7 @@ from nlbd.wirings import (
     parity_protocol,
     symmetric_box,
 )
-from nlbd.xorboxes import MultipartiteXorBox, XorGame
+from nlbd.xorboxes import MultipartiteXorBox, XorGame, simulate_nonadaptive_xor
 
 
 def random_valid_forms(rng, count):
@@ -271,12 +270,13 @@ def test_apply_nonadaptive_rejects_invalid_box():
 
 
 def test_apply_nonadaptive_xor_adapter():
+    # a protocol's bit tuples go straight into the XOR oracle
     game = XorGame.chsh()
     xbox = MultipartiteXorBox(game, (1.0, 1.0, 1.0, 0.3))
-    value, _ = apply_nonadaptive_xor(xbox, parity_protocol(2, 2))
+    value, _ = simulate_nonadaptive_xor(xbox, parity_protocol(2, 2).tables, 2)
     assert value == pytest.approx(3 - 0.09, abs=1e-12)
     with pytest.raises(ArityMismatch):
-        apply_nonadaptive_xor(xbox, parity_protocol(3, 2))
+        simulate_nonadaptive_xor(xbox, parity_protocol(3, 2).tables, 2)
 
 
 # ----------------------------------------------------------- adaptive apply

@@ -271,3 +271,6 @@ def test_nonadaptive_xor_rejects_non_bit_tables():
     bad = np.array([0, 2])
     with pytest.raises(ValueError, match="bits"):
         simulate_nonadaptive_xor(box, [[bad, bad]] * 2, 1)
+    # checked before any cast to int, which would read 0.5 as 0
+    with pytest.raises(ValueError, match="bits"):
+        simulate_nonadaptive_xor(box, [[[0.5, 1.0], [0.5, 1.0]]] * 2, 1)
