@@ -17,11 +17,19 @@ player but the last (whose block holds the highest encoding bits) fixed,
 the value is linear in her +-1 output signs, so her best value on each
 input is sum_s |v_s|, reached by setting bit s exactly where v_s < 0, her
 smallest code (the infinity-to-one-norm step of Alon and Naor). A float
-pass totals every row of the other players' tables at once, one slot s
-at a time; an exact pass evaluates again in integers (box entries are
+pass totals the rows of the other players' tables at once, one slot s at
+a time; an exact pass evaluates again in integers (box entries are
 binary floats) only the rows within a rigorous rounding bound of the
 float maximum, and breaks ties on those exact values. Everything runs
 on the calling thread, one block after another.
+
+In the input-dependent and three-player classes the float pass's second
+axis (player A's input-1 table, or the middle player's) runs only over
+orbit representatives under copy permutation and the complement of one
+non-last player's whole output (40 of 256 tables at m = 3), and each
+candidate is expanded to its whole orbit before the exact pass. Both
+symmetries fix every row's exact total, so the result, key included, is
+that of the full enumeration (see _best_response_max).
 
 Supported sizes: m <= 3 copies throughout (the protocol count doubles per
 outcome bit; beyond three copies enumeration is out of scope), n in {2, 3}
@@ -50,6 +58,8 @@ expected and documented: the third table's printed parity column).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,13 +216,13 @@ def _distinct(tables, contract):
     return contract(first)[inverse]
 
 
-def _outer_totals(left, right, lo: int, hi: int):
-    """sum_branch max_u sum_slot |left[.., b] + right[.., a]| on the grid [b in lo:hi, a].
+def _outer_totals(left, right, tables):
+    """sum_branch max_u sum_slot |left[.., b] + right[.., a]| on the grid [b in tables, a].
 
     left and right are [branch, u, slot, table], summed one slot at a time.
     """
     total = 0
-    for lb, rb in zip(left[..., lo:hi, None], right[..., None, :]):
+    for lb, rb in zip(left[..., tables, None], right[..., None, :]):
         sums = [sum(np.abs(l + r) for l, r in zip(lu, ru)) for lu, ru in zip(lb, rb)]
         total = total + np.maximum.reduce(sums)
     return total
@@ -237,23 +247,72 @@ def _rounding_bound(terms: int, roundings: int, l1: float) -> float:
     return 2 * (gamma * l1 + terms * roundings * 2.0**-1074)
 
 
-def _best_response_max(block, grid, exact_rows, scale: int, err: float):
+@functools.cache
+def _copy_symmetry(m: int) -> tuple:
+    """(moved, reps) for the boolean tables of m outcome bits.
+
+    moved[pi, t] is table t with its outcome strings' copies reordered by
+    the pi-th permutation of the m copies. reps are the tables t equal to
+    the smallest of moved[:, t] and their complements: one per orbit under
+    copy permutation and complement (2, 6 and 40 at m = 1, 2 and 3).
+    """
+    size = 1 << m
+    s = np.arange(size)
+    tables = np.arange(1 << size)
+    bits = tables[:, None] >> s & 1  # [t, s]
+    moved = np.stack([
+        (bits << sum((s >> c & 1) << d for d, c in enumerate(order))).sum(1)
+        for order in itertools.permutations(range(m))
+    ])
+    reps = np.flatnonzero(tables == np.minimum(moved, moved ^ tables[-1]).min(0))
+    moved.flags.writeable = reps.flags.writeable = False  # the cache shares them
+    return moved, reps
+
+
+def _orbit_rows(rows, moved, flip_first: bool):
+    """Every row a + b * count in the orbits of `rows` (rows of the same form), ascending.
+
+    A copy permutation moves both tables; the complement flips b, and a
+    too if flip_first. The exact total of a row is the same on its whole
+    orbit: the copies are identical, and the last player's best response
+    flips with the complemented player's output.
+    """
+    count = moved.shape[1]
+    a, b = moved[:, rows % count], moved[:, rows // count]
+    hit = np.zeros(count * count, dtype=bool)
+    for c in (0, count - 1):
+        hit[(a ^ (c if flip_first else 0)) + (b ^ c) * count] = True
+    return np.flatnonzero(hit)
+
+
+def _best_response_max(block, grid, exact_rows, scale: int, err: float, orbit=lambda rows: rows):
     """Exact class maximum and its smallest packed key, in two passes.
 
     Row r = a + b * first of grid = (seconds, first) fixes every player's
-    tables but the last's. Float pass: block(lo, hi) gives the [b, a] row
-    totals under the last player's best response for b in lo:hi, in blocks
-    set by the grid alone. Exact pass: exact_rows(rows) gives the totals of
-    the rows near the float maximum in integers (`scale` times the exact
-    values) and a function for their keys with her smallest best response.
+    tables but the last's; seconds lists the b the float pass runs over.
+    Float pass: block(tables) gives the [b, a] row totals under the last
+    player's best response for b in tables, in blocks set by the grid
+    alone. Exact pass: exact_rows(rows) gives the totals of the rows near
+    the float maximum in integers (`scale` times the exact values) and a
+    function for their keys with her smallest best response.
+
+    Where seconds holds only orbit representatives, orbit(rows) gives the
+    whole orbits of rows under a group that fixes every row's exact total.
+    That is still exact: every exact maximiser has an image on the grid
+    with the same exact total, so within err of the float maximum and a
+    candidate; its orbit brings the maximiser back, and the exact pass
+    takes the same maximum and the same smallest key over the same set.
     """
     seconds, first = grid
     step = max(1, _CHUNK_ROWS // first)
-    approx = np.concatenate([block(lo, lo + step) for lo in range(0, seconds, step)], axis=None)
+    approx = np.concatenate(
+        [block(seconds[lo : lo + step]) for lo in range(0, len(seconds), step)], axis=None
+    )
     top = approx.max()
     # every total is within err of its float value, so every exact
     # maximiser is within 2*err of the float maximum
-    candidates = np.flatnonzero(approx >= top - 2 * err)
+    near = np.flatnonzero(approx >= top - 2 * err)
+    candidates = orbit(near % first + seconds[near // first] * first)
     totals, keys = exact_rows(candidates)
     best = totals.max()
     exact = Fraction(int(best), scale)
@@ -316,7 +375,7 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
     if input_dependent:
         # K_xy = s_xy S W_xy in input order 2x + y, and v_y = K_0y[a_0] + K_1y[a_1]
         kernels = np.stack([(smat @ w).T for w in floats])[:, None]  # [xy, -, slot, table]
-        block = lambda lo, hi: _outer_totals(kernels[2:], kernels[:2], lo, hi)  # noqa: E731
+        block = lambda tables: _outer_totals(kernels[2:], kernels[:2], tables)  # noqa: E731
         ints = np.stack(_narrowed(ints)).reshape(2, 2, size, size)  # [x, y, s_A, slot]
 
         def exact_rows(rows):
@@ -333,7 +392,7 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
         # middle one (n = 3; else a single 1) one slot t at a time: kt[t, s_1, a_0]
         kt = np.tensordot(smat, sum(floats), 1).T.reshape(size, -1, count).copy()
         middle = smat.astype(float) if n == 3 else np.ones((1, 1))
-        block = lambda lo, hi: sum(np.abs(middle[lo:hi] @ k) for k in kt)  # noqa: E731
+        block = lambda tables: sum(np.abs(middle[tables] @ k) for k in kt)  # noqa: E731
         (weights,) = _narrowed([sum(ints)])
 
         def exact_rows(rows):
@@ -345,8 +404,14 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
             key = lambda t: (1 + count) * (first + (t[0] << 2 * size * (n - 1)))  # noqa: E731
             return _respond(v.T[None, None], key)
 
-    grid = (count if input_dependent or n == 3 else 1, count)
-    exact, packed = _best_response_max(block, grid, exact_rows, scale, err)
+    if input_dependent or n == 3:
+        # the second axis (a_1, or the middle player) runs over orbit
+        # representatives under copy permutation and complement
+        moved, reps = _copy_symmetry(m)
+        orbit = lambda rows: _orbit_rows(rows, moved, input_dependent)  # noqa: E731
+        exact, packed = _best_response_max(block, (reps, count), exact_rows, scale, err, orbit)
+    else:
+        exact, packed = _best_response_max(block, (np.arange(1), count), exact_rows, scale, err)
     result = SearchResult(float(exact), packed, examined, class_name, n, m, exact)
     return _replayed(result, _resimulate_nonadaptive(box, NonAdaptiveProtocol.decode(n, m, packed)))
 
@@ -391,7 +456,7 @@ def adaptive_search_max(box: BipartiteBox) -> SearchResult:
     err = _rounding_bound(64, 2, float(abs_p.sum() * abs_p.sum(1).max()))
     kf = _adaptive_kernels(floats, np.arange(128)).reshape(2, 64, 4, 2, 2)
     kf = np.moveaxis(kf, 1, -1)  # [x, branch, u, b2, P_A]
-    block = lambda lo, hi: _outer_totals(kf[1], kf[0], lo, hi)  # noqa: E731
+    block = lambda tables: _outer_totals(kf[1], kf[0], tables)  # noqa: E731
 
     def exact_rows(rows):
         # the kernels of the distinct keys x * 64 + P_A among the rows
@@ -403,7 +468,7 @@ def adaptive_search_max(box: BipartiteBox) -> SearchResult:
         a = pack_adaptive_player((rows >> 3 & 7, rows & 7, rows >> 9, rows >> 6 & 7))
         return _respond(v, lambda b: pack_adaptive_player(b) << 12 | a)
 
-    exact, packed = _best_response_max(block, (64, 64), exact_rows, den**2, err)
+    exact, packed = _best_response_max(block, (np.arange(64), 64), exact_rows, den**2, err)
     result = SearchResult(float(exact), packed, 4096 * 4096, "adaptive2", 2, 2, exact)
     proto = AdaptiveTwoCopyProtocol.decode(packed)
     return _replayed(result, chsh_value_of_box(apply_adaptive(box, box, proto)))

@@ -114,3 +114,72 @@ def test_searches_match_the_exact_brute_force():
             if (r.best_value, r.best_protocol, r.best_exact) != (float(exact), key, exact):
                 mismatches.append((name, m, dep, r.best_protocol, key))
     assert mismatches == []
+
+
+def best_response_reference(box, m, input_dependent=False):
+    """(exact maximum, smallest maximising encoding) with the last player answering.
+
+    Every table choice of the non-last players (player A's two tables, or
+    the first and middle players' one each) is contracted with the joint
+    weights in Python integers, with no float window and no symmetry. The
+    last player then takes her closed-form best response on each input:
+    sum_s |v_s|, with bit s set exactly where v_s < 0 (her smallest code).
+    """
+    signs, copies = _copies(box)
+    n = len(signs).bit_length() - 1
+    size = 1 << m
+    den = max(f.denominator for row in copies for f in row)
+    weights = [s * _joint_weights(copy, n, m, den) for s, copy in zip(signs, copies)]
+    tables = np.arange(1 << size)
+    sign = np.array([[(-1) ** ((t >> s) & 1) for t in range(1 << size)] for s in range(size)],
+                    dtype=object)
+    slot_bits = np.arange(size)[None, :, None]
+
+    def code(t):  # one table on both inputs
+        return t | t << size
+
+    if input_dependent:
+        # c[2x + y][s_B, a_x]
+        c = [np.tensordot(w, sign, axes=([0], [0])) for w in weights]
+        rows = (
+            (np.stack([c[y][:, a0, None] + c[2 + y] for y in (0, 1)]), a0 | tables << size, 0)
+            for a0 in tables
+        )
+    else:
+        # d[s_1, s_last, t_middle]
+        d = np.tensordot(sum(weights), sign, axes=([1], [0]))
+        rows = (
+            (np.tensordot(sign[:, t1], d, 1)[None], code(t1) | code(tables) << 2 * size, 1)
+            for t1 in tables
+        )
+    best, key = None, None
+    for v, others, same in rows:  # v[branch, s, table]; same: one table on both inputs
+        value = np.abs(v).sum((0, 1))
+        bits = ((v < 0).astype(np.int64) << slot_bits).sum(1)
+        last = code(bits[0]) if same else bits[0] | bits[1] << size
+        keys = others | last << 2 * size * (n - 1)
+        top = value.max()
+        if best is None or top > best:
+            best, key = top, keys[value == top].min()
+        elif top == best:
+            key = min(key, keys[value == top].min())
+    return Fraction(int(best), den**m), int(key)
+
+
+def test_three_copy_searches_match_the_best_response_reference():
+    # S_3 first permutes copies at m = 3, where the brute force above is out of reach
+    boxes = _grid_boxes()
+    mismatches = []
+    # the reference's best-response step against the full contraction, where both run
+    for name, box in boxes.items():
+        for m, dep in itertools.product((1, 2), (False,) if name.endswith("3") else (True,)):
+            if best_response_reference(box, m, dep) != brute_force(box, m, dep):
+                mismatches.append((name, m))
+    # seeded1's smallest maximising key lies off the orbit representatives
+    for name in ("kept", "496", "seeded1", "chsh", "uniform", "xor3", "uniform3"):
+        dep = not name.endswith("3")
+        exact, key = best_response_reference(boxes[name], 3, dep)
+        r = enumerate_nonadaptive_max(boxes[name], 3, input_dependent=dep)
+        if (r.best_value, r.best_protocol, r.best_exact) != (float(exact), key, exact):
+            mismatches.append((name, r.best_protocol, key))
+    assert mismatches == []

@@ -46,7 +46,7 @@ from nlbd.wirings import (
     parity_protocol,
     symmetric_box,
 )
-from nlbd.xorboxes import MultipartiteXorBox, XorGame
+from nlbd.xorboxes import MultipartiteXorBox, XorGame, simulate_nonadaptive_xor
 
 
 def random_symmetric_params(rng):
@@ -875,9 +875,9 @@ def _float_and_exact_stages(call, monkeypatch):
     seen = {}
     real = search_module._best_response_max
 
-    def spy(block, grid, exact_rows, scale, err):
+    def spy(block, grid, exact_rows, scale, err, *orbit):
         seen.update(block=block, grid=grid, exact_rows=exact_rows, scale=scale, err=err)
-        return real(block, grid, exact_rows, scale, err)
+        return real(block, grid, exact_rows, scale, err, *orbit)
 
     monkeypatch.setattr(search_module, "_best_response_max", spy)
     call()
@@ -913,9 +913,75 @@ def test_every_row_float_total_within_rounding_bound(call, monkeypatch):
     # not just on the maximisers the pins see
     stage = _float_and_exact_stages(call, monkeypatch)
     seconds, first = stage["grid"]
-    approx = stage["block"](0, seconds).ravel()
-    totals, _ = stage["exact_rows"](np.arange(seconds * first))
-    assert len(approx) == len(totals) == seconds * first
+    approx = stage["block"](seconds).ravel()
+    # position a + i * first of the float pass's grid is row a + seconds[i] * first
+    rows = (np.arange(first) + first * seconds[:, None]).ravel()
+    totals, _ = stage["exact_rows"](rows)
+    assert len(approx) == len(totals) == len(seconds) * first
     gap = max(abs(Fraction(a) - Fraction(int(t), stage["scale"]))
               for a, t in zip(approx.tolist(), totals.tolist()))
     assert gap <= stage["err"] < 1e-12
+
+
+def _moved(table, order):
+    """table with the copies of its outcome strings reordered: copy order[c] becomes copy c."""
+    m = len(order)
+    return tuple(
+        table[sum((s >> (m - 1 - order[c]) & 1) << (m - 1 - c) for c in range(m))]
+        for s in range(1 << m)
+    )
+
+
+def _symmetry_cases():
+    """(replay, n) for 10 seeded bipartite boxes with nontrivial marginals and 10 XOR games."""
+    rng = np.random.default_rng(18)
+    cases = []
+    while len(cases) < 10:
+        params = random_symmetric_params(rng)
+        if min(abs(params[0]), abs(params[1])) > 0.05:
+            box = box_from_correlators(symmetric_box(*params))
+            cases.append((lambda t, m, b=box: chsh_value_of_box(
+                apply_nonadaptive(b, NonAdaptiveProtocol(2, m, t))), 2))
+    for _ in range(10):
+        game = XorGame(3, tuple(int(f) for f in rng.integers(0, 2, 8)))
+        box = MultipartiteXorBox(game, tuple(rng.uniform(-1, 1, 8)))
+        cases.append((lambda t, m, b=box: simulate_nonadaptive_xor(b, t, m)[0], 3))
+    return cases, rng
+
+
+def test_value_is_invariant_under_the_search_quotient_group():
+    # the orbit quotient of the float pass is exact only if these hold on every box
+    cases, rng = _symmetry_cases()
+    moved_a0 = []
+    for (replay, n), m in itertools.product(cases, (2, 3)):
+        size = 1 << m
+        tables = tuple(tuple(tuple(int(b) for b in rng.integers(0, 2, size)) for _ in range(2))
+                       for _ in range(n))
+        value = replay(tables, m)
+        for order in itertools.permutations(range(m)):
+            permuted = tuple(tuple(_moved(t, order) for t in pair) for pair in tables)
+            assert abs(replay(permuted, m) - value) <= 1e-12
+        flip = lambda pair: tuple(tuple(1 - b for b in t) for t in pair)  # noqa: E731
+        for j in range(n - 1):
+            flipped = tuple(
+                flip(pair) if k in (j, n - 1) else pair for k, pair in enumerate(tables)
+            )
+            assert abs(replay(flipped, m) - value) <= 1e-12
+        if n == 2:
+            only_a0 = ((flip(tables[0])[0], tables[0][1]), tables[1])
+            moved_a0.append(abs(replay(only_a0, m) - value))
+    # a wider group would not be: one of A's tables alone moves the value
+    assert max(moved_a0) > 1e-6
+
+
+def test_orbit_representatives_under_copy_permutation_and_complement():
+    counts = []
+    for m in (1, 2, 3):
+        moved, reps = search_module._copy_symmetry(m)
+        size = 1 << m
+        as_tables = [tuple(t >> s & 1 for s in range(size)) for t in range(1 << size)]
+        expected = {tuple(sum(b << s for s, b in enumerate(_moved(t, order))) for t in as_tables)
+                    for order in itertools.permutations(range(m))}
+        assert set(map(tuple, moved.tolist())) == expected
+        counts.append(len(reps))
+    assert counts == [2, 6, 40]
