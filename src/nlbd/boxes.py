@@ -71,18 +71,6 @@ class CorrelatorForm:
         """The eight fields by name, in CORRELATOR_FIELDS order."""
         return {name: getattr(self, name) for name in CORRELATOR_FIELDS}
 
-    def marginals_a(self) -> np.ndarray:
-        """Alice's marginal bias per input x, shape (2,)."""
-        return np.array([self.alpha, self.beta], dtype=float)
-
-    def marginals_b(self) -> np.ndarray:
-        """Bob's marginal bias per input y, shape (2,)."""
-        return np.array([self.gamma, self.omega], dtype=float)
-
-    def correlators(self) -> np.ndarray:
-        """Correlators per joint input in INPUT_ORDER, shape (4,)."""
-        return np.array([self.d1, self.d2, self.d3, self.eps], dtype=float)
-
 
 # The field names in declaration order: the order of the positional
 # constructor, of as_dict, and of every file and printout that lists them.
@@ -141,21 +129,22 @@ _SIGN_B = np.array([+1, -1, +1, -1], dtype=float)
 _SIGN_AB = _SIGN_A * _SIGN_B
 # Output-marginal indicators: p[xy] @ _MARGINALS = (p(a=0), p(a=1), p(b=0), p(b=1)).
 _MARGINALS = np.stack([1 + _SIGN_A, 1 - _SIGN_A, 1 + _SIGN_B, 1 - _SIGN_B], axis=1) / 2
+# No-signalling pairs: marginal[xy, c] must equal marginal[_PARTNER[xy, c], c].
+_PARTNER, _COLUMN = np.array([[1, 1, 2, 2], [0, 0, 3, 3], [3, 3, 0, 0], [2, 2, 1, 1]]), np.arange(4)
+# The constraints of validate_box, in report order.
+_CHECKS = ("negativity", "normalization", "no-signalling-to-alice", "no-signalling-to-bob")
+
+
+def boxes_from_fields(fields: np.ndarray) -> np.ndarray:
+    """Probabilities p[..., 4, 4] of correlator fields[..., 8]; total, callers validate."""
+    # per joint input xy: Alice's bias on x, Bob's on y, the correlator on xy
+    ea, eb, exy = (fields[..., i, None] for i in ([0, 0, 1, 1], [2, 3, 2, 3], slice(4, 8)))
+    return (1.0 + _SIGN_A * ea + _SIGN_B * eb + _SIGN_AB * exy) / 4.0
 
 
 def box_from_correlators(c: CorrelatorForm) -> BipartiteBox:
-    """Build the box induced by a correlator form via the exact decomposition.
-
-    Total: the result may have negative entries; callers validate.
-    """
-    ea = c.marginals_a()  # indexed by x
-    eb = c.marginals_b()  # indexed by y
-    exy = c.correlators()  # indexed by joint input
-    p = np.empty((4, 4))
-    for row in range(4):
-        x, y = row >> 1, row & 1
-        p[row] = (1.0 + _SIGN_A * ea[x] + _SIGN_B * eb[y] + _SIGN_AB * exy[row]) / 4.0
-    return BipartiteBox(p)
+    """Build the box induced by a correlator form via the exact decomposition."""
+    return BipartiteBox(boxes_from_fields(np.array(list(c.as_dict().values()), dtype=float)))
 
 
 def correlators_from_box(b: BipartiteBox) -> CorrelatorForm:
@@ -179,36 +168,35 @@ def correlators_from_box(b: BipartiteBox) -> CorrelatorForm:
     return CorrelatorForm(*(float(min(1.0, max(-1.0, v))) for v in ea + eb + exy))
 
 
+def box_breaches(p: np.ndarray) -> np.ndarray:
+    """Worst breach of each constraint of validate_box, p[..., 4, 4] -> [..., 4].
+
+    No-signalling: each player's output marginal is independent of the
+    other player's input. A nan entry gives nan breaches.
+    """
+    marginal = p @ _MARGINALS  # [..., xy, (a=0, a=1, b=0, b=1)]
+    out = np.empty(p.shape[:-2] + (len(_CHECKS),))
+    out[..., 0] = -p.min(axis=(-2, -1))
+    out[..., 1] = np.abs(p.sum(axis=-1) - 1.0).max(axis=-1)
+    drift = np.abs(marginal - marginal[..., _PARTNER, _COLUMN])
+    out[..., 2:] = drift.reshape(*p.shape[:-2], 4, 2, 2).max(axis=(-3, -1))  # Alice's, Bob's
+    return out
+
+
+def _violations(breaches: np.ndarray) -> tuple[tuple[str, float], ...]:
+    # written as `not <=` so that a nan breach fails its check
+    return tuple((n, v) for n, v in zip(_CHECKS, breaches.tolist()) if not v <= VALIDITY_TOL)
+
+
 def validate_box(b: BipartiteBox) -> ValidationReport:
     """Report every violated box constraint with its magnitude.
 
     Checks, in order: entrywise nonnegativity (>= -VALIDITY_TOL), row
     normalization (sum 1 within VALIDITY_TOL), and no-signalling in both
-    directions (each player's output marginal independent of the other
-    player's input, within VALIDITY_TOL).
+    directions (within VALIDITY_TOL); see box_breaches.
     """
-    p = b.p
-    violations: list[tuple[str, float]] = []
-
-    # written as `not <=` so that a nan entry fails every check
-    neg = float(-(p.min()))
-    if not neg <= VALIDITY_TOL:
-        violations.append(("negativity", neg))
-
-    norm = float(np.abs(p.sum(axis=1) - 1.0).max())
-    if not norm <= VALIDITY_TOL:
-        violations.append(("normalization", norm))
-
-    # Alice's marginal p(a|xy) must not depend on y, Bob's p(b|xy) not on x.
-    marginal = p @ _MARGINALS  # [xy, (a=0, a=1, b=0, b=1)]
-    sig_a = float(np.abs(marginal[0::2, :2] - marginal[1::2, :2]).max())
-    if not sig_a <= VALIDITY_TOL:
-        violations.append(("no-signalling-to-alice", sig_a))
-    sig_b = float(np.abs(marginal[:2, 2:] - marginal[2:, 2:]).max())
-    if not sig_b <= VALIDITY_TOL:
-        violations.append(("no-signalling-to-bob", sig_b))
-
-    return ValidationReport(valid=not violations, violations=tuple(violations))
+    violations = _violations(box_breaches(b.p))
+    return ValidationReport(valid=not violations, violations=violations)
 
 
 def require_valid(
@@ -221,6 +209,15 @@ def require_valid(
     if not report.valid:
         raise error(f"{message}: {report.violations}")
     return b
+
+
+def require_valid_stack(p: np.ndarray, message: str, error: type[Exception] = InvalidBox):
+    """p if every box of p[..., 4, 4] is valid, else require_valid's error for the first."""
+    breaches = box_breaches(p).reshape(-1, len(_CHECKS))
+    passed = (breaches <= VALIDITY_TOL).all(axis=1)  # a nan breach fails
+    if not passed.all():
+        raise error(f"{message}: {_violations(breaches[~passed][0])}")
+    return p
 
 
 def chsh_value(c: CorrelatorForm) -> float:

@@ -10,7 +10,9 @@ factor, whose two-copy parity wiring reproduces the adaptive output: the
 parity wiring multiplies marginal biases exactly as it multiplies
 correlators.  A numeric certificate reports the reconstruction error at
 eleven parameter values, both for the full distribution and for the
-even-even output probabilities alone.
+even-even output probabilities alone.  Points are evaluated in one pass each:
+the adaptive output at the 3 + 11 points as one stack of boxes, each distinct
+parameter once, then the constructed pair's check and parity replay at the 11.
 
 The factorization is canonical (see factor_affine_target), so the
 constructed pair is deterministic; failures (complex roots, range
@@ -28,12 +30,16 @@ import numpy as np
 
 from .boxes import (
     CORRELATOR_FIELDS,
+    VALIDITY_TOL,
     BipartiteBox,
     CorrelatorForm,
+    box_breaches,
     box_from_correlators,
+    boxes_from_fields,
     correlators_from_box,
     make_named_box,
     require_valid,
+    require_valid_stack,
 )
 from .errors import (
     InvalidConstructedBox,
@@ -43,9 +49,9 @@ from .errors import (
 )
 from .wirings import (
     AdaptiveTwoCopyProtocol,
-    apply_adaptive,
-    apply_nonadaptive,
     parity_protocol,
+    wire_adaptive,
+    wire_nonadaptive,
 )
 
 __all__ = [
@@ -216,11 +222,6 @@ def affine_factorize(q: DeltaPolynomial) -> tuple[AffineFactor, ...]:
     return factor_affine_target(_even_output_target(q))
 
 
-def _adaptive_output(proto: AdaptiveTwoCopyProtocol, delta: float) -> BipartiteBox:
-    box = box_from_correlators(make_named_box("isotropic", delta=delta))
-    return apply_adaptive(box, box, proto)
-
-
 def _clip_entry(value: float) -> float:
     if not abs(value) <= 1.0 + 1e-6:  # also catches nan
         raise InvalidConstructedBox(f"affine entry {value:.6g} leaves [-1, 1]")
@@ -292,11 +293,16 @@ def build_equivalent_boxes(proto: AdaptiveTwoCopyProtocol) -> EquivalenceResult:
     split into bounded affine factors, InvalidConstructedBox when the factor
     assignment fails box validation at some certificate point.
     """
-    forms = [correlators_from_box(_adaptive_output(proto, d)) for d in SAMPLE_DELTAS]
-    targets = tuple(
-        _quadratic_through(*(getattr(form, name) for form in forms))
-        for name in CORRELATOR_FIELDS
-    )
+    # the adaptive output at every sample and certificate point: one stack, each delta once
+    deltas = sorted(set(SAMPLE_DELTAS + CERTIFICATE_DELTAS))
+    unit = np.array(list(make_named_box("isotropic", delta=1.0).as_dict().values()))
+    iso = boxes_from_fields(np.array(deltas)[:, None] * unit)
+    require_valid_stack(iso, "input box fails validation")
+    outputs = wire_adaptive(iso, iso, proto)
+    require_valid_stack(outputs, "adaptive wiring produced an invalid box", VerificationFailed)
+    at = lambda points: outputs[[deltas.index(d) for d in points]]  # noqa: E731
+    forms = [correlators_from_box(BipartiteBox(p)).as_dict() for p in at(SAMPLE_DELTAS)]
+    targets = tuple(_quadratic_through(*(f[name] for f in forms)) for name in CORRELATOR_FIELDS)
     split = [factor_affine_target(target) for target in targets]
     boxes = tuple(
         EquivalentBox(
@@ -307,26 +313,21 @@ def build_equivalent_boxes(proto: AdaptiveTwoCopyProtocol) -> EquivalenceResult:
         for i in (0, 1)
     )
 
-    parity = parity_protocol(2, 2)
-    max_dev = 0.0
-    p00_dev = 0.0
-    for delta in CERTIFICATE_DELTAS:
-        concrete = [
-            require_valid(
-                built.box_at(delta),
-                f"constructed box invalid at delta={delta:g}",
-                InvalidConstructedBox,
-            )
-            for built in boxes
-        ]
-        rebuilt = apply_nonadaptive(concrete, parity)
-        reference = _adaptive_output(proto, delta)
-        gap = np.abs(rebuilt.p - reference.p)
-        max_dev = max(max_dev, float(gap.max()))
-        p00_dev = max(p00_dev, float(gap[:, 0].max()))
-
+    # values[i, j]: box j's eight entries at certificate point i, each c1 * delta + c0
+    factors = np.array([(*b.marginal_a, *b.marginal_b, *b.correlator) for b in boxes])
+    values = factors[..., 0] * np.array(CERTIFICATE_DELTAS)[:, None, None] + factors[..., 1]
+    concrete = boxes_from_fields(np.clip(values, -1.0, 1.0))
+    out_of_range = ~(np.abs(values) <= 1.0 + 1e-6).all(-1)  # also catches nan
+    failed = out_of_range | ~(box_breaches(concrete) <= VALIDITY_TOL).all(-1)
+    if failed.any():  # the per-box path raises the per-delta loop's first failure
+        i, j = divmod(int(failed.argmax()), 2)  # earliest delta, then box1 before box2
+        message = f"constructed box invalid at delta={CERTIFICATE_DELTAS[i]:g}"
+        require_valid(boxes[j].box_at(CERTIFICATE_DELTAS[i]), message, InvalidConstructedBox)
+    rebuilt = wire_nonadaptive([concrete[:, 0], concrete[:, 1]], parity_protocol(2, 2))
+    require_valid_stack(rebuilt, "non-adaptive wiring produced an invalid box", VerificationFailed)
+    gap = np.abs(rebuilt - at(CERTIFICATE_DELTAS))
     return EquivalenceResult(
         boxes=boxes,
         targets=targets,
-        certificate=EquivalenceCertificate(max_dev, p00_dev),
+        certificate=EquivalenceCertificate(float(gap.max()), float(gap[..., 0].max())),
     )

@@ -71,8 +71,10 @@ from .boxes import (
     VALIDITY_TOL,
     BipartiteBox,
     box_from_correlators,
+    boxes_from_fields,
     chsh_value_of_box,
     require_valid,
+    require_valid_stack,
 )
 from .errors import BudgetExceeded, UnknownKind, VerificationFailed
 from .wirings import (
@@ -86,6 +88,7 @@ from .wirings import (
     pack_adaptive_player,
     parity_protocol,
     symmetric_box,
+    wire_nonadaptive,
 )
 from .xorboxes import MultipartiteXorBox, simulate_nonadaptive_xor
 
@@ -791,16 +794,25 @@ def reproduce_tables(which: int, audit_adaptive: bool = False) -> TableReport:
             search_cache[key] = adaptive_search_max(box).best_value
         return search_cache[key]
 
-    for i, row in enumerate(printed_rows):
-        rec = dict(zip(columns, row))
+    records = [dict(zip(columns, row)) for row in printed_rows]
+    distilled = {}
+    if "alpha" in columns:  # every row's box, wired by PARITY and by OR as one stack each
+        params = [[float(rec[k]) for k in ("alpha", "alpha", "delta", "eps")] for rec in records]
+        fields = np.array([list(symmetric_box(*a).as_dict().values()) for a in params])
+        p = require_valid_stack(boxes_from_fields(fields), "input box fails validation")
+        message = "non-adaptive wiring produced an invalid box"
+        for column, proto in (("V_parity", parity_protocol(2, 2)), ("V_OR", or_protocol())):
+            out = wire_nonadaptive([p] * proto.m, proto)
+            require_valid_stack(out, message, VerificationFailed)
+            distilled[column] = [chsh_value_of_box(BipartiteBox(q)) for q in out]
+
+    for i, rec in enumerate(records):
         delta, eps = float(rec["delta"]), float(rec["eps"])
         computed = {"V": 3 * delta - eps}
         if "alpha" in rec:
             alpha = float(rec["alpha"])
             combination = -2 * alpha
-            box = box_from_correlators(symmetric_box(alpha, alpha, delta, eps))
-            computed["V_parity"] = chsh_value_of_box(apply_nonadaptive(box, parity_protocol(2, 2)))
-            computed["V_OR"] = chsh_value_of_box(apply_nonadaptive(box, or_protocol()))
+            computed.update((column, values[i]) for column, values in distilled.items())
         else:
             alpha = 0.0
             combination = float(rec["b"]) - float(rec["a"]) + 2.0 * float(rec["d"])

@@ -18,11 +18,12 @@ behavior ``u | F(o2=0) << 1 | F(o2=1) << 2`` (box-2 input u, output map F),
 and pack_adaptive_player lays the four behaviors out in those 12 bits.
 
 Application is by exact summation over every intermediate outcome, so the
-results are oracle-grade: apply_nonadaptive takes the sum over all 4^m joint
-outcomes per input copy by copy, in O(m 2^m) operations, and apply_adaptive
-sums the 16 intermediate outcome combinations. Both check that the output
-passes box validation (local wirings cannot create signalling) and raise
-VerificationFailed if it does not.
+results are oracle-grade. Two kernels wire stacks p[..., 4, 4] of boxes in
+one pass: wire_nonadaptive sums all 4^m joint outcomes per input copy by
+copy, in O(m 2^m) operations, and wire_adaptive adds each output cell's 16
+products in a fixed order. apply_nonadaptive and apply_adaptive pass them a
+stack of one, validate each distinct input box, and raise VerificationFailed
+if the output fails box validation (local wirings cannot create signalling).
 
 Two closed forms give protocol values on the symmetric family without
 wiring a box: or_value(alpha, beta, delta, eps) for the two-copy OR
@@ -179,43 +180,69 @@ def bs_wiring() -> AdaptiveTwoCopyProtocol:
     return AdaptiveTwoCopyProtocol(and_b2, xor_out, and_b2, xor_out)
 
 
+def wire_nonadaptive(ps: Sequence[np.ndarray], proto: NonAdaptiveProtocol) -> np.ndarray:
+    """The non-adaptive wiring of m stacks of boxes p_c[..., 4, 4], unvalidated.
+
+    Per input, each copy's 2x2 outcome matrix turns one of Bob's outcome bits
+    into Alice's; Alice's output indicator closes the sum, in O(m 2^m).
+    """
+    # indicator[v, o, s] = 1 where the player's output on input v, string s is o
+    g, h = (np.array(proto.tables[j], dtype=float) for j in (0, 1))
+    ind_a, ind_b = np.stack([1.0 - g, g], axis=1), np.stack([1.0 - h, h], axis=1)
+    # t[..., xy, b, s] over Bob's strings s (its last two axes read as one); copy
+    # by copy, the leading bit b_c is summed against p_c(a_c b_c | xy) and a_c
+    # appended as the last bit, so s ends as Alice's string, first copy first.
+    t = ind_b[[0, 1, 0, 1], ..., None]
+    for p in ps:
+        q = p.reshape(*p.shape[:-1], 2, 2)  # [..., xy, a_c, b_c]
+        t = np.einsum("...nkbr,...nab->...nkra", t.reshape(*t.shape[:-2], 2, -1), q)
+    out = np.einsum("nas,...nbs->...nab", ind_a[[0, 0, 1, 1]], t.reshape(*t.shape[:-2], -1))
+    return out.reshape(*out.shape[:-2], 4)
+
+
 def apply_nonadaptive(
     boxes: "BipartiteBox | Sequence[BipartiteBox]",
     proto: NonAdaptiveProtocol,
 ) -> BipartiteBox:
     """Wire m (not necessarily identical) bipartite boxes non-adaptively.
 
-    Every copy is queried with the original input pair. The output is the
-    exact sum over all 4^m joint outcomes, taken copy by copy: per input,
-    each copy's 2x2 outcome matrix turns one of Bob's outcome bits into
-    Alice's, and Alice's output indicator closes the sum, in O(m 2^m).
+    Every copy is queried with the original input pair; the output is
+    wire_nonadaptive's exact sum over all 4^m joint outcomes.
     """
     if proto.n != 2:
         raise ArityMismatch("bipartite wiring needs an n=2 protocol")
-    if isinstance(boxes, BipartiteBox):
-        box_list = [boxes] * proto.m
-    else:
-        box_list = list(boxes)
+    box_list = [boxes] * proto.m if isinstance(boxes, BipartiteBox) else list(boxes)
     if len(box_list) != proto.m:
         raise ArityMismatch(f"protocol expects {proto.m} boxes, got {len(box_list)}")
     for b in {id(b): b for b in box_list}.values():
         require_valid(b, "input box fails validation")
-
-    # indicator[v, o, s] = 1 where the player's output on input v, string s is o
-    g, h = (np.array(proto.tables[j], dtype=float) for j in (0, 1))
-    ind_a, ind_b = np.stack([1.0 - g, g], axis=1), np.stack([1.0 - h, h], axis=1)
-    # t[xy, b, s] over Bob's strings s; copy by copy, the leading outcome bit
-    # b_c is summed against p_c(a_c b_c | xy) and a_c appended as the last bit,
-    # so after m copies s reads Alice's string, first copy most significant.
-    t = ind_b[[0, 1, 0, 1]]
-    for b in box_list:
-        t = np.einsum("nkbr,nab->nkra", t.reshape(4, 2, 2, -1), b.p.reshape(4, 2, 2))
-    out = np.einsum("nas,nbs->nab", ind_a[[0, 0, 1, 1]], t.reshape(4, 2, -1)).reshape(4, 4)
     return require_valid(
-        BipartiteBox(out),
+        BipartiteBox(wire_nonadaptive([b.p for b in box_list], proto)),
         "non-adaptive wiring produced an invalid box",
         VerificationFailed,
     )
+
+
+# wire_adaptive's 64 terms (xy, a1, b1, a2, b2) in summation order: the box-1
+# entry each reads, and its bits of box2map_a, outmap_a, box2map_b, outmap_b.
+_ROW, _A1, _B1, _A2, _B2 = np.indices((4, 2, 2, 2, 2)).reshape(5, -1)
+_FIRST, _SECOND, _X, _Y = _ROW * 4 + (_A1 << 1 | _B1), _A2 << 1 | _B2, _ROW >> 1, _ROW & 1
+_MAPS = np.stack([_X * 2 + _A1, 4 + _X * 4 + _A1 * 2 + _A2,  # box2map_a, outmap_a
+                  12 + _Y * 2 + _B1, 16 + _Y * 4 + _B1 * 2 + _B2])  # box2map_b, outmap_b
+
+
+def wire_adaptive(p1: np.ndarray, p2: np.ndarray, proto: AdaptiveTwoCopyProtocol) -> np.ndarray:
+    """The adaptive wiring of two stacks p1, p2 of one shape [..., 4, 4], unvalidated.
+
+    Each output cell adds its products p1 * p2 in (a1, b1, a2, b2) order.
+    """
+    bits = proto.box2map_a + proto.outmap_a + proto.box2map_b + proto.outmap_b
+    u, f, v, g = np.array(bits)[_MAPS]
+    flat1, flat2 = p1.reshape(-1, 16), p2.reshape(-1, 16)
+    out = np.zeros_like(flat1)
+    terms = flat1[:, _FIRST] * flat2[:, (u << 1 | v) * 4 + _SECOND]
+    np.add.at(out, (slice(None), _ROW * 4 + (f << 1 | g)), terms)
+    return out.reshape(p1.shape)
 
 
 def apply_adaptive(
@@ -224,27 +251,10 @@ def apply_adaptive(
     proto: AdaptiveTwoCopyProtocol,
 ) -> BipartiteBox:
     """Wire two boxes adaptively, summing the 16 intermediate outcomes exactly."""
-    for b in (box1, box2):
+    for b in {id(b): b for b in (box1, box2)}.values():
         require_valid(b, "input box fails validation")
-    out = np.zeros((4, 4))
-    for row in range(4):
-        x, y = row >> 1, row & 1
-        for a1 in (0, 1):
-            for b1 in (0, 1):
-                w1 = box1.p[row, (a1 << 1) | b1]
-                if w1 == 0.0:
-                    continue
-                u = proto.box2map_a[x * 2 + a1]
-                v = proto.box2map_b[y * 2 + b1]
-                row2 = (u << 1) | v
-                for a2 in (0, 1):
-                    for b2 in (0, 1):
-                        w2 = box2.p[row2, (a2 << 1) | b2]
-                        a = proto.outmap_a[x * 4 + a1 * 2 + a2]
-                        b = proto.outmap_b[y * 4 + b1 * 2 + b2]
-                        out[row, (a << 1) | b] += w1 * w2
     return require_valid(
-        BipartiteBox(out),
+        BipartiteBox(wire_adaptive(box1.p, box2.p, proto)),
         "adaptive wiring produced an invalid box",
         VerificationFailed,
     )

@@ -295,6 +295,29 @@ def test_search_adaptive_output(boxdir, capsys):
     ]
 
 
+NEAR_LOCAL_TEXT = (
+    "kind=matrix\nrow00=1.0000000005,-2.5e-10,-2.5e-10,0\n"
+    "row01=1,0,0,0\nrow10=1,0,0,0\nrow11=1,0,0,0\n"
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="validate accepts the near-local box, but the search weighs its raw entries "
+    "(E00 = 1 + 1e-9) while the replay reads the clipped correlators (E00 = 1), so "
+    "search exits 1 with VerificationFailed (ROADMAP item 2)",
+)
+def test_near_local_box_searches_in_every_class(boxdir, capsys):
+    path = boxdir / "near_local.box"
+    path.write_text(NEAR_LOCAL_TEXT, encoding="utf-8")
+    assert run(capsys, "validate", path) == (0, "valid box: CHSH value 2\n", "")
+    for argv in (("--class", "nonadaptive", "--m", 1), ("--class", "adaptive")):
+        code, out, err = run(capsys, "search", *argv, path)
+        assert (code, err) == (0, "")
+        assert "best_value=2" in out.splitlines()
+
+
 def test_search_thread_count_never_changes_output(boxdir, capsys, monkeypatch):
     argv = ("search", "--class", "nonadaptive", "--m", 3, boxdir / "correlated.box")
     baseline = run(capsys, *argv)

@@ -14,9 +14,12 @@ from nlbd.boxes import (
     box_from_correlators,
     correlators_from_box,
     make_named_box,
+    require_valid,
     validate_box,
 )
 from nlbd.equivalence import (
+    CERTIFICATE_DELTAS,
+    SAMPLE_DELTAS,
     AffineFactor,
     DeltaPolynomial,
     affine_factorize,
@@ -332,11 +335,96 @@ def test_non_finite_parameter_is_rejected(delta):
 
 
 def test_construction_samples_each_output_once(monkeypatch):
-    calls = []
-    real = nlbd.equivalence.apply_adaptive
+    # One adaptive pass over a stack of isotropic boxes that holds every one
+    # of the 3 + 11 points, each distinct delta once (the interpolation nodes
+    # are certificate points too), and one parity replay over the 11 pairs.
+    adaptive, replays = [], []
+    real_adaptive = nlbd.equivalence.wire_adaptive
+    real_replay = nlbd.equivalence.wire_nonadaptive
     monkeypatch.setattr(
-        nlbd.equivalence, "apply_adaptive", lambda *args: calls.append(args) or real(*args)
+        nlbd.equivalence, "wire_adaptive",
+        lambda p1, p2, proto: adaptive.append((p1, p2)) or real_adaptive(p1, p2, proto),
+    )
+    monkeypatch.setattr(
+        nlbd.equivalence, "wire_nonadaptive",
+        lambda ps, proto: replays.append(ps) or real_replay(ps, proto),
     )
     build_equivalent_boxes(bs_wiring())
-    # three interpolation nodes plus the eleven certificate points
-    assert len(calls) == 3 + 11
+    assert len(adaptive) == 1
+    first, second = adaptive[0]
+    assert np.array_equal(first, second)
+    evaluated = [p.tobytes() for p in first]
+    assert len(set(evaluated)) == len(evaluated) == 11
+    points = SAMPLE_DELTAS + CERTIFICATE_DELTAS
+    assert len(points) == 14
+    assert set(evaluated) == {one_parameter_box(delta).p.tobytes() for delta in points}
+    assert len(replays) == 1 and [p.shape for p in replays[0]] == [(11, 4, 4)] * 2
+
+
+@pytest.mark.parametrize(
+    "encoding, message",
+    [
+        (0x0C5C7F, "constructed box invalid at delta=0: (('negativity', 0.10355339059327379),)"),
+        (0x0925E4, "constructed box invalid at delta=0.5: (('negativity', 0.01516504294495534),)"),
+        (0xF4BEA9, "constructed box invalid at delta=0.2: (('negativity', 0.003553390593273781),)"),
+    ],
+)
+def test_first_invalid_point_message_is_pinned(encoding, message):
+    with pytest.raises(InvalidConstructedBox) as raised:
+        build_equivalent_boxes(AdaptiveTwoCopyProtocol.decode(encoding))
+    assert str(raised.value) == message
+
+
+def per_point_first_failure(pair):
+    """The first failure of a point-by-point check: each delta, box1 then box2."""
+    for delta in CERTIFICATE_DELTAS:
+        for built in pair:
+            try:
+                require_valid(
+                    built.box_at(delta),
+                    f"constructed box invalid at delta={delta:g}",
+                    InvalidConstructedBox,
+                )
+            except InvalidConstructedBox as error:
+                return str(error)
+    return None
+
+
+def test_stacked_checks_raise_the_point_by_point_first_failure(monkeypatch):
+    # Perturbed factors put entries out of range and boxes out of validity at
+    # assorted points; the construction must name the same first failure as a
+    # check that walks the points in order, range before validity.
+    rng = random.Random(1905)
+    splits, shifts = [], []
+    real = nlbd.equivalence.factor_affine_target
+
+    def perturbed(target):
+        shift = lambda: rng.choice(shifts)  # noqa: E731
+        factors = tuple(AffineFactor(f.c1 + shift(), f.c0 + shift()) for f in real(target))
+        splits.append(factors)
+        return factors
+
+    monkeypatch.setattr(nlbd.equivalence, "factor_affine_target", perturbed)
+    succeeding = [bs_wiring().encode(), 0xA6A3A4, 0x000000]
+    kinds = {"range": 0, "validity": 0, "none": 0}
+    for trial in range(150):
+        splits.clear()
+        # a third of the trials keep the factors of a succeeding wiring
+        shifts[:] = (0.0,) if trial % 3 == 0 else (0.0,) * 8 + (0.3, -0.45, 1.2)
+        encoding = succeeding[trial % 9 // 3] if trial % 3 == 0 else rng.getrandbits(24)
+        try:
+            build_equivalent_boxes(AdaptiveTwoCopyProtocol.decode(encoding))
+            got = None
+        except InvalidConstructedBox as error:
+            got = str(error)
+        pair = tuple(
+            nlbd.equivalence.EquivalentBox(
+                marginal_a=(splits[0][i], splits[1][i]),
+                marginal_b=(splits[2][i], splits[3][i]),
+                correlator=tuple(pair[i] for pair in splits[4:]),
+            )
+            for i in (0, 1)
+        )
+        assert got == per_point_first_failure(pair)
+        kinds["none" if got is None else "range" if "leaves" in got else "validity"] += 1
+    assert min(kinds.values()) > 0, kinds

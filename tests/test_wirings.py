@@ -8,13 +8,17 @@ import pytest
 from nlbd.boxes import (
     BipartiteBox,
     CorrelatorForm,
+    box_breaches,
     box_from_correlators,
+    boxes_from_fields,
     chsh_value_of_box,
     correlators_from_box,
     make_named_box,
+    require_valid_stack,
+    validate_box,
 )
 import nlbd.wirings
-from nlbd.errors import ArityMismatch, FormatError, InvalidBox
+from nlbd.errors import ArityMismatch, FormatError, InvalidBox, VerificationFailed
 from nlbd.search import reproduce_tables
 from nlbd.wirings import (
     AdaptiveTwoCopyProtocol,
@@ -30,6 +34,8 @@ from nlbd.wirings import (
     parity_as_adaptive,
     parity_protocol,
     symmetric_box,
+    wire_adaptive,
+    wire_nonadaptive,
 )
 from nlbd.xorboxes import MultipartiteXorBox, XorGame, simulate_nonadaptive_xor
 
@@ -317,6 +323,131 @@ def test_adaptive_output_is_valid_box():
         proto = AdaptiveTwoCopyProtocol.decode(packed)
         result = apply_adaptive(box1, box2, proto)  # assertion inside
         assert np.all(result.p >= -1e-15)
+
+
+def reference_adaptive(box1, box2, proto):
+    """Adaptive distillate, one intermediate outcome (a1, b1, a2, b2) at a time.
+
+    Each output cell adds its products in loop order, the order the library
+    kernel must keep for its bytes to match.
+    """
+    out = np.zeros((4, 4))
+    for row in range(4):
+        x, y = row >> 1, row & 1
+        for a1 in (0, 1):
+            for b1 in (0, 1):
+                w1 = box1.p[row, (a1 << 1) | b1]
+                if w1 == 0.0:
+                    continue
+                u = proto.box2map_a[x * 2 + a1]
+                v = proto.box2map_b[y * 2 + b1]
+                row2 = (u << 1) | v
+                for a2 in (0, 1):
+                    for b2 in (0, 1):
+                        w2 = box2.p[row2, (a2 << 1) | b2]
+                        a = proto.outmap_a[x * 4 + a1 * 2 + a2]
+                        b = proto.outmap_b[y * 4 + b1 * 2 + b2]
+                        out[row, (a << 1) | b] += w1 * w2
+    return out
+
+
+def kernel_pool(rng):
+    """Valid boxes for the kernel tests: random forms, the PR box, a deterministic box."""
+    pool = [box_from_correlators(form) for form in random_valid_forms(rng, 24)]
+    pool.append(box_from_correlators(make_named_box("isotropic", delta=1.0)))
+    pool.append(box_from_correlators(make_named_box("correlated", alpha=1.0, eps=1.0)))
+    return pool
+
+
+def test_adaptive_kernel_is_bit_identical_to_the_loop():
+    rng = np.random.default_rng(1901)
+    pool = kernel_pool(rng)
+    encodings = [0, 0xFFFFFF, bs_wiring().encode(), identity_wiring().encode()]
+    encodings += [int(e) for e in rng.integers(0, 1 << 24, size=300)]
+    for packed in encodings:
+        proto = AdaptiveTwoCopyProtocol.decode(packed)
+        first, second = (pool[int(i)] for i in rng.integers(0, len(pool), size=2))
+        expect = reference_adaptive(first, second, proto)
+        assert apply_adaptive(first, second, proto).p.tobytes() == expect.tobytes()
+    # a stack with two leading axes: every box equals its own single call
+    proto = AdaptiveTwoCopyProtocol.decode(0xA6A3A4)
+    ones, twos = (np.stack([pool[i].p for i in order]).reshape(2, 3, 4, 4)
+                  for order in (range(6), range(6, 12)))
+    stacked = wire_adaptive(ones, twos, proto)
+    for i, j in itertools.product(range(2), range(3)):
+        expect = reference_adaptive(BipartiteBox(ones[i, j]), BipartiteBox(twos[i, j]), proto)
+        assert stacked[i, j].tobytes() == expect.tobytes()
+
+
+def test_nonadaptive_kernel_stack_matches_single_calls():
+    rng = np.random.default_rng(1902)
+    pool = kernel_pool(rng)
+    for m in range(1, 11):
+        # parity and two seeded tables: 4 << m table bits are 1 << (m - 1) bytes
+        protos = [parity_protocol(2, m)] + [
+            NonAdaptiveProtocol.decode(2, m, int.from_bytes(rng.bytes(1 << (m - 1)), "little"))
+            for _ in range(2)
+        ]
+        if m == 2:
+            protos.append(or_protocol())
+        for proto in protos:
+            picks = rng.integers(0, len(pool), size=(5, m))
+            stacks = [np.stack([pool[i].p for i in picks[:, c]]) for c in range(m)]
+            stacked = wire_nonadaptive(stacks, proto)
+            assert stacked.shape == (5, 4, 4)
+            for k, row in enumerate(picks):
+                single = apply_nonadaptive([pool[i] for i in row], proto)
+                assert stacked[k].tobytes() == single.p.tobytes()
+
+
+def test_validity_of_a_stack_equals_the_per_box_reports():
+    uniform = np.full((4, 4), 0.25)
+    broken = [uniform.copy() for _ in range(6)]
+    broken[0][1, 2] = np.nan  # nan entry
+    broken[1][0] = [0.5, 0.5, 0.25, -0.25]  # negative entry
+    broken[2][3] = [0.3, 0.3, 0.3, 0.3]  # row sums to 1.2
+    broken[3][1] = [1.0, 0.0, 0.0, 0.0]  # Alice's marginal on x=0 depends on y
+    broken[4][2] = [0.25 + 1e-10, 0.25, 0.25, 0.25 - 1e-10]  # inside the tolerance
+    rng = np.random.default_rng(1903)
+    valid = [box_from_correlators(form).p for form in random_valid_forms(rng, 4)]
+    stack = np.stack(broken + valid)
+    reports = [validate_box(BipartiteBox(p)) for p in stack]
+    assert [r.valid for r in reports] == [False] * 4 + [True] * 6
+    breaches = box_breaches(stack.reshape(2, 5, 4, 4)).reshape(10, 4)
+    for p, row in zip(stack, breaches):
+        assert row.tobytes() == box_breaches(p).tobytes()
+    # the stack raises the first invalid box's report, as require_valid would
+    for first in range(4):
+        with pytest.raises(VerificationFailed) as raised:
+            require_valid_stack(stack[first:], "wiring", VerificationFailed)
+        assert str(raised.value) == f"wiring: {reports[first].violations}"
+    passing = stack[4:]
+    assert require_valid_stack(passing, "unused") is passing
+
+
+def test_fields_kernel_matches_single_boxes():
+    rng = np.random.default_rng(1904)
+    fields = rng.uniform(-1.0, 1.0, size=(3, 50, 8))
+    stacked = boxes_from_fields(fields)
+    for form_fields, p in zip(fields.reshape(-1, 8), stacked.reshape(-1, 4, 4)):
+        assert box_from_correlators(CorrelatorForm(*form_fields)).p.tobytes() == p.tobytes()
+
+
+def test_apply_adaptive_validates_each_distinct_box_once(monkeypatch):
+    calls = []
+    real = nlbd.wirings.require_valid
+    monkeypatch.setattr(
+        nlbd.wirings,
+        "require_valid",
+        lambda b, *args, **kw: calls.append(id(b)) or real(b, *args, **kw),
+    )
+    box = box_from_correlators(make_named_box("isotropic", delta=0.7))
+    other = box_from_correlators(make_named_box("isotropic", delta=0.9))
+    result = apply_adaptive(box, box, bs_wiring())
+    assert calls == [id(box), id(result)]
+    calls.clear()
+    result = apply_adaptive(box, other, bs_wiring())
+    assert calls == [id(box), id(other), id(result)]
 
 
 # --------------------------------------------------------- reference boxes
