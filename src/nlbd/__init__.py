@@ -79,6 +79,7 @@ from .search import (
     SearchResult,
     TableReport,
     adaptive_search_max,
+    adaptive_search_stack,
     enumerate_nonadaptive_max,
     format_table_report,
     region_scan,
@@ -138,6 +139,7 @@ __all__ = [
     "VerificationFailed",
     "XorGame",
     "adaptive_search_max",
+    "adaptive_search_stack",
     "adaptive_value",
     "affine_factorize",
     "apply_adaptive",

@@ -225,9 +225,19 @@ def chsh_value(c: CorrelatorForm) -> float:
     return c.d1 + c.d2 + c.d3 - c.eps
 
 
+def chsh_values(p: np.ndarray) -> np.ndarray:
+    """CHSH values of boxes p[..., 4, 4] from their clipped correlators; callers validate.
+
+    Each correlator adds p[xy] @ _SIGN_AB's terms in its order, so the value
+    is chsh_value(correlators_from_box(b)) to the bit, in any dtype.
+    """
+    e = np.clip(p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], -1.0, 1.0)
+    return e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3]
+
+
 def chsh_value_of_box(b: BipartiteBox) -> float:
     """CHSH value computed from a probability box (validates first)."""
-    return chsh_value(correlators_from_box(b))
+    return float(chsh_values(require_valid(b, "cannot extract correlators").p))
 
 
 # Parameter names of each named family, and the eight fields they fill in

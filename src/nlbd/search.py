@@ -26,10 +26,16 @@ on the calling thread, one block after another.
 In the input-dependent and three-player classes the float pass's second
 axis (player A's input-1 table, or the middle player's) runs only over
 orbit representatives under copy permutation and the complement of one
-non-last player's whole output (40 of 256 tables at m = 3), and each
-candidate is expanded to its whole orbit before the exact pass. Both
+non-last player's whole output (40 of 256 tables at m = 3); in the
+adaptive class, A's input-1 branch pair runs over representatives under
+the complement of her final output on both inputs (32 of 64). Each
+candidate is expanded to its whole orbit before the exact pass. These
 symmetries fix every row's exact total, so the result, key included, is
 that of the full enumeration (see _best_response_max).
+
+adaptive_search_stack searches a stack of boxes p[n, 4, 4] in one pass of
+each kind, every row carrying its box; each result is the one that box
+alone gives, and adaptive_search_max is the stack of one.
 
 Supported sizes: m <= 3 copies throughout (the protocol count doubles per
 outcome bit; beyond three copies enumeration is out of scope), n in {2, 3}
@@ -70,9 +76,8 @@ import numpy as np
 from .boxes import (
     VALIDITY_TOL,
     BipartiteBox,
-    box_from_correlators,
     boxes_from_fields,
-    chsh_value_of_box,
+    chsh_values,
     require_valid,
     require_valid_stack,
 )
@@ -81,13 +86,13 @@ from .wirings import (
     AdaptiveTwoCopyProtocol,
     NonAdaptiveProtocol,
     adaptive_value,
-    apply_adaptive,
     apply_nonadaptive,
     or_protocol,
     or_value,
     pack_adaptive_player,
     parity_protocol,
     symmetric_box,
+    wire_adaptive,
     wire_nonadaptive,
 )
 from .xorboxes import MultipartiteXorBox, simulate_nonadaptive_xor
@@ -98,8 +103,8 @@ MAX_COPIES = 3
 
 CC_COLLAPSE_THRESHOLD = 4.0 * math.sqrt(2.0 / 3.0)
 
-# First-stage rows the float pass totals per block, in whole second-player
-# tables: the cap on the float pass's memory, set by the class alone.
+# First-stage rows per block of either pass (the float pass's in whole
+# second-player tables of every box): the cap on their memory.
 _CHUNK_ROWS = 1 << 14
 
 _CHSH_SIGNS = (1, 1, 1, -1)
@@ -192,18 +197,14 @@ def _respond(v, key):
     """The last player's best response to slot values v[branch, u, slot, row].
 
     On each branch she takes an alternative u of largest sum_slot |v|, with
-    bit s set exactly where v_s < 0. Returns her totals and a function for
-    key(beh) of her smallest behaviors beh[branch, row] = u + len(u) * bits.
+    bit s set exactly where v_s < 0. Returns her totals and key(beh) of her
+    smallest behaviors beh[branch, row] = u + len(u) * bits.
     """
     value = np.abs(v).sum(2)
     best = value.max(1)
-
-    def keys():
-        choices, slots = v.shape[1:3]
-        beh = np.arange(choices)[:, None] + choices * ((v < 0) << np.arange(slots)[:, None]).sum(2)
-        return key(np.where(value == best[:, None], beh, choices << slots).min(1))
-
-    return best.sum(0), keys
+    choices, slots = v.shape[1:3]
+    beh = np.arange(choices)[:, None] + choices * ((v < 0) << np.arange(slots)[:, None]).sum(2)
+    return best.sum(0), key(np.where(value == best[:, None], beh, choices << slots).min(1))
 
 
 def _narrowed(ints: list) -> list:
@@ -288,47 +289,53 @@ def _orbit_rows(rows, moved, flip_first: bool):
     return np.flatnonzero(hit)
 
 
-def _best_response_max(block, grid, exact_rows, scale: int, err: float, orbit=lambda rows: rows):
-    """Exact class maximum and its smallest packed key, in two passes.
+def _best_response_max(block, grid, exact_rows, scales, errs, orbit=lambda rows: rows) -> list:
+    """Exact class maximum and its smallest packed key per box of a stack, in two passes.
 
     Row r = a + b * first of grid = (seconds, first) fixes every player's
-    tables but the last's; seconds lists the b the float pass runs over.
-    Float pass: block(tables) gives the [b, a] row totals under the last
-    player's best response for b in tables, in blocks set by the grid
-    alone. Exact pass: exact_rows(rows) gives the totals of the rows near
-    the float maximum in integers (`scale` times the exact values) and a
-    function for their keys with her smallest best response.
+    tables but the last's, in box k's rows r + k * first^2; seconds lists
+    the b the float pass runs over. Float pass: block(tables) gives the
+    [(box,) b, a] row totals under the last player's best response for b in
+    tables, in blocks set by the grid and the box count. Exact pass:
+    exact_rows(rows) gives the totals of rows near their box's float
+    maximum in integers (scales[k] times box k's exact values) and their
+    keys with her smallest best response, _CHUNK_ROWS rows at a time.
+    errs[k] bounds the float error of box k's totals.
 
     Where seconds holds only orbit representatives, orbit(rows) gives the
-    whole orbits of rows under a group that fixes every row's exact total.
-    That is still exact: every exact maximiser has an image on the grid
-    with the same exact total, so within err of the float maximum and a
-    candidate; its orbit brings the maximiser back, and the exact pass
+    whole orbits of rows, ascending, under a group that fixes every row's
+    box and exact total. That is still exact: every exact maximiser has an
+    image on the grid with the same exact total, so within err of the float
+    maximum and a candidate; its orbit brings it back, and the exact pass
     takes the same maximum and the same smallest key over the same set.
     """
     seconds, first = grid
-    step = max(1, _CHUNK_ROWS // first)
+    step = max(1, _CHUNK_ROWS // (first * len(scales)))
     approx = np.concatenate(
-        [block(seconds[lo : lo + step]) for lo in range(0, len(seconds), step)], axis=None
-    )
-    top = approx.max()
+        [block(seconds[lo : lo + step]) for lo in range(0, len(seconds), step)], axis=-2
+    ).reshape(len(scales), -1)
+    top = approx.max(1)
     # every total is within err of its float value, so every exact
     # maximiser is within 2*err of the float maximum
-    near = np.flatnonzero(approx >= top - 2 * err)
-    candidates = orbit(near % first + seconds[near // first] * first)
-    totals, keys = exact_rows(candidates)
-    best = totals.max()
-    exact = Fraction(int(best), scale)
-    if not abs(exact - Fraction(top)) <= err:
-        raise VerificationFailed(
-            f"exact maximum {float(exact)!r} lies beyond {err:.3g} of the float maximum {top!r}"
-        )
-    return exact, int(keys()[totals == best].min())
+    box, near = np.nonzero(approx >= (top - 2 * np.asarray(errs))[:, None])
+    rows = orbit(near % first + (seconds[near // first] + box * first) * first)
+    chunks = np.split(rows, range(_CHUNK_ROWS, len(rows), _CHUNK_ROWS))
+    totals, keys = map(np.concatenate, zip(*map(exact_rows, chunks)))
+    starts = np.searchsorted(rows, np.arange(len(scales)) * first**2)
+    best = np.maximum.reduceat(totals, starts)
+    keys = np.minimum.reduceat(np.where(totals == best[rows // first**2], keys, 1 << 62), starts)
+    found = [(Fraction(int(b), scale), int(key)) for b, scale, key in zip(best, scales, keys)]
+    for (exact, _), t, err in zip(found, top.tolist(), errs):
+        if not abs(exact - Fraction(t)) <= err:
+            raise VerificationFailed(
+                f"exact maximum {float(exact)!r} lies beyond {err:.3g} of the float maximum {t!r}"
+            )
+    return found
 
 
 def _resimulate_nonadaptive(box, proto: NonAdaptiveProtocol) -> float:
     if isinstance(box, BipartiteBox):
-        return chsh_value_of_box(apply_nonadaptive(box, proto))
+        return float(chsh_values(apply_nonadaptive(box, proto).p))
     return simulate_nonadaptive_xor(box, proto.tables, proto.m)[0]
 
 
@@ -407,14 +414,13 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
             key = lambda t: (1 + count) * (first + (t[0] << 2 * size * (n - 1)))  # noqa: E731
             return _respond(v.T[None, None], key)
 
+    reps, orbit = np.arange(1), lambda rows: rows  # noqa: E731
     if input_dependent or n == 3:
         # the second axis (a_1, or the middle player) runs over orbit
         # representatives under copy permutation and complement
         moved, reps = _copy_symmetry(m)
         orbit = lambda rows: _orbit_rows(rows, moved, input_dependent)  # noqa: E731
-        exact, packed = _best_response_max(block, (reps, count), exact_rows, scale, err, orbit)
-    else:
-        exact, packed = _best_response_max(block, (np.arange(1), count), exact_rows, scale, err)
+    [(exact, packed)] = _best_response_max(block, (reps, count), exact_rows, [scale], [err], orbit)
     result = SearchResult(float(exact), packed, examined, class_name, n, m, exact)
     return _replayed(result, _resimulate_nonadaptive(box, NonAdaptiveProtocol.decode(n, m, packed)))
 
@@ -423,58 +429,81 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
 
 
 def _adaptive_kernels(p: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """M[key, 2y + b1, u, b2] for keys x * 64 + P_A, CHSH sign folded into x = y = 1.
+    """M[key, 2y + b1, u, b2] for keys box * 128 + x * 64 + P_A, CHSH sign folded into x = y = 1.
 
     The first copy's weight times the second copy's expected sign product,
     on player A's input x, for her branch pair P_A = beh(a1=0) * 8 +
     beh(a1=1), player B's input y and first output b1, box-2 input u and
-    box-2 output b2. A branch behavior is beh = u_A | bit(a2=0) << 1 |
-    bit(a2=1) << 2, with output sign (-1)^bit. p holds the box entries, as
-    floats or as integers.
+    box-2 output b2, in box p[box] of a stack. A branch behavior is beh =
+    u_A | bit(a2=0) << 1 | bit(a2=1) << 2, with output sign (-1)^bit. p
+    holds the box entries, as floats or as integers.
     """
-    beh = np.arange(8)
+    beh, box = np.arange(8), keys >> 7
     sign = 1 - 2 * ((beh[:, None] >> np.array([1, 2])) & 1)  # [beh, a2]
-    second = p[((beh & 1) << 1)[:, None] | np.arange(2)].reshape(8, 2, 2, 2)  # [beh, u, a2, b2]
-    g = (sign[:, None, :, None] * second).sum(2)  # [beh, u, b2]
-    halves = (g[keys >> 3 & 7], g[keys & 7])  # [key, u, b2]: P_A's behavior on a1 = 0, 1
-    signed = np.array(_CHSH_SIGNS)[:, None, None] * p.reshape(4, 2, 2)  # [2x + y, a1, b1]
-    first = signed.reshape(2, 2, 2, 2)[keys >> 6]  # [key, y, a1, b1]
+    second = p[:, ((beh & 1) << 1)[:, None] | np.arange(2)].reshape(-1, 8, 2, 2, 2)
+    g = (sign[:, None, :, None] * second).sum(3)  # [box, beh, u, b2]
+    halves = (g[box, keys >> 3 & 7], g[box, keys & 7])  # [key, u, b2]: P_A's behavior on a1 = 0, 1
+    signed = np.array(_CHSH_SIGNS)[:, None, None] * p.reshape(-1, 4, 2, 2)  # [box, 2x + y, a1, b1]
+    first = signed.reshape(-1, 2, 2, 2, 2)[box, keys >> 6 & 1]  # [key, y, a1, b1]
     kernels = sum(first[:, :, a1, :, None, None] * halves[a1][:, None, None] for a1 in (0, 1))
     return kernels.reshape(len(keys), 4, 2, 2)
 
 
-def adaptive_search_max(box: BipartiteBox) -> SearchResult:
-    """Exact maximum CHSH-style value over all adaptive two-copy wirings.
+def adaptive_search_stack(p: np.ndarray) -> list:
+    """Exact maximum CHSH-style value over all adaptive two-copy wirings, per box of p[n, 4, 4].
 
-    Both copies are `box`. A player's 12-bit block is the sum of her codes
-    on the disjoint bits {0,1,4-7} (input 0) and {2,3,8-11} (input 1). The
-    search enumerates player A's 64^2 branch pairs; player B answers each
-    in closed form, so the 4096^2 class costs 4096 rows. Ties are broken on
-    exact values, by the smallest encoding.
+    Both copies of each search are that box. A player's 12-bit block is the
+    sum of her codes on the disjoint bits {0,1,4-7} (input 0) and
+    {2,3,8-11} (input 1). The search enumerates player A's 64^2 branch
+    pairs; player B answers each in closed form, so the 4096^2 class costs
+    4096 rows. Ties are broken on exact values, by the smallest encoding.
+    The float pass takes A's input-1 pair only up to P_A ^ 54, her final
+    output complemented on both branches: with it complemented on both
+    inputs, B's best response complements too, so every row's exact total
+    is fixed. Returns one SearchResult per box.
     """
-    require_valid(box, "search input fails validation")
-    floats, ints, den = _on_one_denominator(*_binary_parts(box.p))
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 3 or p.shape[1:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 boxes, got shape {p.shape}")
+    if not len(p):
+        return []
+    require_valid_stack(p, "search input fails validation")
+    _, ints, dens = zip(*map(_on_one_denominator, *_binary_parts(p)))
+    ints = np.stack(ints)
     # per row, 16 products p1*p2 on each of the four branches
-    abs_p = np.abs(box.p)
-    err = _rounding_bound(64, 2, float(abs_p.sum() * abs_p.sum(1).max()))
-    kf = _adaptive_kernels(floats, np.arange(128)).reshape(2, 64, 4, 2, 2)
-    kf = np.moveaxis(kf, 1, -1)  # [x, branch, u, b2, P_A]
+    abs_p = np.abs(p)
+    errs = _rounding_bound(64, 2, abs_p.sum((1, 2)) * abs_p.sum(2).max(1))
+    kf = _adaptive_kernels(p, np.arange(128 * len(p))).reshape(-1, 2, 64, 4, 2, 2)
+    kf = np.ascontiguousarray(kf.transpose(1, 3, 4, 5, 0, 2))  # [x, branch, u, b2, box, P_A]
     block = lambda tables: _outer_totals(kf[1], kf[0], tables)  # noqa: E731
 
     def exact_rows(rows):
-        # the kernels of the distinct keys x * 64 + P_A among the rows
-        keys = np.concatenate((rows % 64, 64 + rows // 64))
+        # the kernels of the distinct keys box * 128 + x * 64 + P_A among the rows
+        r, base = rows & 4095, (rows >> 12) * 128
+        keys = np.concatenate((base + r % 64, base + 64 + r // 64))
         k = _distinct(keys, lambda t: _narrowed([_adaptive_kernels(ints, t)])[0])
         # player B's branch 2y + b1 takes a box-2 input u, then her behavior
         # on it is u | bit(b2=0) << 1 | bit(b2=1) << 2
         v = np.moveaxis(k[: len(rows)] + k[len(rows) :], 0, -1)  # [branch, u, b2, row]
-        a = pack_adaptive_player((rows >> 3 & 7, rows & 7, rows >> 9, rows >> 6 & 7))
+        a = pack_adaptive_player((r >> 3 & 7, r & 7, r >> 9, r >> 6 & 7))
         return _respond(v, lambda b: pack_adaptive_player(b) << 12 | a)
 
-    exact, packed = _best_response_max(block, (np.arange(64), 64), exact_rows, den**2, err)
-    result = SearchResult(float(exact), packed, 4096 * 4096, "adaptive2", 2, 2, exact)
-    proto = AdaptiveTwoCopyProtocol.decode(packed)
-    return _replayed(result, chsh_value_of_box(apply_adaptive(box, box, proto)))
+    # the representatives of P_A ^ 54 are the pairs without bit 5, so no row is its own image
+    orbit = lambda rows: np.sort(np.concatenate((rows, rows ^ (54 | 54 << 6))))  # noqa: E731
+    scales = [d * d for d in dens]
+    found = _best_response_max(block, (np.arange(32), 64), exact_rows, scales, errs, orbit)
+    out = wire_adaptive(p, p, [AdaptiveTwoCopyProtocol.decode(packed) for _, packed in found])
+    message = "adaptive wiring produced an invalid box"
+    replays = chsh_values(require_valid_stack(out, message, VerificationFailed))
+    return [
+        _replayed(SearchResult(float(exact), packed, 4096 * 4096, "adaptive2", 2, 2, exact), replay)
+        for (exact, packed), replay in zip(found, replays.tolist())
+    ]
+
+
+def adaptive_search_max(box: BipartiteBox) -> SearchResult:
+    """adaptive_search_stack on the stack of one box."""
+    return adaptive_search_stack(box.p[None])[0]
 
 
 # ---------------------------------------------------------------- region scan
@@ -785,36 +814,30 @@ def reproduce_tables(which: int, audit_adaptive: bool = False) -> TableReport:
     checks: list[TableCheck] = []
     computed_rows = []
     fitted = []
-    search_cache: dict = {}
-
-    def audited(alpha, beta, delta, eps):
-        key = (alpha, beta, delta, eps)
-        if key not in search_cache:
-            box = box_from_correlators(symmetric_box(alpha, beta, delta, eps))
-            search_cache[key] = adaptive_search_max(box).best_value
-        return search_cache[key]
-
     records = [dict(zip(columns, row)) for row in printed_rows]
+    # every row's box: beta = alpha, and alpha = 0 in table 1
+    params = [[float(r.get(k, 0)) for k in ("alpha", "alpha", "delta", "eps")] for r in records]
+    fields = np.array([list(symmetric_box(*a).as_dict().values()) for a in params])
+    p = require_valid_stack(boxes_from_fields(fields), "input box fails validation")
     distilled = {}
     if "alpha" in columns:  # every row's box, wired by PARITY and by OR as one stack each
-        params = [[float(rec[k]) for k in ("alpha", "alpha", "delta", "eps")] for rec in records]
-        fields = np.array([list(symmetric_box(*a).as_dict().values()) for a in params])
-        p = require_valid_stack(boxes_from_fields(fields), "input box fails validation")
         message = "non-adaptive wiring produced an invalid box"
         for column, proto in (("V_parity", parity_protocol(2, 2)), ("V_OR", or_protocol())):
             out = wire_nonadaptive([p] * proto.m, proto)
-            require_valid_stack(out, message, VerificationFailed)
-            distilled[column] = [chsh_value_of_box(BipartiteBox(q)) for q in out]
+            distilled[column] = chsh_values(require_valid_stack(out, message, VerificationFailed))
+    if audit_adaptive:  # each distinct row box searched once, all in one stack
+        first = [params.index(a) for a in params]
+        distinct = sorted(set(first))
+        searched = dict(zip(distinct, adaptive_search_stack(p[distinct])))
 
     for i, rec in enumerate(records):
         delta, eps = float(rec["delta"]), float(rec["eps"])
         computed = {"V": 3 * delta - eps}
+        alpha = params[i][0]
+        computed.update((column, float(values[i])) for column, values in distilled.items())
         if "alpha" in rec:
-            alpha = float(rec["alpha"])
             combination = -2 * alpha
-            computed.update((column, values[i]) for column, values in distilled.items())
         else:
-            alpha = 0.0
             combination = float(rec["b"]) - float(rec["a"]) + 2.0 * float(rec["d"])
         if "eps_lo" in rec:
             computed["eps_lo"] = max(1 - 4 * alpha, 2 * alpha - 1)
@@ -822,7 +845,7 @@ def reproduce_tables(which: int, audit_adaptive: bool = False) -> TableReport:
         computed["V_A"] = adaptive_value(delta, eps, combination)
         fitted.append(_fitted_combination(float(rec["V_A"]), delta, eps))
         if audit_adaptive:
-            computed["V_search"] = audited(alpha, alpha, delta, eps)
+            computed["V_search"] = searched[first[i]].best_value
         computed_rows.append(computed)
         checks.extend(
             _check(i, column, rec[column], computed[column])

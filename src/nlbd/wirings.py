@@ -186,9 +186,10 @@ def wire_nonadaptive(ps: Sequence[np.ndarray], proto: NonAdaptiveProtocol) -> np
     Per input, each copy's 2x2 outcome matrix turns one of Bob's outcome bits
     into Alice's; Alice's output indicator closes the sum, in O(m 2^m).
     """
-    # indicator[v, o, s] = 1 where the player's output on input v, string s is o
-    g, h = (np.array(proto.tables[j], dtype=float) for j in (0, 1))
-    ind_a, ind_b = np.stack([1.0 - g, g], axis=1), np.stack([1.0 - h, h], axis=1)
+    # indicator[v, o, s] = 1 where the player's output on input v, string s is o;
+    # integers, so the output takes the dtype of the boxes
+    g, h = (np.array(proto.tables[j]) for j in (0, 1))
+    ind_a, ind_b = np.stack([1 - g, g], axis=1), np.stack([1 - h, h], axis=1)
     # t[..., xy, b, s] over Bob's strings s (its last two axes read as one); copy
     # by copy, the leading bit b_c is summed against p_c(a_c b_c | xy) and a_c
     # appended as the last bit, so s ends as Alice's string, first copy first.
@@ -231,17 +232,20 @@ _MAPS = np.stack([_X * 2 + _A1, 4 + _X * 4 + _A1 * 2 + _A2,  # box2map_a, outmap
                   12 + _Y * 2 + _B1, 16 + _Y * 4 + _B1 * 2 + _B2])  # box2map_b, outmap_b
 
 
-def wire_adaptive(p1: np.ndarray, p2: np.ndarray, proto: AdaptiveTwoCopyProtocol) -> np.ndarray:
+def wire_adaptive(p1: np.ndarray, p2: np.ndarray, proto) -> np.ndarray:
     """The adaptive wiring of two stacks p1, p2 of one shape [..., 4, 4], unvalidated.
 
-    Each output cell adds its products p1 * p2 in (a1, b1, a2, b2) order.
+    proto is one AdaptiveTwoCopyProtocol for every box, or a sequence of one
+    per box. Each output cell adds its products p1 * p2 in (a1, b1, a2, b2) order.
     """
-    bits = proto.box2map_a + proto.outmap_a + proto.box2map_b + proto.outmap_b
-    u, f, v, g = np.array(bits)[_MAPS]
+    protos = [proto] if isinstance(proto, AdaptiveTwoCopyProtocol) else proto
+    bits = np.array([q.box2map_a + q.outmap_a + q.box2map_b + q.outmap_b for q in protos])
+    u, f, v, g = np.moveaxis(bits[:, _MAPS], 1, 0)  # each [protocol, term]
     flat1, flat2 = p1.reshape(-1, 16), p2.reshape(-1, 16)
+    box = np.arange(len(flat1))[:, None]
     out = np.zeros_like(flat1)
-    terms = flat1[:, _FIRST] * flat2[:, (u << 1 | v) * 4 + _SECOND]
-    np.add.at(out, (slice(None), _ROW * 4 + (f << 1 | g)), terms)
+    terms = flat1[:, _FIRST] * flat2[box, (u << 1 | v) * 4 + _SECOND]
+    np.add.at(out, (box, _ROW * 4 + (f << 1 | g)), terms)
     return out.reshape(p1.shape)
 
 

@@ -9,6 +9,7 @@ from nlbd.boxes import (
     box_from_correlators,
     chsh_value,
     chsh_value_of_box,
+    chsh_values,
     correlators_from_box,
     make_named_box,
     validate_box,
@@ -182,6 +183,23 @@ def test_correlated_half_alpha_valid_iff_eps_nonneg():
 
 def test_chsh_value_of_box():
     assert chsh_value_of_box(box_from_correlators(PR)) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_stacked_chsh_values_match_the_correlator_form():
+    # the stacked kernel must give chsh_value(correlators_from_box(b)) to the bit,
+    # clipping included: the last box overshoots its first correlator by 9e-10
+    boxes = [box_from_correlators(c) for c in random_valid_forms(2101, 120)]
+    over = box_from_correlators(PR).p.copy()
+    over[0, 0] += 5e-10
+    over[0, 3] += 4e-10
+    boxes.append(BipartiteBox(over))
+    stacked = chsh_values(np.stack([b.p for b in boxes]))
+    expect = [chsh_value(correlators_from_box(b)) for b in boxes]
+    assert stacked.tolist() == expect
+    assert [chsh_value_of_box(b) for b in boxes] == expect
+    assert expect[-1] == 4.0
+    with pytest.raises(InvalidBox):
+        chsh_value_of_box(BipartiteBox(np.full((4, 4), 0.3)))
 
 
 def test_unknown_kind_rejected():

@@ -687,8 +687,8 @@ def test_module_entry_point(boxdir):
     ],
 )
 def test_search_replay_disagreement_exits_one(boxdir, capsys, monkeypatch, argv):
-    real_value = nlbd.search.chsh_value_of_box
-    monkeypatch.setattr(nlbd.search, "chsh_value_of_box", lambda box: real_value(box) + 0.5)
+    real_values = nlbd.search.chsh_values
+    monkeypatch.setattr(nlbd.search, "chsh_values", lambda p: real_values(p) + 0.5)
     code, out, err = run(capsys, *argv, boxdir / "correlated.box")
     assert code == 1
     assert err.startswith("nlbd: replay of the best protocol gives ")

@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 import nlbd.search as search_module
-from nlbd.boxes import BipartiteBox, box_from_correlators, chsh_value_of_box, make_named_box
+from nlbd.boxes import (
+    BipartiteBox,
+    box_from_correlators,
+    boxes_from_fields,
+    chsh_value_of_box,
+    make_named_box,
+)
 from nlbd.cli import main as cli_main
 from nlbd.errors import BudgetExceeded, InvalidBox, UnknownKind
 from nlbd.fourier import (
@@ -31,6 +37,7 @@ from nlbd.search import (
     SCAN_CHUNK,
     RegionScanResult,
     adaptive_search_max,
+    adaptive_search_stack,
     enumerate_nonadaptive_max,
     format_table_report,
     region_scan,
@@ -39,12 +46,15 @@ from nlbd.search import (
 from nlbd.wirings import (
     AdaptiveTwoCopyProtocol,
     NonAdaptiveProtocol,
+    adaptive_value,
     apply_adaptive,
     apply_nonadaptive,
     bs_output_box,
     or_protocol,
     parity_protocol,
     symmetric_box,
+    wire_adaptive,
+    wire_nonadaptive,
 )
 from nlbd.xorboxes import MultipartiteXorBox, XorGame, simulate_nonadaptive_xor
 
@@ -174,6 +184,102 @@ def test_xor_invariant_sweep():
                 dep = enumerate_nonadaptive_max(box, m, input_dependent=True)
                 assert free[m - 1].best_exact <= dep.best_exact
     assert (3, 3) in bound_applied
+
+
+def seeded_boxes(rng, count):
+    """count valid boxes p[count, 4, 4], a quarter of each kind: general 8-field,
+    symmetric with beta free, symmetric with beta = alpha, trivial marginals."""
+    kinds = [[] for _ in range(4)]
+    while min(map(len, kinds)) < count // 4:
+        f = rng.uniform(-1, 1, 8)
+        a, b, d, e = f[:4]
+        layouts = (f, [a, b, a, b, d, d, d, e], [a, a, a, a, d, d, d, e], [0, 0, 0, 0, *f[4:]])
+        for kind, fields in zip(kinds, layouts):
+            p = boxes_from_fields(np.array(fields, dtype=float))
+            if len(kind) < count // 4 and p.min() >= 0:
+                kind.append(p)
+    return np.array([p for kind in kinds for p in kind])
+
+
+def test_adaptive_invariant_sweep():
+    """Relations every exact adaptive answer satisfies, on 200 seeded boxes.
+
+    Swapping the players or flipping both outputs keeps the class maximum;
+    input-dependent m = 2 <= adaptive; and on beta = alpha boxes the scan's
+    closed form V_A_fit never exceeds the adaptive maximum.
+    """
+    p = seeded_boxes(np.random.default_rng(2101), 200)
+    swap = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+    results = adaptive_search_stack(np.concatenate([p, p[:, swap[0], swap[1]], p[:, :, ::-1]]))
+    best, swapped, flipped = (results[k * len(p) : (k + 1) * len(p)] for k in range(3))
+    for q, r, rs, rf in zip(p, best, swapped, flipped):
+        assert r.best_exact == rs.best_exact == rf.best_exact
+        dep = enumerate_nonadaptive_max(BipartiteBox(q), 2, input_dependent=True)
+        assert dep.best_exact <= r.best_exact
+    # the third quarter holds the beta = alpha boxes: fields (a, a, a, a, d, d, d, e)
+    for q, r in zip(p[100:150], best[100:150]):
+        alpha, delta, eps = q[0] @ [1, 1, -1, -1], q[0] @ [1, -1, -1, 1], q[3] @ [1, -1, -1, 1]
+        assert adaptive_value(delta, eps, -2 * alpha) <= r.best_value + 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "with beta free, the scan credits A with V_A_fit 3.02836904335 on this valid box, "
+    "above its exact adaptive maximum 2.94008356384 (ROADMAP item 4)"))
+def test_scan_adaptive_label_stays_within_the_adaptive_class_with_beta_free():
+    alpha, beta, delta, eps = (-0.45042068329104357, -0.34369555675784724,
+                               0.8828544290515927, -0.2201095729648479)
+    scan = region_scan({"alpha": alpha, "beta": beta, "delta": delta, "eps": eps},
+                       ("PARITY", "OR", "A"))
+    box = box_from_correlators(symmetric_box(alpha, beta, delta, eps))
+    exact = adaptive_search_max(box).best_value
+    assert exact == pytest.approx(2.94008356384, abs=1e-11)
+    assert list(scan.column("winner")) == ["A"]
+    assert scan.column("V_A_fit")[0] <= exact
+
+
+def _special_boxes():
+    """The kept box, two boxes with a 1e-200 entry, and the uniform box (every row ties)."""
+    pr = np.array([[0.5, 0, 0, 0.5]] * 3 + [[0, 0.5, 0.5, 0]])
+    deterministic = np.array([[1.0, 0, 0, 0]] * 4)
+    pr[0, 1] = deterministic[3, 3] = 1e-200
+    kept = box_from_correlators(symmetric_box(0.4, 0.35, 0.75, -0.2)).p
+    return np.array([kept, pr, deterministic, np.full((4, 4), 0.25)])
+
+
+def test_stack_search_equals_one_box_searches():
+    # each result of a stack is the one its box gives alone, in any order and stack size
+    p = np.concatenate([_special_boxes(), seeded_boxes(np.random.default_rng(2102), 60)])
+    alone = [adaptive_search_max(BipartiteBox(q)) for q in p]
+    assert alone[0].best_protocol == PINNED_RESULTS["adaptive-kept"][1]
+    rng = random.Random(2103)
+    for size in (3, 7, 64):
+        order = list(range(len(p)))
+        rng.shuffle(order)
+        for lo in range(0, len(order), size):
+            chunk = order[lo : lo + size]
+            assert adaptive_search_stack(p[chunk]) == [alone[i] for i in chunk]
+    assert adaptive_search_stack(np.empty((0, 4, 4))) == []
+    with pytest.raises(InvalidBox):
+        adaptive_search_stack(np.stack([p[0], np.full((4, 4), 0.3)]))
+    with pytest.raises(ValueError):
+        adaptive_search_stack(p[0])
+
+
+def test_printed_protocol_replays_best_exact_on_fractions():
+    """Wired on Fraction entries, the printed protocol's raw-entry CHSH value is best_exact."""
+    def raw_chsh(q):
+        return sum(s * (q[xy, 0] - q[xy, 1] - q[xy, 2] + q[xy, 3])
+                   for xy, s in enumerate((1, 1, 1, -1)))
+
+    p = seeded_boxes(np.random.default_rng(2104), 40)
+    for q, r in zip(p, adaptive_search_stack(p)):
+        exact = np.array([[Fraction(v) for v in row] for row in q.tolist()], dtype=object)
+        proto = AdaptiveTwoCopyProtocol.decode(r.best_protocol)
+        assert raw_chsh(wire_adaptive(exact, exact, proto)) == r.best_exact
+        for m, dep in ((3, False), (2, True)):
+            r = enumerate_nonadaptive_max(BipartiteBox(q), m, input_dependent=dep)
+            proto = NonAdaptiveProtocol.decode(2, m, r.best_protocol)
+            assert raw_chsh(wire_nonadaptive([exact] * m, proto)) == r.best_exact
 
 
 def test_input_dependent_at_least_input_free():
@@ -875,9 +981,10 @@ def _float_and_exact_stages(call, monkeypatch):
     seen = {}
     real = search_module._best_response_max
 
-    def spy(block, grid, exact_rows, scale, err, *orbit):
+    def spy(block, grid, exact_rows, scales, errs, *orbit):
+        [scale], [err] = scales, errs  # every call searches a stack of one box
         seen.update(block=block, grid=grid, exact_rows=exact_rows, scale=scale, err=err)
-        return real(block, grid, exact_rows, scale, err, *orbit)
+        return real(block, grid, exact_rows, scales, errs, *orbit)
 
     monkeypatch.setattr(search_module, "_best_response_max", spy)
     call()
@@ -972,6 +1079,33 @@ def test_value_is_invariant_under_the_search_quotient_group():
             moved_a0.append(abs(replay(only_a0, m) - value))
     # a wider group would not be: one of A's tables alone moves the value
     assert max(moved_a0) > 1e-6
+
+
+def test_adaptive_value_is_invariant_under_the_search_quotient(monkeypatch):
+    # the adaptive float pass runs A's input-1 pair over one of P_A, P_A ^ 54 only;
+    # that is exact only if complementing her final output on both inputs, with
+    # B's output complemented too, fixes the value on every box
+    rng = np.random.default_rng(21)
+    flip = lambda bits: tuple(1 - b for b in bits)  # noqa: E731
+    moved_one_input = []
+    for q in seeded_boxes(rng, 12):
+        box = BipartiteBox(q)
+        replay = lambda proto: chsh_value_of_box(apply_adaptive(box, box, proto))  # noqa: E731
+        for packed in rng.integers(0, 1 << 24, size=4):
+            proto = AdaptiveTwoCopyProtocol.decode(int(packed))
+            a_both, a_one = flip(proto.outmap_a), flip(proto.outmap_a[:4]) + proto.outmap_a[4:]
+            both, one = (AdaptiveTwoCopyProtocol(proto.box2map_a, outmap_a,
+                                                 proto.box2map_b, flip(proto.outmap_b))
+                         for outmap_a in (a_both, a_one))
+            assert abs(replay(both) - replay(proto)) <= 1e-12
+            moved_one_input.append(abs(replay(one) - replay(proto)))
+    # a wider group would not be: complementing her output on one input alone moves the value
+    assert max(moved_one_input) > 1e-6
+    # the float pass's second axis holds 32 representatives, one per orbit of P_A ^ 54
+    stage = _float_and_exact_stages(lambda: adaptive_search_max(box), monkeypatch)
+    reps, first = stage["grid"]
+    assert (len(reps), first) == (32, 64)
+    assert sorted(set(reps) | set(reps ^ 54)) == list(range(64))
 
 
 def test_orbit_representatives_under_copy_permutation_and_complement():

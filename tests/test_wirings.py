@@ -377,6 +377,12 @@ def test_adaptive_kernel_is_bit_identical_to_the_loop():
     for i, j in itertools.product(range(2), range(3)):
         expect = reference_adaptive(BipartiteBox(ones[i, j]), BipartiteBox(twos[i, j]), proto)
         assert stacked[i, j].tobytes() == expect.tobytes()
+    # a stack whose boxes each take their own protocol, in flattened box order
+    protos = [AdaptiveTwoCopyProtocol.decode(int(e)) for e in rng.integers(0, 1 << 24, size=6)]
+    stacked = wire_adaptive(ones, twos, protos).reshape(6, 4, 4)
+    for k, (one, two) in enumerate(zip(ones.reshape(6, 4, 4), twos.reshape(6, 4, 4))):
+        expect = reference_adaptive(BipartiteBox(one), BipartiteBox(two), protos[k])
+        assert stacked[k].tobytes() == expect.tobytes()
 
 
 def test_nonadaptive_kernel_stack_matches_single_calls():
