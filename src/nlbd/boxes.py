@@ -27,6 +27,7 @@ Conventions used throughout the package:
 Construction is total: building a box or a correlator form never validates.
 Every operation that consumes a box as a probability object validates first
 (callers that want report-style behavior use :func:`validate_box` directly).
+Each reading of a box is one kernel over stacks p[..., 4, 4]; a box is a stack of one.
 """
 
 from __future__ import annotations
@@ -147,25 +148,27 @@ def box_from_correlators(c: CorrelatorForm) -> BipartiteBox:
     return BipartiteBox(boxes_from_fields(np.array(list(c.as_dict().values()), dtype=float)))
 
 
-def correlators_from_box(b: BipartiteBox) -> CorrelatorForm:
-    """Exact inverse of box_from_correlators; validates the box first.
+def _correlators(p: np.ndarray) -> np.ndarray:
+    """Clipped correlators E_xy[..., 4] of boxes p[..., 4, 4], each summed left to right."""
+    return np.clip(p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], -1.0, 1.0)
 
-    Raises InvalidBox when validation fails. Marginals are read off the
-    no-signalling-averaged rows so the roundtrip is exact to 1e-12 even in
-    the presence of tolerance-level noise.
+
+def fields_from_boxes(p: np.ndarray) -> np.ndarray:
+    """Clipped correlator fields[..., 8] of boxes p[..., 4, 4], inverting boxes_from_fields.
+
+    Sums run left to right; each marginal bias is the mean over the other
+    player's input, which averages tolerance-level noise. Callers validate.
     """
+    q0, q1, q2, q3 = (p[..., ab] for ab in range(4))  # [..., xy]
+    ea, eb = q0 + q1 - q2 - q3, q0 - q1 + q2 - q3  # (alpha, beta) over y, (gamma, omega) over x
+    marginals = np.concatenate((ea[..., [0, 2]] + ea[..., [1, 3]], eb[..., :2] + eb[..., 2:]), -1)
+    return np.concatenate((np.clip(marginals / 2, -1.0, 1.0), _correlators(p)), -1)
+
+
+def correlators_from_box(b: BipartiteBox) -> CorrelatorForm:
+    """fields_from_boxes of one box, validated first (InvalidBox); exact to 1e-12 under noise."""
     require_valid(b, "cannot extract correlators")
-    p = b.p
-    # Alice's marginal bias per x: average over Bob's input (equal by no-signalling).
-    ea = [
-        float(np.mean([p[(x << 1) | y] @ _SIGN_A for y in (0, 1)])) for x in (0, 1)
-    ]
-    eb = [
-        float(np.mean([p[(x << 1) | y] @ _SIGN_B for x in (0, 1)])) for y in (0, 1)
-    ]
-    exy = [float(p[row] @ _SIGN_AB) for row in range(4)]
-    # clipping guards tolerance-level overshoot
-    return CorrelatorForm(*(float(min(1.0, max(-1.0, v))) for v in ea + eb + exy))
+    return CorrelatorForm(*fields_from_boxes(b.p).tolist())
 
 
 def box_breaches(p: np.ndarray) -> np.ndarray:
@@ -226,12 +229,8 @@ def chsh_value(c: CorrelatorForm) -> float:
 
 
 def chsh_values(p: np.ndarray) -> np.ndarray:
-    """CHSH values of boxes p[..., 4, 4] from their clipped correlators; callers validate.
-
-    Each correlator adds p[xy] @ _SIGN_AB's terms in its order, so the value
-    is chsh_value(correlators_from_box(b)) to the bit, in any dtype.
-    """
-    e = np.clip(p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], -1.0, 1.0)
+    """chsh_value(correlators_from_box(b)) per box of p[..., 4, 4], to the bit; callers validate."""
+    e = _correlators(p)
     return e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3]
 
 

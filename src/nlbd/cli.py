@@ -3,8 +3,8 @@
 Verbs: validate, value, distill, search, scan, tables, equiv. All numeric
 output is printed to 12 significant digits and is deterministic for a given
 argument vector. Every computation runs on one thread; search and scan still
-accept and validate --threads N and NLBD_THREADS, which have no effect, so
-existing command lines keep working. Exit codes: 0 success (validate: box
+accept --threads N (at least 1), which has no effect, so existing command
+lines keep working. Exit codes: 0 success (validate: box
 valid), 1 invalid box or a computation that reports failure, 2 usage errors,
 3 file errors, 4 exceeded enumeration budgets. Error messages go to stderr.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from collections.abc import Sequence
 
@@ -47,7 +46,7 @@ from .wirings import (
 )
 from .xorboxes import MultipartiteXorBox, xor_value
 
-_THREADS_HELP = "accepted for compatibility, no effect (also NLBD_THREADS); must be >= 1"
+_THREADS_HELP = "accepted for compatibility, no effect; must be >= 1"
 _AXIS_OPTIONS = ("--alpha", "--beta", "--delta", "--eps")
 _NUMBER_STARTS = frozenset("0123456789.")
 
@@ -75,24 +74,9 @@ def _load_box(path: str):
 
 
 def _check_threads(option: int | None) -> None:
-    """Reject a --threads or NLBD_THREADS value below 1 or not an integer.
-
-    The count is accepted for compatibility and has no effect: on two
-    shared cores every count above 1 ran searches and scans 1.2-1.7x slower.
-    """
-    if option is not None:
-        if option < 1:
-            raise _CliError(2, f"--threads must be >= 1, got {option}")
-        return
-    raw = os.environ.get("NLBD_THREADS")
-    if raw is None or not raw.strip():
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _CliError(2, f"NLBD_THREADS={raw!r} is not an integer") from None
-    if value < 1:
-        raise _CliError(2, f"NLBD_THREADS must be >= 1, got {value}")
+    """Reject a --threads value below 1; the count has no effect (README says why)."""
+    if option is not None and option < 1:
+        raise _CliError(2, f"--threads must be >= 1, got {option}")
 
 
 def _parse_axis(option: str, text: str):

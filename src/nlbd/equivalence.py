@@ -12,7 +12,8 @@ correlators.  A numeric certificate reports the reconstruction error at
 eleven parameter values, both for the full distribution and for the
 even-even output probabilities alone.  Points are evaluated in one pass each:
 the adaptive output at the 3 + 11 points as one stack of boxes, each distinct
-parameter once, then the constructed pair's check and parity replay at the 11.
+parameter once, its correlator form at the 3 interpolation nodes in one call,
+then the constructed pair's check and parity replay at the 11.
 
 The factorization is canonical (see factor_affine_target), so the
 constructed pair is deterministic; failures (complex roots, range
@@ -29,14 +30,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boxes import (
-    CORRELATOR_FIELDS,
     VALIDITY_TOL,
     BipartiteBox,
     CorrelatorForm,
     box_breaches,
     box_from_correlators,
     boxes_from_fields,
-    correlators_from_box,
+    fields_from_boxes,
     make_named_box,
     require_valid,
     require_valid_stack,
@@ -100,13 +100,6 @@ class AffineFactor(NamedTuple):
 
     def __call__(self, delta: float) -> float:
         return self.c1 * float(delta) + self.c0
-
-
-def _quadratic_through(v0: float, vh: float, v1: float) -> DeltaPolynomial:
-    """Exact quadratic through samples at 0, 1/2, and 1."""
-    c2 = 2.0 * (v0 - 2.0 * vh + v1)
-    c1 = v1 - v0 - c2
-    return DeltaPolynomial((v0, c1, c2))
 
 
 def _product_coefficients(factors: Sequence[AffineFactor]) -> tuple[float, ...]:
@@ -301,8 +294,10 @@ def build_equivalent_boxes(proto: AdaptiveTwoCopyProtocol) -> EquivalenceResult:
     outputs = wire_adaptive(iso, iso, proto)
     require_valid_stack(outputs, "adaptive wiring produced an invalid box", VerificationFailed)
     at = lambda points: outputs[[deltas.index(d) for d in points]]  # noqa: E731
-    forms = [correlators_from_box(BipartiteBox(p)).as_dict() for p in at(SAMPLE_DELTAS)]
-    targets = tuple(_quadratic_through(*(f[name] for f in forms)) for name in CORRELATOR_FIELDS)
+    # each field's exact quadratic through its samples at 0, 1/2 and 1
+    v0, vh, v1 = fields_from_boxes(at(SAMPLE_DELTAS))
+    c2 = 2.0 * (v0 - 2.0 * vh + v1)
+    targets = tuple(map(DeltaPolynomial, zip(v0.tolist(), (v1 - v0 - c2).tolist(), c2.tolist())))
     split = [factor_affine_target(target) for target in targets]
     boxes = tuple(
         EquivalentBox(

@@ -19,8 +19,9 @@ input is sum_s |v_s|, reached by setting bit s exactly where v_s < 0, her
 smallest code (the infinity-to-one-norm step of Alon and Naor). A float
 pass totals the rows of the other players' tables at once, one slot s at
 a time; an exact pass evaluates again in integers (box entries are
-binary floats) only the rows within a rigorous rounding bound of the
-float maximum, and breaks ties on those exact values. Everything runs
+binary floats, which _dyadic puts over one power-of-two denominator per
+box) only the rows within a rigorous rounding bound of the float maximum,
+and breaks ties on those exact values. Everything runs
 on the calling thread, one block after another.
 
 In the input-dependent and three-player classes the float pass's second
@@ -137,24 +138,19 @@ def _sign_matrix(m: int) -> np.ndarray:
     return 1 - 2 * ((g >> np.arange(size)) & 1)
 
 
-def _binary_parts(x) -> tuple:
-    """Integers and exponents k with x == integers / 2^k exactly, elementwise."""
-    mant, exp = np.frexp(np.asarray(x, dtype=float))
-    return np.ldexp(mant, 53).astype(np.int64).astype(object), 53 - exp
+def _dyadic(x: np.ndarray) -> tuple:
+    """(ints, dens) with x[k] == ints[k] / dens[k] exactly, per leading index k.
 
-
-def _on_one_denominator(nums: np.ndarray, exps: np.ndarray):
-    """(floats, integers, denominator) of the binary fractions nums / 2^exps.
-
-    The denominator is their largest reduced one, so nums / 2^exps ==
-    integers / denominator exactly; floats are the correctly rounded values.
+    ints holds Python ints, and dens[k] is the smallest power of two that
+    puts every entry of x[k] over one denominator.
     """
-    top = int(exps.max())
-    ints = [v << (top - int(k)) for v, k in zip(nums.flat, exps.flat)]
-    shift = min([top] + [(v & -v).bit_length() - 1 for v in ints if v])
-    den = 1 << (top - shift)
-    ints = np.array([v >> shift for v in ints], dtype=object).reshape(nums.shape)
-    return np.array([v / den for v in ints.flat]).reshape(nums.shape), ints, den
+    mant, exp = np.frexp(x)
+    nums = np.ldexp(mant, 53).astype(np.int64)  # x == nums / 2^(53 - exp)
+    zeros = np.frexp((nums & -nums).astype(float))[1] - 1  # trailing zero bits, -1 for 0
+    k = np.where(nums == 0, 0, 53 - exp - zeros)  # x == odd / 2^k
+    top = np.maximum(k.reshape(len(x), -1).max(1), 0)
+    odd = (nums >> np.maximum(zeros, 0)).astype(object)
+    return odd << (top.reshape((-1,) + (1,) * (x.ndim - 1)) - k), [1 << int(t) for t in top]
 
 
 def _copy_weights(box, m: int):
@@ -163,34 +159,31 @@ def _copy_weights(box, m: int):
     W_x is the m-fold Kronecker power of one copy's weights (first copy most
     significant): a bipartite box's row p(ab|xy), or an XOR box's
     (1 +- delta_x)/2^n by the parity of the outputs, exact from delta_x.
-    s_x is the game sign. Returns (floats, integers, scale).
+    s_x is the game sign. Returns (floats, integers, scale), scale the
+    smallest power of two.
     """
     if isinstance(box, BipartiteBox):
         require_valid(box, "search input fails validation")
-        n, signs = 2, _CHSH_SIGNS
-        nums, exps = _binary_parts(box.p)
+        n, signs, floats = 2, _CHSH_SIGNS, box.p
+        (ints,), (den,) = _dyadic(box.p[None])
     elif isinstance(box, MultipartiteXorBox):
-        n, signs = box.n, [1 - 2 * f for f in box.game.f]
-        even = np.array([1 - 2 * (bin(a).count("1") & 1) for a in range(1 << n)], dtype=object)
-        ds, ks = _binary_parts(box.delta)
-        # (1 + e * d) / 2^n with d = ds / 2^ks is ((1 << ks) + e * ds) / 2^(ks + n)
-        nums = np.array([(1 << int(k)) + even * d for d, k in zip(ds, ks)])
-        exps = np.repeat(ks[:, None] + n, 1 << n, axis=1)
+        n, signs, delta = box.n, [1 - 2 * f for f in box.game.f], box.delta_array()[:, None]
+        even = np.array([1 - 2 * (bin(a).count("1") & 1) for a in range(1 << n)])
+        (ds,), (den,) = _dyadic(delta.T)
+        # (1 + e * d) / 2^n with d = ds / den is (den + e * ds) / (den << n); some
+        # ds is odd if den > 1, so that reduces only when every delta is +-1, by 2
+        floats, ints = (1 + even * delta) / (1 << n), den + even * ds[:, None]
+        half = int(not (ints & 1).any())
+        ints, den = ints >> half, den << n >> half
     else:
         raise TypeError(f"expected BipartiteBox or MultipartiteXorBox, got {type(box).__name__}")
-    floats, ints, den = _on_one_denominator(nums, exps)
-    interleave = [axis for j in range(n) for axis in (j, n + j)]
-    out = []
-    for per_input in (floats, ints):
-        powers = []
-        for s, row in zip(signs, per_input):
-            one = row.reshape((2,) * n)
-            w = one
-            for _ in range(m - 1):
-                w = np.multiply.outer(w, one).transpose(interleave).reshape((2 * len(w),) * n)
-            powers.append(s * w)
-        out.append(powers)
-    return out[0], out[1], den**m
+    # player j's index holds one outcome bit per copy, the first copy highest;
+    # copy c's entry of the row sets output bit j from player j's bit
+    s = np.indices((1 << m,) * n)
+    copies = [sum((s[j] >> c & 1) << n - 1 - j for j in range(n)) for c in range(m - 1, -1, -1)]
+    weights = [[g * math.prod(row[c] for c in copies) for g, row in zip(signs, rows)]
+               for rows in (floats, ints)]
+    return weights[0], weights[1], den**m
 
 
 def _respond(v, key):
@@ -468,8 +461,7 @@ def adaptive_search_stack(p: np.ndarray) -> list:
     if not len(p):
         return []
     require_valid_stack(p, "search input fails validation")
-    _, ints, dens = zip(*map(_on_one_denominator, *_binary_parts(p)))
-    ints = np.stack(ints)
+    ints, dens = _dyadic(p)
     # per row, 16 products p1*p2 on each of the four branches
     abs_p = np.abs(p)
     errs = _rounding_bound(64, 2, abs_p.sum((1, 2)) * abs_p.sum(2).max(1))
@@ -668,22 +660,25 @@ class RegionScanResult:
             stream.write(row * (hi - lo) % tuple(flat))
 
 
-def _axis_range(spec) -> tuple:
+def _axis_range(name: str, spec) -> tuple:
     """(start, step, count) of a scalar axis (step None) or a (start, stop, step) range.
 
     count is a float taken from the quotient, inf where that overflows, so
-    the grid budget is checked before any axis is built.
+    the grid budget is checked before any axis is built. A stop below the
+    start by more than 1e-9 steps is an error.
     """
     scalar = np.isscalar(spec)
     values = [float(v) for v in ([spec] if scalar else spec)]
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"axis values must be finite, got {spec!r}")
+        raise ValueError(f"{name} axis values must be finite, got {spec!r}")
     if scalar:
         return values[0], None, 1.0
     start, stop, step = values
     if step <= 0:
-        raise ValueError(f"axis step must be positive, got {step}")
-    quotient = max((stop - start) / step + 1e-9, 0.0)
+        raise ValueError(f"{name} axis step must be positive, got {step}")
+    quotient = (stop - start) / step + 1e-9
+    if quotient < 0:
+        raise ValueError(f"{name} axis stop {stop!r} lies below its start {start!r}")
     return start, step, math.floor(quotient) + 1.0 if quotient < math.inf else math.inf
 
 
@@ -710,7 +705,7 @@ def region_scan(grid: dict, protocols: Sequence[str] = ("PARITY", "OR")) -> Regi
     for name in ("alpha", "beta", "delta", "eps"):
         spec = grid.get(name)
         if spec is not None:
-            ranges[name] = _axis_range(spec)
+            ranges[name] = _axis_range(name, spec)
         elif name != "beta":
             raise ValueError(f"grid is missing the {name!r} axis")
     cells = math.prod(count for _, _, count in ranges.values())

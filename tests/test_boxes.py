@@ -11,6 +11,7 @@ from nlbd.boxes import (
     chsh_value_of_box,
     chsh_values,
     correlators_from_box,
+    fields_from_boxes,
     make_named_box,
     validate_box,
 )
@@ -200,6 +201,43 @@ def test_stacked_chsh_values_match_the_correlator_form():
     assert expect[-1] == 4.0
     with pytest.raises(InvalidBox):
         chsh_value_of_box(BipartiteBox(np.full((4, 4), 0.3)))
+
+
+def _reference_fields(q):
+    """The clipped correlator form of one box in Python floats, sums left to right."""
+    def signed(row, signs):  # ((q0 +- q1) +- q2) +- q3
+        total = row[0]
+        for v, sign in zip(row[1:], signs[1:]):
+            total = total + v if sign > 0 else total - v
+        return total
+
+    rows = q.tolist()
+    ea, eb, e = ([signed(r, signs) for r in rows]
+                 for signs in ((1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)))
+    fields = [(ea[0] + ea[1]) / 2, (ea[2] + ea[3]) / 2, (eb[0] + eb[2]) / 2, (eb[1] + eb[3]) / 2]
+    return [min(1.0, max(-1.0, v)) for v in fields + e]
+
+
+def test_fields_from_boxes_sum_left_to_right():
+    # bit for bit, signed zeros included, on valid and tolerance-noise boxes
+    # and on stacks; the noise pushes some fields past +-1, where they clip
+    rng = np.random.default_rng(2208)
+    p = np.stack([box_from_correlators(c).p for c in random_valid_forms(2209, 150)])
+    corners = np.stack([box_from_correlators(c).p for c in (PR, CorrelatorForm(*[1.0] * 8))])
+    noisy = np.concatenate([p, corners] * 3) + rng.uniform(-3e-10, 3e-10, (456, 4, 4))
+    noisy = noisy[[validate_box(BipartiteBox(q)).valid for q in noisy]]
+    assert len(noisy) > 150
+    every = np.concatenate([p, corners, noisy])
+    stacked = fields_from_boxes(every)
+    assert stacked.shape == (len(every), 8)
+    hexes = lambda values: [float(v).hex() for v in values]  # noqa: E731
+    for q, fields in zip(every, stacked):
+        want = hexes(_reference_fields(q))
+        assert hexes(fields) == hexes(fields_from_boxes(q)) == want
+        assert hexes(correlators_from_box(BipartiteBox(q)).as_dict().values()) == want
+    assert (np.abs(stacked) == 1.0).sum() > (np.abs(fields_from_boxes(p)) == 1.0).sum()
+    pairs = every[: len(every) // 2 * 2].reshape(-1, 2, 4, 4)
+    assert fields_from_boxes(pairs).tobytes() == stacked[: 2 * len(pairs)].tobytes()
 
 
 def test_unknown_kind_rejected():

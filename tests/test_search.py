@@ -5,6 +5,7 @@ tolerance: closed-form values for named protocols, the proven input-free
 characterization max_k |T_k|, and frozen reference numbers.
 """
 
+import functools
 import hashlib
 import io
 import itertools
@@ -222,6 +223,58 @@ def test_adaptive_invariant_sweep():
         assert adaptive_value(delta, eps, -2 * alpha) <= r.best_value + 1e-12
 
 
+def vertex_mixtures(rng, count):
+    """count valid boxes p[count, 4, 4] mixed from the 24 no-signalling vertices:
+    the 16 deterministic boxes and the 8 PR boxes."""
+    local = [[a0, a1, b0, b1, a0 * b0, a0 * b1, a1 * b0, a1 * b1]
+             for a0, a1, b0, b1 in itertools.product((-1, 1), repeat=4)]
+    pr = [[0, 0, 0, 0, s, t, u, -s * t * u] for s, t, u in itertools.product((-1, 1), repeat=3)]
+    vertices = boxes_from_fields(np.array(local + pr, dtype=float))
+    return np.tensordot(rng.dirichlet(np.full(24, 0.3), count), vertices, 1)
+
+
+NONADAPTIVE_CLASSES = ((1, False), (2, False), (3, False), (1, True), (2, True))
+
+
+@functools.cache
+def nonadaptive_sweep():
+    """best_exact per class of 120 seeded boxes, as given, with the players
+    swapped and with both outputs flipped: [box][variant][class].
+
+    A third each: vertex mixtures, symmetric with beta free, trivial marginals.
+    """
+    p = seeded_boxes(np.random.default_rng(2206), 160)
+    p = np.concatenate([vertex_mixtures(np.random.default_rng(2207), 40), p[40:80], p[120:]])
+    s = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+    return [
+        [[enumerate_nonadaptive_max(BipartiteBox(v), m, dep).best_exact
+          for m, dep in NONADAPTIVE_CLASSES] for v in (q, q[s], q[:, ::-1])]
+        for q in p
+    ]
+
+
+def test_nonadaptive_invariant_sweep():
+    """Relations every exact non-adaptive answer satisfies, on 120 seeded boxes.
+
+    Swapping the players or flipping both outputs keeps every class maximum
+    (input-free m = 1-3, input-dependent m = 1-2), and input-free <=
+    input-dependent at m = 1 and 2.
+    """
+    for best, swapped, flipped in nonadaptive_sweep():
+        assert best == swapped == flipped
+        free1, free2, _, dep1, dep2 = best
+        assert free1 <= dep1 and free2 <= dep2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a float box's rows need not sum to exactly 1, so a copy a protocol ignores "
+    "scales its exact value by that row sum: m-copy <= (m+1)-copy fails on 60 of "
+    "the sweep's 360 adjacent pairs, on 22 of its 120 boxes (ROADMAP item 2)"))
+def test_nonadaptive_value_grows_with_copies():
+    for (free1, free2, free3, dep1, dep2), _, _ in nonadaptive_sweep():
+        assert free1 <= free2 <= free3 and dep1 <= dep2
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "with beta free, the scan credits A with V_A_fit 3.02836904335 on this valid box, "
     "above its exact adaptive maximum 2.94008356384 (ROADMAP item 4)"))
@@ -378,6 +431,7 @@ def _weight_cases():
     for game, delta in [
         (chsh, tuple(rng.uniform(-1, 1, 4))),
         (chsh, (0.0, tiny, -tiny, 1.0)),
+        (chsh, (1.0, 1.0, 1.0, -1.0)),  # every weight is 0 or 1/2: the scale reduces
         (game3, tuple(rng.uniform(-1, 1, 8))),
         (game3, (0.0, -1.0, 2.0**-1074, 0.75, -tiny, tiny * 1.5, 0.5, -0.0)),
     ]:
@@ -402,6 +456,24 @@ def test_copy_weights_equal_the_fraction_construction():
             if m == 1:
                 for got, expected in zip(floats, want):
                     assert [float(v) for v in got.flat] == [float(v / scale) for v in expected.flat]
+
+
+def test_dyadic_parts_equal_the_fraction_construction():
+    # per leading index, Python ints over the smallest power-of-two denominator,
+    # on the adaptive search's stacks and on signed, subnormal and zero entries
+    rng = np.random.default_rng(2205)
+    odd = rng.uniform(-4, 4, (6, 3)) * 2.0 ** rng.integers(-1070, 40, (6, 3))
+    odd[0] = [2.0**-1074, -0.0, -3.0]
+    odd[1] = 0.0
+    odd[2] = [2.0**60, -(2.0**40), 8.0]
+    for x in (_special_boxes(), seeded_boxes(rng, 40), odd):
+        ints, dens = search_module._dyadic(x)
+        assert ints.shape == x.shape and len(dens) == len(x)
+        for row, got, den in zip(x, ints, dens):
+            exact = [Fraction(v) for v in row.flat]
+            assert den == max(f.denominator for f in exact)
+            assert all(type(v) is int for v in got.flat)
+            assert [Fraction(v, den) for v in got.flat] == exact
 
 
 def test_search_rejects_invalid_box():
@@ -548,6 +620,20 @@ def test_region_scan_errors():
                   (math.nan, 1.0, 0.1), (0.0, 1.0, math.nan)]:
         with pytest.raises(ValueError):
             region_scan({"alpha": alpha, "delta": 1.0, "eps": 0.0})
+
+
+def test_region_scan_rejects_a_reversed_range():
+    # a stop below the start by more than 1e-9 steps names its axis; start == stop
+    # and a stop inside the slack keep one cell
+    for name in ("alpha", "beta", "delta", "eps"):
+        grid = {"alpha": 0.25, "delta": 1.0, "eps": 0.0, name: (0.5, 0.0, 0.1)}
+        with pytest.raises(ValueError, match=f"^{name} axis stop 0.0 lies below its start 0.5$"):
+            region_scan(grid)
+    for stop in (0.5, 0.5 - 0.5e-10, 0.5 - 0.1 * 0.9e-9):
+        scan = region_scan({"alpha": (0.5, stop, 0.1), "delta": 1.0, "eps": 0.0})
+        assert scan.column("alpha").tolist() == [0.5]
+    with pytest.raises(ValueError, match="^eps axis stop"):
+        region_scan({"alpha": 0.5, "delta": 1.0, "eps": (0.0, -0.1 * 1.1e-9, 0.1)})
 
 
 # ------------------------------------------------- streamed CSV byte identity
