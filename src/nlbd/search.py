@@ -18,11 +18,13 @@ the value is linear in her +-1 output signs, so her best value on each
 input is sum_s |v_s|, reached by setting bit s exactly where v_s < 0, her
 smallest code (the infinity-to-one-norm step of Alon and Naor). A float
 pass totals the rows of the other players' tables at once, one slot s at
-a time; an exact pass evaluates again in integers (box entries are
-binary floats, which _dyadic puts over one power-of-two denominator per
-box) only the rows within a rigorous rounding bound of the float maximum,
-and breaks ties on those exact values. Everything runs
-on the calling thread, one block after another.
+a time; an exact pass evaluates again in integers only the rows within a
+rigorous rounding bound of the float maximum, and breaks ties on those
+exact values. _dyadic puts the box entries, binary floats, over one
+power-of-two denominator per box, and a search reads its float weights,
+its rounding bound and its integer width from those integers, once:
+int64 where their l1 bounds every partial sum below 2^62, Python ints
+otherwise. Everything runs on the calling thread, one block after another.
 
 In the input-dependent and three-player classes the float pass's second
 axis (player A's input-1 table, or the middle player's) runs only over
@@ -40,8 +42,7 @@ alone gives, and adaptive_search_max is the stack of one.
 
 Supported sizes: m <= 3 copies throughout (the protocol count doubles per
 outcome bit; beyond three copies enumeration is out of scope), n in {2, 3}
-players for input-free parity-bias boxes, n = 2 for everything else. The
-protocol-pair budget is 2^32.
+players for input-free parity-bias boxes, n = 2 for everything else.
 
 Parameter scans
 ---------------
@@ -87,7 +88,6 @@ from .wirings import (
     AdaptiveTwoCopyProtocol,
     NonAdaptiveProtocol,
     adaptive_value,
-    apply_nonadaptive,
     or_protocol,
     or_value,
     pack_adaptive_player,
@@ -98,7 +98,6 @@ from .wirings import (
 )
 from .xorboxes import MultipartiteXorBox, simulate_nonadaptive_xor
 
-PROTOCOL_BUDGET = 1 << 32
 GRID_BUDGET = 10_000_000
 MAX_COPIES = 3
 
@@ -158,32 +157,38 @@ def _copy_weights(box, m: int):
 
     W_x is the m-fold Kronecker power of one copy's weights (first copy most
     significant): a bipartite box's row p(ab|xy), or an XOR box's
-    (1 +- delta_x)/2^n by the parity of the outputs, exact from delta_x.
-    s_x is the game sign. Returns (floats, integers, scale), scale the
-    smallest power of two.
+    (1 +- delta_x)/2^n by the parity of the outputs; s_x is the game sign.
+    Everything comes from one copy's integer rows over den, the smallest
+    power of two: the floats are their correctly rounded quotients, l1 =
+    sum_x (sum_o |row_x[o]|)^m is sum |W| times scale = den^m, and the
+    integers are int64 if l1 < 2^62, which bounds every partial sum an exact
+    pass forms, else Python ints. Returns (floats, integers, scale, l1).
     """
     if isinstance(box, BipartiteBox):
         require_valid(box, "search input fails validation")
-        n, signs, floats = 2, _CHSH_SIGNS, box.p
-        (ints,), (den,) = _dyadic(box.p[None])
+        n, signs = 2, _CHSH_SIGNS
+        (rows,), (den,) = _dyadic(box.p[None])
     elif isinstance(box, MultipartiteXorBox):
-        n, signs, delta = box.n, [1 - 2 * f for f in box.game.f], box.delta_array()[:, None]
+        n, signs = box.n, [1 - 2 * f for f in box.game.f]
         even = np.array([1 - 2 * (bin(a).count("1") & 1) for a in range(1 << n)])
-        (ds,), (den,) = _dyadic(delta.T)
+        (ds,), (den,) = _dyadic(box.delta_array()[None])
         # (1 + e * d) / 2^n with d = ds / den is (den + e * ds) / (den << n); some
         # ds is odd if den > 1, so that reduces only when every delta is +-1, by 2
-        floats, ints = (1 + even * delta) / (1 << n), den + even * ds[:, None]
-        half = int(not (ints & 1).any())
-        ints, den = ints >> half, den << n >> half
+        rows = den + even * ds[:, None]
+        half = int(not (rows & 1).any())
+        rows, den = rows >> half, den << n >> half
     else:
         raise TypeError(f"expected BipartiteBox or MultipartiteXorBox, got {type(box).__name__}")
+    floats, l1 = (rows / den).astype(float), int((np.abs(rows).sum(1) ** m).sum())
+    if l1 < 1 << 62:
+        rows = rows.astype(np.int64)
     # player j's index holds one outcome bit per copy, the first copy highest;
     # copy c's entry of the row sets output bit j from player j's bit
     s = np.indices((1 << m,) * n)
     copies = [sum((s[j] >> c & 1) << n - 1 - j for j in range(n)) for c in range(m - 1, -1, -1)]
-    weights = [[g * math.prod(row[c] for c in copies) for g, row in zip(signs, rows)]
-               for rows in (floats, ints)]
-    return weights[0], weights[1], den**m
+    weights = [[g * math.prod(row[c] for c in copies) for g, row in zip(signs, r)]
+               for r in (floats, rows)]
+    return weights[0], weights[1], den**m, l1
 
 
 def _respond(v, key):
@@ -198,13 +203,6 @@ def _respond(v, key):
     choices, slots = v.shape[1:3]
     beh = np.arange(choices)[:, None] + choices * ((v < 0) << np.arange(slots)[:, None]).sum(2)
     return best.sum(0), key(np.where(value == best[:, None], beh, choices << slots).min(1))
-
-
-def _narrowed(ints: list) -> list:
-    """int64 weights if sum |weights| < 2^62, which bounds every partial sum an exact pass forms."""
-    if sum(np.abs(w).sum() for w in ints) < 1 << 62:
-        return [w.astype(np.int64) for w in ints]
-    return ints
 
 
 def _distinct(tables, contract):
@@ -327,8 +325,10 @@ def _best_response_max(block, grid, exact_rows, scales, errs, orbit=lambda rows:
 
 
 def _resimulate_nonadaptive(box, proto: NonAdaptiveProtocol) -> float:
-    if isinstance(box, BipartiteBox):
-        return float(chsh_values(apply_nonadaptive(box, proto).p))
+    if isinstance(box, BipartiteBox):  # _copy_weights validated the box
+        out = wire_nonadaptive([box.p] * proto.m, proto)
+        message = "non-adaptive wiring produced an invalid box"
+        return float(chsh_values(require_valid_stack(out, message, VerificationFailed)))
     return simulate_nonadaptive_xor(box, proto.tables, proto.m)[0]
 
 
@@ -355,31 +355,22 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
     if m > MAX_COPIES:
         raise BudgetExceeded(f"enumeration beyond {MAX_COPIES} copies is out of scope (m={m})")
     n = 2 if isinstance(box, BipartiteBox) else box.n
-    per_player_functions = 1 << (1 << m)
-    if input_dependent:
-        examined = per_player_functions ** (2 * n)
-        class_name = "nonadaptive-input-dep"
-    else:
-        examined = per_player_functions**n
-        class_name = "nonadaptive-input-free"
-    if examined > PROTOCOL_BUDGET:
-        raise BudgetExceeded(f"{examined} protocols exceeds the 2^32 budget")
-
     if input_dependent and n != 2:
         raise BudgetExceeded("input-dependent enumeration is implemented for two players")
     if n > 3:
         raise BudgetExceeded(f"enumeration for n={n} players is out of scope")
-    floats, ints, scale = _copy_weights(box, m)
+    examined = (1 << (1 << m)) ** (2 * n if input_dependent else n)
+    class_name = "nonadaptive-input-dep" if input_dependent else "nonadaptive-input-free"
+    floats, ints, scale, l1 = _copy_weights(box, m)
     size = 1 << m
     count = 1 << size
     smat = _sign_matrix(m)
-    l1 = float(Fraction(sum(np.abs(w).sum() for w in ints), scale))
-    err = _rounding_bound(sum(w.size for w in floats), 2 * m, l1)
+    err = _rounding_bound(sum(w.size for w in floats), 2 * m, l1 / scale)
     if input_dependent:
         # K_xy = s_xy S W_xy in input order 2x + y, and v_y = K_0y[a_0] + K_1y[a_1]
         kernels = np.stack([(smat @ w).T for w in floats])[:, None]  # [xy, -, slot, table]
         block = lambda tables: _outer_totals(kernels[2:], kernels[:2], tables)  # noqa: E731
-        ints = np.stack(_narrowed(ints)).reshape(2, 2, size, size)  # [x, y, s_A, slot]
+        ints = np.stack(ints).reshape(2, 2, size, size)  # [x, y, s_A, slot]
 
         def exact_rows(rows):
             v = sum(
@@ -396,7 +387,7 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
         kt = np.tensordot(smat, sum(floats), 1).T.reshape(size, -1, count).copy()
         middle = smat.astype(float) if n == 3 else np.ones((1, 1))
         block = lambda tables: sum(np.abs(middle[tables] @ k) for k in kt)  # noqa: E731
-        (weights,) = _narrowed([sum(ints)])
+        weights = sum(ints)
 
         def exact_rows(rows):
             v = _distinct(rows % count, lambda t: np.tensordot(smat[t], weights, 1))
@@ -462,9 +453,14 @@ def adaptive_search_stack(p: np.ndarray) -> list:
         return []
     require_valid_stack(p, "search input fails validation")
     ints, dens = _dyadic(p)
-    # per row, 16 products p1*p2 on each of the four branches
-    abs_p = np.abs(p)
-    errs = _rounding_bound(64, 2, abs_p.sum((1, 2)) * abs_p.sum(2).max(1))
+    scales = [d * d for d in dens]
+    # per row, 16 products p1*p2 on each of the four branches: with L = sum |ints|
+    # and R the largest row's, L * R bounds them and every partial sum over scale
+    row_l1 = np.abs(ints).sum(2)
+    bounds = row_l1.sum(1) * row_l1.max(1)
+    errs = _rounding_bound(64, 2, np.array([b / d for b, d in zip(bounds, scales)]))
+    if max(bounds) < 1 << 62:
+        ints = ints.astype(np.int64)
     kf = _adaptive_kernels(p, np.arange(128 * len(p))).reshape(-1, 2, 64, 4, 2, 2)
     kf = np.ascontiguousarray(kf.transpose(1, 3, 4, 5, 0, 2))  # [x, branch, u, b2, box, P_A]
     block = lambda tables: _outer_totals(kf[1], kf[0], tables)  # noqa: E731
@@ -473,7 +469,7 @@ def adaptive_search_stack(p: np.ndarray) -> list:
         # the kernels of the distinct keys box * 128 + x * 64 + P_A among the rows
         r, base = rows & 4095, (rows >> 12) * 128
         keys = np.concatenate((base + r % 64, base + 64 + r // 64))
-        k = _distinct(keys, lambda t: _narrowed([_adaptive_kernels(ints, t)])[0])
+        k = _distinct(keys, lambda t: _adaptive_kernels(ints, t))
         # player B's branch 2y + b1 takes a box-2 input u, then her behavior
         # on it is u | bit(b2=0) << 1 | bit(b2=1) << 2
         v = np.moveaxis(k[: len(rows)] + k[len(rows) :], 0, -1)  # [branch, u, b2, row]
@@ -482,7 +478,6 @@ def adaptive_search_stack(p: np.ndarray) -> list:
 
     # the representatives of P_A ^ 54 are the pairs without bit 5, so no row is its own image
     orbit = lambda rows: np.sort(np.concatenate((rows, rows ^ (54 | 54 << 6))))  # noqa: E731
-    scales = [d * d for d in dens]
     found = _best_response_max(block, (np.arange(32), 64), exact_rows, scales, errs, orbit)
     out = wire_adaptive(p, p, [AdaptiveTwoCopyProtocol.decode(packed) for _, packed in found])
     message = "adaptive wiring produced an invalid box"

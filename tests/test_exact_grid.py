@@ -12,9 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 
+import nlbd.search as search
 from nlbd.boxes import BipartiteBox, box_from_correlators
 from nlbd.search import enumerate_nonadaptive_max
-from nlbd.wirings import symmetric_box
+from nlbd.wirings import (
+    AdaptiveTwoCopyProtocol,
+    NonAdaptiveProtocol,
+    symmetric_box,
+    wire_adaptive,
+    wire_nonadaptive,
+)
 from nlbd.xorboxes import MultipartiteXorBox, XorGame
 
 
@@ -182,4 +189,68 @@ def test_three_copy_searches_match_the_best_response_reference():
         r = enumerate_nonadaptive_max(boxes[name], 3, input_dependent=dep)
         if (r.best_value, r.best_protocol, r.best_exact) != (float(exact), key, exact):
             mismatches.append((name, r.best_protocol, key))
+    assert mismatches == []
+
+
+def _width_box(k):
+    """A nonlocal box on the 1/16 grid with each entry of row 00 moved by 2^-k: den = 2^k."""
+    p = box_from_correlators(symmetric_box(0.0, 0.0, 0.75, -0.75)).p.copy()
+    p[0] += np.array([1, -1, -1, 1]) * 2.0**-k
+    return BipartiteBox(p)
+
+
+def _raw_chsh(q):
+    return sum(s * (q[xy, 0] - q[xy, 1] - q[xy, 2] + q[xy, 3]) for xy, s in enumerate((1, 1, 1, -1)))
+
+
+def test_integer_width_on_either_side_of_the_line(monkeypatch):
+    """Boxes on each side of l1 = 2^62, where a silent int64 overflow would show.
+
+    One copy's rows are integers over den = 2^k, each summing to den, so
+    l1 = 4 * den^m: m = 2 crosses the line between den 2^29 and 2^30, m = 3
+    between 2^19 and 2^20. The adaptive search's L * R = 4 * den^2 crosses
+    it between 2^29 and 2^30 too; den 2^34, 2^23 and 2^40 lie far beyond,
+    where int64 sums would wrap. The integers are int64 below the line and
+    Python ints at it, and every result is the brute force's (m = 2), the
+    best-response reference's (m = 3, input-dependent) or its printed
+    protocol's replay in Fractions.
+    """
+    mismatches = []
+    for m, k in ((2, 29), (2, 30), (2, 34), (3, 19), (3, 20), (3, 23)):
+        box = _width_box(k)
+        _, ints, scale, l1 = search._copy_weights(box, m)
+        assert (scale, l1) == (2 ** (k * m), 4 * scale)
+        wide = l1 >= 1 << 62
+        assert wide == (k not in (29, 19))
+        assert all(w.dtype == (object if wide else np.int64) for w in ints)
+        exact = np.array([[Fraction(v) for v in row] for row in box.p.tolist()], dtype=object)
+        for dep in (False, True):
+            r = enumerate_nonadaptive_max(box, m, input_dependent=dep)
+            if m == 2:
+                want = brute_force(box, m, dep)
+            elif dep:
+                want = best_response_reference(box, m, dep)
+            else:
+                proto = NonAdaptiveProtocol.decode(2, m, r.best_protocol)
+                want = _raw_chsh(wire_nonadaptive([exact] * m, proto)), r.best_protocol
+            if (r.best_exact, r.best_protocol) != want:
+                mismatches.append((m, k, dep, r.best_protocol))
+
+    real_kernels, widths = search._adaptive_kernels, []
+
+    def recording_kernels(p, keys):
+        widths.append(p.dtype)
+        return real_kernels(p, keys)
+
+    monkeypatch.setattr(search, "_adaptive_kernels", recording_kernels)
+    for k in (29, 30, 40):
+        box = _width_box(k)
+        widths.clear()
+        (r,) = search.adaptive_search_stack(box.p[None])
+        # the float pass's kernels, then the exact pass's
+        assert set(widths) == {np.dtype(float), np.dtype(np.int64 if k == 29 else object)}
+        exact = np.array([[Fraction(v) for v in row] for row in box.p.tolist()], dtype=object)
+        proto = AdaptiveTwoCopyProtocol.decode(r.best_protocol)
+        if r.best_exact != _raw_chsh(wire_adaptive(exact, exact, proto)):
+            mismatches.append(("adaptive", k, r.best_protocol))
     assert mismatches == []
