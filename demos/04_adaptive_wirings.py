@@ -28,7 +28,6 @@ from nlbd import (
     RangeInfeasible,
     adaptive_search_max,
     adaptive_value,
-    affine_factorize,
     apply_nonadaptive,
     box_from_correlators,
     bs_output_box,
@@ -101,8 +100,7 @@ for delta in (0.0, 0.3, 0.7, 1.0):
 
 print()
 print("== factoring a single polynomial ==")
-poly = DeltaPolynomial((0.25, 0.125, 0.125))
-factors = affine_factorize(poly)
+factors = factor_affine_target(DeltaPolynomial((0.0, 0.5, 0.5)))
 print("q(d) = 0.25 + 0.125 d + 0.125 d^2, so 4q - 1 = d (1 + d) / 2")
 print("(for an output without marginals, 4q - 1 is the correlator)")
 print(f"factors of 4q - 1: {' * '.join(_fmt_factor(f) for f in factors)}")

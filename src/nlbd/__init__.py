@@ -40,7 +40,6 @@ from .equivalence import (
     EquivalenceCertificate,
     EquivalenceResult,
     EquivalentBox,
-    affine_factorize,
     build_equivalent_boxes,
     factor_affine_target,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "adaptive_search_max",
     "adaptive_search_stack",
     "adaptive_value",
-    "affine_factorize",
     "apply_adaptive",
     "apply_nonadaptive",
     "box_from_correlators",

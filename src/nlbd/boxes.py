@@ -202,24 +202,17 @@ def validate_box(b: BipartiteBox) -> ValidationReport:
     return ValidationReport(valid=not violations, violations=violations)
 
 
-def require_valid(
-    b: BipartiteBox,
-    message: str,
-    error: type[Exception] = InvalidBox,
-) -> BipartiteBox:
-    """b itself if it passes validate_box, else error(f"{message}: {violations}")."""
-    report = validate_box(b)
-    if not report.valid:
-        raise error(f"{message}: {report.violations}")
+def require_valid(b: BipartiteBox, message: str, error: type[Exception] = InvalidBox):
+    """b if it passes validate_box, else error(f"{message}: {violations}"); a stack of one."""
+    require_valid_stack(b.p, message, error)
     return b
 
 
 def require_valid_stack(p: np.ndarray, message: str, error: type[Exception] = InvalidBox):
     """p if every box of p[..., 4, 4] is valid, else require_valid's error for the first."""
     breaches = box_breaches(p).reshape(-1, len(_CHECKS))
-    passed = (breaches <= VALIDITY_TOL).all(axis=1)  # a nan breach fails
-    if not passed.all():
-        raise error(f"{message}: {_violations(breaches[~passed][0])}")
+    if not (breaches <= VALIDITY_TOL).all():  # a nan breach fails
+        raise error(f"{message}: {next(filter(None, map(_violations, breaches)))}")
     return p
 
 

@@ -17,9 +17,9 @@ import math
 import sys
 from collections.abc import Sequence
 
-from .boxes import INPUT_ORDER, chsh_value_of_box, validate_box
+from .boxes import INPUT_ORDER, box_from_correlators, chsh_value_of_box, require_valid, validate_box
 from .equivalence import build_equivalent_boxes
-from .errors import BudgetExceeded, FormatError, NlbdError
+from .errors import BudgetExceeded, FormatError, InvalidConstructedBox, NlbdError
 from .fileio import (
     _fmt,
     format_box,
@@ -51,32 +51,22 @@ _AXIS_OPTIONS = ("--alpha", "--beta", "--delta", "--eps")
 _NUMBER_STARTS = frozenset("0123456789.")
 
 
-class _CliError(Exception):
-    """A failure with a chosen exit code; the message goes to stderr."""
-
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
-
-# Exit code of every other error main reports, first matching class wins:
-# UnknownKind, FormatError and ArityMismatch are ValueErrors, so usage errors.
+# Exit code of every error main reports, first matching class wins. Usage errors are
+# ValueErrors; a file that cannot be opened, read, parsed or written is an OSError.
 _EXIT_CODES = ((BudgetExceeded, 4), (OSError, 3), (ValueError, 2), (NlbdError, 1))
 
 
 def _load_box(path: str):
     try:
         return read_box_file(path)
-    except OSError as err:
-        raise _CliError(3, f"{path}: {err.strerror or err}") from err
-    except FormatError as err:
-        raise _CliError(3, f"{path}: {err}") from err
+    except (OSError, FormatError) as err:
+        raise OSError(f"{path}: {getattr(err, 'strerror', None) or err}") from err
 
 
 def _check_threads(option: int | None) -> None:
     """Reject a --threads value below 1; the count has no effect (README says why)."""
     if option is not None and option < 1:
-        raise _CliError(2, f"--threads must be >= 1, got {option}")
+        raise ValueError(f"--threads must be >= 1, got {option}")
 
 
 def _parse_axis(option: str, text: str):
@@ -89,7 +79,7 @@ def _parse_axis(option: str, text: str):
         except ValueError:
             values = None
     if values is None or not all(math.isfinite(v) for v in values):
-        raise _CliError(2, f"{option} expects VALUE or START:STOP:STEP, got {text!r}")
+        raise ValueError(f"{option} expects VALUE or START:STOP:STEP, got {text!r}")
     return values[0] if len(values) == 1 else tuple(values)
 
 
@@ -134,7 +124,7 @@ def _emit_box(box, out: str | None, head: str) -> None:
         try:
             write_box_file(out, box)
         except OSError as err:
-            raise _CliError(3, f"{out}: {err.strerror or err}") from err
+            raise OSError(f"{out}: {err.strerror or err}") from err
     print(head)
     if out is None:
         sys.stdout.write(format_box(box))
@@ -176,43 +166,43 @@ def _apply_bipartite_protocol(spec: str, boxes: list, m: int):
         return apply_nonadaptive(boxes, parity_protocol(2, m))
     if spec == "or":
         if m != 2:
-            raise _CliError(2, f"the OR protocol takes --copies 2, got {m}")
+            raise ValueError(f"the OR protocol takes --copies 2, got {m}")
         return apply_nonadaptive(boxes, or_protocol())
     if spec.startswith("adaptive:"):
         if m != 2:
-            raise _CliError(2, f"adaptive protocols take --copies 2, got {m}")
+            raise ValueError(f"adaptive protocols take --copies 2, got {m}")
         digits = spec[len("adaptive:") :]
         try:
             proto = parse_protocol(f"proto=adaptive2;tables={digits}")
         except FormatError as err:
-            raise _CliError(2, f"bad adaptive protocol {digits!r}: {err}") from err
+            raise ValueError(f"bad adaptive protocol {digits!r}: {err}") from err
         return apply_adaptive(boxes[0], boxes[1], proto)
-    raise _CliError(2, f"unknown protocol {spec!r}: expected parity, or, adaptive:<hex>")
+    raise ValueError(f"unknown protocol {spec!r}: expected parity, or, adaptive:<hex>")
 
 
 def _cmd_distill(args: argparse.Namespace) -> int:
     if args.copies < 1:
-        raise _CliError(2, f"--copies must be >= 1, got {args.copies}")
+        raise ValueError(f"--copies must be >= 1, got {args.copies}")
     boxes = [_load_box(p) for p in args.boxfile]
     xor_like = [isinstance(b, MultipartiteXorBox) for b in boxes]
     if any(xor_like):
         if not all(xor_like) or len(boxes) != 1:
-            raise _CliError(2, "xor distillation takes exactly one xor box file")
+            raise ValueError("xor distillation takes exactly one xor box file")
         if args.protocol != "parity":
-            raise _CliError(2, "only the parity protocol applies to xor box files")
+            raise ValueError("only the parity protocol applies to xor box files")
         box = boxes[0]
         distilled = MultipartiteXorBox(box.game, tuple(d**args.copies for d in box.delta))
         value = xor_value(distilled)
     else:
         if args.copies > 10:
-            raise _CliError(
-                4, f"--copies {args.copies} exceeds the exact enumeration budget (max 10)"
+            raise BudgetExceeded(
+                f"--copies {args.copies} exceeds the exact enumeration budget (max 10)"
             )
         if len(boxes) == 1:
             boxes = boxes * args.copies
         elif len(boxes) != args.copies:
-            raise _CliError(
-                2, f"--copies {args.copies} needs 1 or {args.copies} box files, got {len(boxes)}"
+            raise ValueError(
+                f"--copies {args.copies} needs 1 or {args.copies} box files, got {len(boxes)}"
             )
         distilled = _apply_bipartite_protocol(args.protocol, boxes, args.copies)
         value = chsh_value_of_box(distilled)
@@ -225,16 +215,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
     _check_threads(args.threads)
     if args.search_class == "adaptive":
         if args.m not in (None, 2):
-            raise _CliError(2, "adaptive search is over two copies; omit --m or pass --m 2")
+            raise ValueError("adaptive search is over two copies; omit --m or pass --m 2")
         if args.input_dependent:
-            raise _CliError(2, "adaptive search takes no --input-dependent")
+            raise ValueError("adaptive search takes no --input-dependent")
         if isinstance(box, MultipartiteXorBox):
-            raise _CliError(2, "adaptive search takes a bipartite box file")
+            raise ValueError("adaptive search takes a bipartite box file")
         result = adaptive_search_max(box)
         proto_line = format_protocol(AdaptiveTwoCopyProtocol.decode(result.best_protocol))
     else:
         if args.m is None:
-            raise _CliError(2, "nonadaptive search needs --m")
+            raise ValueError("nonadaptive search needs --m")
         result = enumerate_nonadaptive_max(box, args.m, input_dependent=args.input_dependent)
         proto_line = format_protocol(
             NonAdaptiveProtocol.decode(result.n, result.m, result.best_protocol)
@@ -267,7 +257,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             with open(args.out, "w", encoding="utf-8") as stream:
                 result.write_csv(stream)
         except OSError as err:
-            raise _CliError(3, f"{args.out}: {err.strerror or err}") from err
+            raise OSError(f"{args.out}: {err.strerror or err}") from err
         print(f"wrote {len(result)} rows to {args.out}")
     return 0
 
@@ -280,7 +270,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
     if not math.isfinite(args.delta):
-        raise _CliError(2, f"--delta must be a finite number, got {args.delta}")
+        raise ValueError(f"--delta must be a finite number, got {args.delta}")
     if args.proto is None:
         proto = bs_wiring()
     else:
@@ -298,6 +288,9 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         lines += [f"target{label}={coeffs}", f"factors{label}={factors}"]
     for label, built in zip(("box1", "box2"), result.boxes):
         form = built.correlator_form(args.delta)
+        # the construction checks its boxes only at delta = 0, 0.1, ..., 1
+        message = f"constructed box invalid at delta={args.delta:g}"
+        require_valid(box_from_correlators(form), message, InvalidConstructedBox)
         fields = " ".join(f"{name}={_fmt(value)}" for name, value in form.as_dict().items())
         lines.append(f"{label}: {fields}")
     lines.append(f"certificate_max_deviation={_fmt(result.certificate.max_deviation)}")
@@ -391,10 +384,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (_CliError, *(cls for cls, _ in _EXIT_CODES)) as err:
+    except tuple(cls for cls, _ in _EXIT_CODES) as err:
         print(f"nlbd: {err}", file=sys.stderr)
-        if isinstance(err, _CliError):
-            return err.code
         return next(code for cls, code in _EXIT_CODES if isinstance(err, cls))
 
 

@@ -60,7 +60,6 @@ __all__ = [
     "EquivalenceCertificate",
     "EquivalenceResult",
     "EquivalentBox",
-    "affine_factorize",
     "build_equivalent_boxes",
     "factor_affine_target",
 ]
@@ -193,26 +192,6 @@ def factor_affine_target(target: DeltaPolynomial) -> tuple[AffineFactor, ...]:
     if not drift <= PRODUCT_TOL:
         raise VerificationFailed(f"factor product drifted from the target by {drift:.3g}")
     return tuple(factors)
-
-
-def _even_output_target(q: DeltaPolynomial) -> DeltaPolynomial:
-    """The product target 4*q - 1 of an even-even output probability polynomial."""
-    return DeltaPolynomial(
-        (4.0 * q.coeffs[0] - 1.0,) + tuple(4.0 * c for c in q.coeffs[1:])
-    )
-
-
-def affine_factorize(q: DeltaPolynomial) -> tuple[AffineFactor, ...]:
-    """Factor the even-output target 4*q - 1 into per-copy expected values.
-
-    q is the probability polynomial for joint outcome 00 on one input xy, so
-    4*q - 1 = A_x + B_y + E_xy: it equals the correlator E_xy only where both
-    output marginals vanish.  For such an output, parity over two boxes
-    without marginals whose correlators on that input are the returned
-    factors reproduces q there.  build_equivalent_boxes does not take this
-    path; it splits the correlator-form polynomials themselves.
-    """
-    return factor_affine_target(_even_output_target(q))
 
 
 def _clip_entry(value: float) -> float:

@@ -97,6 +97,15 @@ def walsh_transform(f: PmOutputFunction) -> np.ndarray:
     return a.reshape(-1) / (1 << f.m)
 
 
+def _levels(game: XorGame, delta: Sequence[float], m: int) -> np.ndarray:
+    """T_0 .. T_m, T_k = sum_x (-1)^f(x) delta_x^k, for one bias delta_x per input x."""
+    d = np.asarray(delta, dtype=float)
+    if d.shape != (1 << game.n,):
+        raise ArityMismatch(f"delta must have 2^{game.n} entries")
+    signs = game.signs()
+    return np.array([signs @ d**k for k in range(m + 1)])
+
+
 def nonadaptive_value_fourier(
     spectra: Sequence[np.ndarray],
     game: XorGame,
@@ -113,12 +122,7 @@ def nonadaptive_value_fourier(
     size = sizes[0]
     if size < 1 or size & (size - 1) or any(s != size for s in sizes):
         raise ArityMismatch(f"spectra need one common length 2^m, got lengths {sizes}")
-    m = size.bit_length() - 1
-    d = np.asarray(delta, dtype=float)
-    if d.shape != (1 << game.n,):
-        raise ArityMismatch(f"delta must have 2^{game.n} entries")
-    signs = game.signs()
-    t = np.array([signs @ d**k for k in range(m + 1)])  # T_0 .. T_m
+    t = _levels(game, delta, size.bit_length() - 1)
     prod = np.ones(size)
     for sp in spectra:
         prod *= sp
@@ -142,13 +146,9 @@ def parity_bound(game: XorGame, delta: Sequence[float], m: int) -> ParityBound:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    d = np.asarray(delta, dtype=float)
-    if d.shape != (1 << game.n,):
-        raise ArityMismatch(f"delta must have 2^{game.n} entries")
-    signs = game.signs()
+    t = np.abs(_levels(game, delta, m)).tolist()
     best_value, best_k = -1.0, 1
     for k in range(1, m + 1):
-        t = float(abs(signs @ d**k))
-        if t > best_value:  # strict: ties keep the smaller k
-            best_value, best_k = t, k
+        if t[k] > best_value:  # strict: ties keep the smaller k
+            best_value, best_k = t[k], k
     return ParityBound(best_value, best_k)

@@ -687,15 +687,18 @@ def region_scan(grid: dict, protocols: Sequence[str] = ("PARITY", "OR")) -> Regi
     the collapse flag, in tie-break order after "none". V_A_fit takes the
     adaptive closed form's free-parameter combination as -2*alpha.
 
-    Labels, axes and the grid budget are checked here, the budget before
-    any axis is built. The returned result offers len(), column(name) and
-    write_csv(stream); it computes cells a chunk at a time whenever they
-    are read, and keeps none, cells ordered with alpha slowest and eps
-    fastest.
+    Labels, axis names, axes and the grid budget are checked here, the
+    budget before any axis is built. The returned result offers len(),
+    column(name) and write_csv(stream); it computes cells a chunk at a time
+    whenever they are read, and keeps none, cells ordered with alpha slowest
+    and eps fastest.
     """
     for label in protocols:
         if label not in _LABEL_COLUMNS:
             raise UnknownKind(f"unknown protocol label {label!r}")
+    for name in grid:
+        if name not in ("alpha", "beta", "delta", "eps"):
+            raise ValueError(f"grid has an unknown axis {name!r}")
     ranges = {}
     for name in ("alpha", "beta", "delta", "eps"):
         spec = grid.get(name)

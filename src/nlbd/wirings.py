@@ -123,19 +123,15 @@ class AdaptiveTwoCopyProtocol:
                 raise ValueError(f"{name} entries must be bits")
 
     def encode(self) -> int:
-        a, b = (
-            [u | out[2 * k] << 1 | out[2 * k + 1] << 2 for k, u in enumerate(box2map)]
-            for box2map, out in ((self.box2map_a, self.outmap_a), (self.box2map_b, self.outmap_b))
-        )
-        return pack_adaptive_player(a) | pack_adaptive_player(b) << 12
+        bits = self.box2map_a + self.outmap_a + self.box2map_b + self.outmap_b
+        return sum(bit << i for i, bit in enumerate(bits))
 
     @classmethod
     def decode(cls, packed: int) -> "AdaptiveTwoCopyProtocol":
         if packed < 0 or packed >> 24:
             raise FormatError(f"adaptive encoding out of range: {packed}")
-        b2a, outa = _decode_player(packed & 0xFFF)
-        b2b, outb = _decode_player(packed >> 12)
-        return cls(b2a, outa, b2b, outb)
+        bits = tuple(packed >> i & 1 for i in range(24))
+        return cls(bits[:4], bits[4:12], bits[12:16], bits[16:])
 
 
 def pack_adaptive_player(behaviors):
@@ -147,12 +143,6 @@ def pack_adaptive_player(behaviors):
     for branch, beh in enumerate(behaviors):
         block = block | (beh & 1) << branch | (beh >> 1 & 3) << (4 + 2 * branch)
     return block
-
-
-def _decode_player(block: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    box2map = tuple((block >> i) & 1 for i in range(4))
-    outmap = tuple((block >> (4 + i)) & 1 for i in range(8))
-    return box2map, outmap
 
 
 def identity_wiring() -> AdaptiveTwoCopyProtocol:

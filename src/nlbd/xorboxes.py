@@ -255,6 +255,8 @@ def simulate_nonadaptive_xor(
     returns only what the game value needs: the distilled even-parity bias
     per input, plus the value sum_x (-1)^f(x) delta'_x.
     """
+    if m < 1:
+        raise ValueError(f"copies m must be >= 1, got {m}")
     if isinstance(boxes, MultipartiteXorBox):
         box_list = [boxes] * m
     else:

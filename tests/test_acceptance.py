@@ -36,7 +36,6 @@ from nlbd import (
     XorGame,
     adaptive_search_max,
     adaptive_value,
-    affine_factorize,
     apply_nonadaptive,
     box_from_correlators,
     bs_output_box,
@@ -45,6 +44,7 @@ from nlbd import (
     chsh_value_of_box,
     correlators_from_box,
     enumerate_nonadaptive_max,
+    factor_affine_target,
     make_named_box,
     nonadaptive_value_fourier,
     or_protocol,
@@ -236,8 +236,9 @@ def test_criterion_07_adaptive_search_reaches_published_values():
 
 
 def test_criterion_08_factorization_rewrites_wiring_as_parity():
-    # 4q - 1 = delta (1 + delta) / 2, i.e. q = (1 + delta/2 + delta^2/2) / 4.
-    factors = affine_factorize(DeltaPolynomial((0.25, 0.125, 0.125)))
+    # 4q - 1 = delta (1 + delta) / 2 for q = (1 + delta/2 + delta^2/2) / 4, the
+    # even-even probability of the isotropic-distilling wiring's output.
+    factors = factor_affine_target(DeltaPolynomial((0.0, 0.5, 0.5)))
     assert factors == (AffineFactor(1.0, 0.0), AffineFactor(0.5, 0.5))
 
     pair = build_equivalent_boxes(bs_wiring()).boxes

@@ -36,7 +36,7 @@ from nlbd import (
     parse_box_text,
     read_box_file,
 )
-from nlbd.boxes import INPUT_ORDER, ValidationReport
+from nlbd.boxes import INPUT_ORDER
 from nlbd.cli import main
 from nlbd.wirings import symmetric_box
 
@@ -668,6 +668,14 @@ def test_equiv_failure_after_the_factorization_prints_nothing(capsys):
     assert err != ""
 
 
+def test_equiv_checks_the_boxes_it_prints(capsys):
+    # the pair is valid at the certificate's points in [0, 1], but box1 at delta = -0.3
+    # has p(00|11) near -0.016
+    code, out, err = run(capsys, "equiv", "--delta", "-0.3", "--proto", "d037fe")
+    assert (code, out) == (1, "")
+    assert err.startswith("nlbd: constructed box invalid at delta=-0.3: (('negativity', ")
+
+
 @pytest.mark.parametrize("digits", ["zz", "12345", "1234567"])
 def test_equiv_bad_encoding_is_usage(capsys, digits):
     code, out, err = run(capsys, "equiv", "--delta", 0.5, "--proto", digits)
@@ -754,11 +762,14 @@ def test_exact_oracle_disagreement_exits_one(boxdir, capsys, monkeypatch):
 def test_invalid_wiring_output_exits_one(boxdir, capsys, monkeypatch):
     # the input boxes pass; the wiring's output fails validation
     inputs = read_box_file(boxdir / "correlated.box")
-    real = nlbd.boxes.validate_box
-    failing = ValidationReport(False, (("signalling", 0.25),))
-    monkeypatch.setattr(
-        nlbd.boxes, "validate_box", lambda box: real(box) if box == inputs else failing
-    )
+    real = nlbd.boxes.box_breaches
+
+    def breaches(p):  # every box but the input signals to Alice
+        if np.array_equal(p, inputs.p):
+            return real(p)
+        return np.broadcast_to([0.0, 0.0, 0.25, 0.0], p.shape[:-2] + (4,))
+
+    monkeypatch.setattr(nlbd.boxes, "box_breaches", breaches)
     for protocol in ("or", "adaptive:33333c"):
         code, out, err = run(capsys, "distill", "--protocol", protocol, "--copies", "2",
                              boxdir / "correlated.box")

@@ -22,7 +22,6 @@ from nlbd.equivalence import (
     SAMPLE_DELTAS,
     AffineFactor,
     DeltaPolynomial,
-    affine_factorize,
     build_equivalent_boxes,
     factor_affine_target,
 )
@@ -123,30 +122,29 @@ def test_interpolation_matches_simulation_at_fresh_points():
 
 
 def test_factorize_bs_target():
-    # 4q - 1 = delta(1 + delta)/2: the affine factor with the larger root
-    # comes first and soaks up the scale its cap allows.
-    q = DeltaPolynomial((0.25, 0.125, 0.125))
-    factors = affine_factorize(q)
+    # 4q - 1 = delta(1 + delta)/2 for q = (1 + delta/2 + delta^2/2)/4: the affine
+    # factor with the larger root comes first and soaks up the scale its cap allows.
+    factors = factor_affine_target(DeltaPolynomial((0.0, 0.5, 0.5)))
     assert factors == (AffineFactor(1.0, 0.0), AffineFactor(0.5, 0.5))
 
 
 def test_factorize_double_root():
-    q = DeltaPolynomial((0.25, 0.0, 0.25))  # 4q - 1 = delta^2
-    assert affine_factorize(q) == (AffineFactor(1.0, 0.0), AffineFactor(1.0, 0.0))
+    target = DeltaPolynomial((0.0, 0.0, 1.0))  # 4q - 1 = delta^2
+    assert factor_affine_target(target) == (AffineFactor(1.0, 0.0), AffineFactor(1.0, 0.0))
 
 
 def test_factorize_complex_roots_is_reported():
-    q = DeltaPolynomial((3.0 / 8.0, 0.0, 1.0 / 8.0))  # 4q - 1 = (1 + delta^2)/2
+    target = DeltaPolynomial((0.5, 0.0, 0.5))  # 4q - 1 = (1 + delta^2)/2
     with pytest.raises(NoRealFactorization):
-        affine_factorize(q)
+        factor_affine_target(target)
 
 
 def test_factorize_degree_one_target():
     # 4q - 1 = delta: one affine factor plus a constant factor of 1.
-    factors = affine_factorize(DeltaPolynomial((0.25, 0.25)))
+    factors = factor_affine_target(DeltaPolynomial((0.0, 1.0)))
     assert factors == (AffineFactor(1.0, 0.0), AffineFactor(0.0, 1.0))
     # Negative leading coefficient rides on the affine factor, not the constant.
-    factors = affine_factorize(DeltaPolynomial((0.25, -0.25)))
+    factors = factor_affine_target(DeltaPolynomial((0.0, -1.0)))
     assert factors == (AffineFactor(-1.0, 0.0), AffineFactor(0.0, 1.0))
 
 

@@ -664,6 +664,9 @@ def test_region_scan_errors():
         region_scan({"alpha": 0.5, "delta": 1.0, "eps": 0.0}, protocols=("XOR",))
     with pytest.raises(ValueError):
         region_scan({"alpha": 0.5, "eps": 0.0})
+    # a misspelt "beta" would otherwise leave beta tracking alpha
+    with pytest.raises(ValueError, match="^grid has an unknown axis 'betta'$"):
+        region_scan({"alpha": (0.0, 0.2, 0.1), "eps": 0.0, "delta": 0.9, "betta": 0.3})
     with pytest.raises(BudgetExceeded):
         region_scan(
             {"alpha": (0.0, 1.0, 1e-4), "delta": 1.0, "eps": (-1.0, 1.0, 1e-4)}

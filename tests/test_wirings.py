@@ -31,6 +31,7 @@ from nlbd.wirings import (
     identity_wiring,
     or_protocol,
     or_value,
+    pack_adaptive_player,
     parity_as_adaptive,
     parity_protocol,
     symmetric_box,
@@ -105,6 +106,24 @@ def test_adaptive_encoding_roundtrip():
         assert proto.encode() == packed
     with pytest.raises(FormatError):
         AdaptiveTwoCopyProtocol.decode(1 << 24)
+
+
+def test_adaptive_layout_is_the_behaviour_packing_per_player():
+    # behaviour k of a player is u | F(o2=0) << 1 | F(o2=1) << 2 on branch k = v*2 + o1;
+    # the players' 12-bit blocks are independent, so each is covered on its own
+    zero = ((0,) * 4, (0,) * 8)
+    for behaviours in itertools.product(range(8), repeat=4):
+        maps = (
+            tuple(beh & 1 for beh in behaviours),
+            tuple(beh >> i & 1 for beh in behaviours for i in (1, 2)),
+        )
+        block = pack_adaptive_player(behaviours)
+        for proto, packed in (
+            (AdaptiveTwoCopyProtocol(*maps, *zero), block),
+            (AdaptiveTwoCopyProtocol(*zero, *maps), block << 12),
+        ):
+            assert proto.encode() == packed
+            assert AdaptiveTwoCopyProtocol.decode(packed) == proto
 
 
 def test_protocol_table_validation():

@@ -274,3 +274,13 @@ def test_nonadaptive_xor_rejects_non_bit_tables():
     # checked before any cast to int, which would read 0.5 as 0
     with pytest.raises(ValueError, match="bits"):
         simulate_nonadaptive_xor(box, [[[0.5, 1.0], [0.5, 1.0]]] * 2, 1)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_nonadaptive_xor_rejects_fewer_than_one_copy(m):
+    box = MultipartiteXorBox(CHSH, (1, 1, 1, 0.3))
+    for boxes in (box, [], [box]):
+        with pytest.raises(ValueError, match=f"^copies m must be >= 1, got {m}$"):
+            simulate_nonadaptive_xor(boxes, [[[0], [0]]] * 2, m)
+    with pytest.raises(ValueError, match=f"^copies m must be >= 1, got {m}$"):
+        simulate_parity(box, m)
