@@ -24,7 +24,9 @@ exact values. _dyadic puts the box entries, binary floats, over one
 power-of-two denominator per box, and a search reads its float weights,
 its rounding bound and its integer width from those integers, once:
 int64 where their l1 bounds every partial sum below 2^62, Python ints
-otherwise. Everything runs on the calling thread, one block after another.
+otherwise. The non-adaptive copy weights are products over class strings,
+one copy's output (bipartite) or its parity (XOR) per copy, gathered onto
+the outcome tuples. Everything runs on the calling thread, one block after another.
 
 In the input-dependent and three-player classes the float pass's second
 axis (player A's input-1 table, or the middle player's) runs only over
@@ -152,43 +154,52 @@ def _dyadic(x: np.ndarray) -> tuple:
     return odd << (top.reshape((-1,) + (1,) * (x.ndim - 1)) - k), [1 << int(t) for t in top]
 
 
-def _copy_weights(box, m: int):
-    """Per input x, s_x * W_x[s_1, ..., s_n] as floats and as integers over `scale`.
+@functools.cache
+def _class_index(n: int, m: int, k: int) -> np.ndarray:
+    """index[s_1, ..., s_n]: each outcome tuple's class string, base k, first copy highest.
 
-    W_x is the m-fold Kronecker power of one copy's weights (first copy most
-    significant): a bipartite box's row p(ab|xy), or an XOR box's
-    (1 +- delta_x)/2^n by the parity of the outputs; s_x is the game sign.
-    Everything comes from one copy's integer rows over den, the smallest
-    power of two: the floats are their correctly rounded quotients, l1 =
-    sum_x (sum_o |row_x[o]|)^m is sum |W| times scale = den^m, and the
-    integers are int64 if l1 < 2^62, which bounds every partial sum an exact
-    pass forms, else Python ints. Returns (floats, integers, scale, l1).
+    A copy's class is its output, player j's bit at bit n - 1 - j (k = 2^n), or its parity (k = 2).
+    """
+    s, index = np.indices((1 << m,) * n), 0
+    for c in range(m - 1, -1, -1):
+        index = index * k + sum((s[j] >> c & 1) << (n - 1 - j) * (k > 2) for j in range(n)) % k
+    index.flags.writeable = False  # the cache shares it
+    return index
+
+
+def _copy_weights(box, m: int):
+    """(floats, ints, index, scale, l1): per input x, s_x * W_x on one copy's class strings.
+
+    One copy's row has a weight per output class: p(ab|xy) per output (k = 4)
+    for a bipartite box, (1 +- delta_x)/2^n per output parity (k = 2) for an
+    XOR box; s_x is the game sign. W_x is its m-fold Kronecker power on the
+    k^m class strings (first copy most significant), W_x[index] per outcome
+    tuple. From one copy's integer rows over den, the smallest power of two,
+    come the floats, their correctly rounded quotients, l1, the sum of all
+    |W_x[index]| times scale = den^m, and the integers: int64 if l1 < 2^62,
+    which bounds every partial sum an exact pass forms, else Python ints.
     """
     if isinstance(box, BipartiteBox):
         require_valid(box, "search input fails validation")
-        n, signs = 2, _CHSH_SIGNS
+        n, k, signs = 2, 4, _CHSH_SIGNS
         (rows,), (den,) = _dyadic(box.p[None])
     elif isinstance(box, MultipartiteXorBox):
-        n, signs = box.n, [1 - 2 * f for f in box.game.f]
-        even = np.array([1 - 2 * (bin(a).count("1") & 1) for a in range(1 << n)])
+        n, k, signs = box.n, 2, [1 - 2 * f for f in box.game.f]
         (ds,), (den,) = _dyadic(box.delta_array()[None])
-        # (1 + e * d) / 2^n with d = ds / den is (den + e * ds) / (den << n); some
-        # ds is odd if den > 1, so that reduces only when every delta is +-1, by 2
-        rows = den + even * ds[:, None]
+        # (1 + e * d) / 2^n with d = ds / den is (den + e * ds) / (den << n) at parity
+        # e = +-1; some ds is odd if den > 1, so that reduces only when every delta is +-1
+        rows = den + np.array([1, -1]) * ds[:, None]
         half = int(not (rows & 1).any())
         rows, den = rows >> half, den << n >> half
     else:
         raise TypeError(f"expected BipartiteBox or MultipartiteXorBox, got {type(box).__name__}")
-    floats, l1 = (rows / den).astype(float), int((np.abs(rows).sum(1) ** m).sum())
+    floats, l1 = (rows / den).astype(float), int((((np.abs(rows).sum(1) << n) // k) ** m).sum())
     if l1 < 1 << 62:
         rows = rows.astype(np.int64)
-    # player j's index holds one outcome bit per copy, the first copy highest;
-    # copy c's entry of the row sets output bit j from player j's bit
-    s = np.indices((1 << m,) * n)
-    copies = [sum((s[j] >> c & 1) << n - 1 - j for j in range(n)) for c in range(m - 1, -1, -1)]
-    weights = [[g * math.prod(row[c] for c in copies) for g, row in zip(signs, r)]
+    digits = [np.arange(k**m) // k**c % k for c in range(m - 1, -1, -1)]
+    weights = [[g * math.prod(row[d] for d in digits) for g, row in zip(signs, r)]
                for r in (floats, rows)]
-    return weights[0], weights[1], den**m, l1
+    return weights[0], weights[1], _class_index(n, m, k), den**m, l1
 
 
 def _respond(v, key):
@@ -361,16 +372,16 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
         raise BudgetExceeded(f"enumeration for n={n} players is out of scope")
     examined = (1 << (1 << m)) ** (2 * n if input_dependent else n)
     class_name = "nonadaptive-input-dep" if input_dependent else "nonadaptive-input-free"
-    floats, ints, scale, l1 = _copy_weights(box, m)
+    floats, ints, index, scale, l1 = _copy_weights(box, m)
     size = 1 << m
     count = 1 << size
     smat = _sign_matrix(m)
-    err = _rounding_bound(sum(w.size for w in floats), 2 * m, l1 / scale)
+    err = _rounding_bound(len(floats) * index.size, 2 * m, l1 / scale)
     if input_dependent:
         # K_xy = s_xy S W_xy in input order 2x + y, and v_y = K_0y[a_0] + K_1y[a_1]
-        kernels = np.stack([(smat @ w).T for w in floats])[:, None]  # [xy, -, slot, table]
+        kernels = np.stack([(smat @ w[index]).T for w in floats])[:, None]  # [xy, -, slot, table]
         block = lambda tables: _outer_totals(kernels[2:], kernels[:2], tables)  # noqa: E731
-        ints = np.stack(ints).reshape(2, 2, size, size)  # [x, y, s_A, slot]
+        ints = np.stack(ints)[:, index].reshape(2, 2, size, size)  # [x, y, s_A, slot]
 
         def exact_rows(rows):
             v = sum(
@@ -384,10 +395,10 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
     else:
         # the first player is contracted once for all her tables, then the
         # middle one (n = 3; else a single 1) one slot t at a time: kt[t, s_1, a_0]
-        kt = np.tensordot(smat, sum(floats), 1).T.reshape(size, -1, count).copy()
+        kt = np.tensordot(smat, sum(floats)[index], 1).T.reshape(size, -1, count).copy()
         middle = smat.astype(float) if n == 3 else np.ones((1, 1))
         block = lambda tables: sum(np.abs(middle[tables] @ k) for k in kt)  # noqa: E731
-        weights = sum(ints)
+        weights = sum(ints)[index]  # summed on the class strings, then gathered
 
         def exact_rows(rows):
             v = _distinct(rows % count, lambda t: np.tensordot(smat[t], weights, 1))

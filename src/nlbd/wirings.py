@@ -118,9 +118,10 @@ class AdaptiveTwoCopyProtocol:
     outmap_b: tuple[int, int, int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        for name in ("box2map_a", "box2map_b", "outmap_a", "outmap_b"):
-            if any(bit not in (0, 1) for bit in getattr(self, name)):
-                raise ValueError(f"{name} entries must be bits")
+        for name, size in (("box2map_a", 4), ("box2map_b", 4), ("outmap_a", 8), ("outmap_b", 8)):
+            bits = getattr(self, name)
+            if len(bits) != size or any(bit not in (0, 1) for bit in bits):
+                raise ValueError(f"{name} must hold {size} bits, got {bits!r}")
 
     def encode(self) -> int:
         bits = self.box2map_a + self.outmap_a + self.box2map_b + self.outmap_b

@@ -749,8 +749,8 @@ def test_exact_oracle_disagreement_exits_one(boxdir, capsys, monkeypatch):
     real_weights = nlbd.search._copy_weights
 
     def off_weights(box, m):
-        floats, ints, scale, l1 = real_weights(box, m)
-        return [1.5 * w for w in floats], ints, scale, l1
+        floats, ints, index, scale, l1 = real_weights(box, m)
+        return [1.5 * w for w in floats], ints, index, scale, l1
 
     monkeypatch.setattr(nlbd.search, "_copy_weights", off_weights)
     code, out, err = run(capsys, "search", "--class", "nonadaptive", "--m", "2", "--exact",

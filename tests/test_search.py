@@ -497,9 +497,13 @@ def _weight_cases():
 
 def test_copy_weights_equal_the_fraction_construction():
     for box, rows, signs in _weight_cases():
-        n = 2 if isinstance(box, BipartiteBox) else box.n
-        for m in (1, 2):
-            floats, ints, scale, l1 = search_module._copy_weights(box, m)
+        xor = isinstance(box, MultipartiteXorBox)
+        n = box.n if xor else 2
+        for m in (1, 2, 3) if xor else (1, 2):
+            floats, ints, index, scale, l1 = search_module._copy_weights(box, m)
+            # one weight per class string: the output parities of an XOR box
+            assert [w.shape for w in floats + ints] == [((2 if xor else 4) ** m,)] * 2 * len(rows)
+            floats, ints = [w[index] for w in floats], [w[index] for w in ints]
             want, want_scale = _fraction_weights(rows, signs, n, m)
             assert scale == want_scale
             assert l1 == sum(abs(v) for w in want for v in w.flat)
@@ -513,6 +517,23 @@ def test_copy_weights_equal_the_fraction_construction():
             if m == 1:
                 for got, expected in zip(floats, want):
                     assert [float(v) for v in got.flat] == [float(v / scale) for v in expected.flat]
+
+
+def test_class_index_maps_each_outcome_tuple_to_its_class_string():
+    for n, m in itertools.product((2, 3), (1, 2, 3)):
+        for k in (2, 1 << n):
+            index = search_module._class_index(n, m, k)
+            assert index is search_module._class_index(n, m, k)  # cached, so shared
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[(0,) * n] = 1
+            assert index.shape == (1 << m,) * n
+            for idx in itertools.product(range(1 << m), repeat=n):
+                string = 0
+                for shift in range(m - 1, -1, -1):  # first copy most significant
+                    output = sum(((i >> shift) & 1) << (n - 1 - j) for j, i in enumerate(idx))
+                    string = string * k + (output if k > 2 else bin(output).count("1") & 1)
+                assert index[idx] == string
 
 
 def test_dyadic_parts_equal_the_fraction_construction():

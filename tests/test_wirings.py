@@ -131,6 +131,20 @@ def test_protocol_table_validation():
         NonAdaptiveProtocol(2, 2, (((0, 1), (0, 1)),) * 2)  # tables too short
     with pytest.raises(ValueError):
         AdaptiveTwoCopyProtocol((0, 0, 0, 2), (0,) * 8, (0,) * 4, (0,) * 8)
+    with pytest.raises(ValueError, match="outmap_b must hold 8 bits"):
+        AdaptiveTwoCopyProtocol((0,) * 4, (0,) * 8, (0,) * 4, (0,) * 7 + (2,))
+
+
+def test_adaptive_maps_of_the_wrong_length_are_rejected():
+    # five bits in box2map_a would shift every later map by one bit: 0x1fe0 on encode
+    with pytest.raises(ValueError, match=r"box2map_a must hold 4 bits, got \(0, 0, 0, 0, 0\)"):
+        AdaptiveTwoCopyProtocol((0,) * 5, (1,) * 8, (0,) * 4, (0,) * 8)
+    sizes = (4, 8, 4, 8)
+    for field, name in enumerate(("box2map_a", "outmap_a", "box2map_b", "outmap_b")):
+        for wrong in (0, sizes[field] - 1, sizes[field] + 1):
+            maps = [(0,) * (wrong if i == field else size) for i, size in enumerate(sizes)]
+            with pytest.raises(ValueError, match=f"{name} must hold {sizes[field]} bits"):
+                AdaptiveTwoCopyProtocol(*maps)
 
 
 # ------------------------------------------------------- non-adaptive apply
