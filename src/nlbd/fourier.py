@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ArityMismatch
-from .xorboxes import XorGame
+from .xorboxes import XorGame, _popcounts, _wht
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class PmOutputFunction:
 
     @classmethod
     def parity(cls, m: int) -> "PmOutputFunction":
-        return cls(m, tuple(1 - 2 * (bin(s).count("1") % 2) for s in range(1 << m)))
+        return cls(m, tuple((1 - 2 * (_popcounts(m) & 1)).tolist()))
 
     @classmethod
     def constant(cls, m: int, value: int = +1) -> "PmOutputFunction":
@@ -87,14 +87,10 @@ class PmOutputFunction:
 def walsh_transform(f: PmOutputFunction) -> np.ndarray:
     """The 2^m coefficients fhat_z, by the butterfly one copy at a time, O(m 2^m).
 
-    Copy c is axis c of a (2,)*m view, so z is indexed first copy most
-    significant, like s.
+    z is indexed first copy most significant, like s. Every partial sum of
+    the +-1 values is an integer of at most 2^m, so the floats are exact.
     """
-    a = f.values().reshape((2,) * f.m)
-    for axis in range(f.m):
-        lo, hi = a.take(0, axis), a.take(1, axis)
-        a = np.stack((lo + hi, lo - hi), axis)
-    return a.reshape(-1) / (1 << f.m)
+    return _wht(f.values(), f.m) / (1 << f.m)
 
 
 def _levels(game: XorGame, delta: Sequence[float], m: int) -> np.ndarray:
@@ -122,12 +118,12 @@ def nonadaptive_value_fourier(
     size = sizes[0]
     if size < 1 or size & (size - 1) or any(s != size for s in sizes):
         raise ArityMismatch(f"spectra need one common length 2^m, got lengths {sizes}")
-    t = _levels(game, delta, size.bit_length() - 1)
+    m = size.bit_length() - 1
+    t = _levels(game, delta, m)
     prod = np.ones(size)
     for sp in spectra:
         prod *= sp
-    weight = [bin(z).count("1") for z in range(size)]  # |z|
-    return float(prod @ t[weight])
+    return float(prod @ t[_popcounts(m)])  # T_|z|
 
 
 class ParityBound(NamedTuple):

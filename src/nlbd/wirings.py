@@ -45,6 +45,7 @@ from .boxes import (
     require_valid,
 )
 from .errors import ArityMismatch, FormatError, VerificationFailed
+from .xorboxes import _popcounts
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,11 @@ class NonAdaptiveProtocol:
         for pair in self.tables:
             if len(pair) != 2 or any(len(t) != 1 << self.m for t in pair):
                 raise ValueError(f"each player needs two tables of 2^{self.m} bits")
-            if any(bit not in (0, 1) for t in pair for bit in t):
+            try:
+                bits = all({0, 1}.issuperset(t) for t in pair)
+            except TypeError:  # an unhashable entry is no bit either
+                bits = False
+            if not bits:
                 raise ValueError("table entries must be bits")
 
     @property
@@ -94,7 +99,7 @@ class NonAdaptiveProtocol:
 
 def parity_protocol(n: int, m: int) -> NonAdaptiveProtocol:
     """Every player outputs the XOR of her m outcome bits, input-independent."""
-    table = tuple(bin(s).count("1") % 2 for s in range(1 << m))
+    table = tuple((_popcounts(m) & 1).tolist())
     return NonAdaptiveProtocol(n, m, tuple(((table, table),) * n))
 
 

@@ -135,6 +135,14 @@ def test_protocol_table_validation():
         AdaptiveTwoCopyProtocol((0,) * 4, (0,) * 8, (0,) * 4, (0,) * 7 + (2,))
 
 
+@pytest.mark.parametrize("entry", [2, -1, 0.5, None, "1", float("nan"), [0], np.array([0, 1])])
+def test_non_bit_table_entries_are_rejected(entry):
+    # unhashable entries included: each one is refused as a non-bit
+    table = (0, 1, 1, entry)
+    with pytest.raises(ValueError, match="^table entries must be bits$"):
+        NonAdaptiveProtocol(2, 2, (((0,) * 4, (0,) * 4), ((0,) * 4, table)))
+
+
 def test_adaptive_maps_of_the_wrong_length_are_rejected():
     # five bits in box2map_a would shift every later map by one bit: 0x1fe0 on encode
     with pytest.raises(ValueError, match=r"box2map_a must hold 4 bits, got \(0, 0, 0, 0, 0\)"):

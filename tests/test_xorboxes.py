@@ -1,5 +1,6 @@
 """XOR-game boxes: value bookkeeping and the parity enumeration oracle."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -233,17 +234,83 @@ def test_oracles_match_tuple_by_tuple_reference(n, m):
         assert value == pytest.approx(float(game.signs() @ expected), abs=1e-12)
 
 
-@pytest.mark.parametrize("chunk_bits", [0, 2, 5])
-def test_outcome_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk_bits):
-    # Small chunks split the players into a head of several players decoded
-    # chunk by chunk and a tail grid, which only n*m > 18 reaches by default.
-    rng = np.random.default_rng(chunk_bits)
-    n, m = 4, 3
-    tables = tuple(rng.integers(0, 2, size=(n, 1 << m)))
-    whole = nlbd.xorboxes._outcome_counts(tables, n, m)
-    assert whole.sum() == 1 << (n * m)
-    monkeypatch.setattr(nlbd.xorboxes, "_CHUNK_BITS", chunk_bits)
-    assert np.array_equal(nlbd.xorboxes._outcome_counts(tables, n, m), whole)
+def reference_counts(tables, n, m):
+    """counts[e, o] by visiting every one of the 2^(n m) outcome tuples."""
+    counts = np.zeros((1 << m, 1 << n), dtype=np.int64)
+    for strings in itertools.product(range(1 << m), repeat=n):
+        xor = out = 0
+        for table, s in zip(tables, strings):
+            xor ^= s
+            out = (out << 1) | int(table[s])
+        counts[xor, out] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (2, 3, 4) for m in range(1, 12 // n + 1)])
+def test_outcome_counts_match_a_tuple_by_tuple_enumeration(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    parity = np.array([bin(s).count("1") & 1 for s in range(1 << m)])
+    cases = {
+        "seeded": tuple(rng.integers(0, 2, size=(n, 1 << m))),
+        "constant": tuple(np.full(1 << m, j & 1) for j in range(n)),
+        "parity": (parity,) * n,
+    }
+    for name, tables in cases.items():
+        counts = nlbd.xorboxes._outcome_counts(tables, n, m)
+        assert counts.dtype == np.int64 and counts.shape == (1 << m, 1 << n), name
+        assert counts.flags.c_contiguous, name
+        assert counts.sum() == 1 << (n * m), name
+        assert np.array_equal(counts, reference_counts(tables, n, m)), name
+
+
+@pytest.mark.parametrize("n, m", [(2, 12), (3, 8), (4, 6), (12, 2)])
+def test_outcome_counts_of_parity_tables_at_the_budget(n, m):
+    # Given the XOR pattern e, the first n - 1 strings are free within their
+    # output parities and the last is fixed, so its parity must close the sum.
+    parity = np.array([bin(s).count("1") & 1 for s in range(1 << m)])
+    out_parity = np.array([bin(o).count("1") & 1 for o in range(1 << n)])
+    expected = np.where(parity[:, None] == out_parity, 1 << ((n - 1) * (m - 1)), 0)
+    counts = nlbd.xorboxes._outcome_counts((parity,) * n, n, m)
+    assert counts.dtype == np.int64 and counts.flags.c_contiguous
+    assert np.array_equal(counts, expected)
+
+
+def test_popcounts_count_the_one_bits():
+    for bits in range(11):
+        w = nlbd.xorboxes._popcounts(bits)
+        assert w.dtype == np.int64
+        assert w.tolist() == [bin(s).count("1") for s in range(1 << bits)]
+
+
+# SHA-256 of the repr of each oracle call below, as the tuple-by-tuple
+# enumeration printed it; any change in how the counts are summed shows here.
+PINNED_ORACLE_DIGESTS = {
+    ("parity", 2, 10): "ca80c965af82b6371fb153d51b26206a6cd0ad77ec97c2b1dc4ecfa9af3fe73b",
+    ("parity", 3, 6): "739deef030318ca39c0bdd2d9004e538c9e21e8e1e5df176b1cb9c1d9f432fc8",
+    ("input-free", 2, 9): "3ab9192a81f5959ad7cb50f7f843e3aac0bf8469942c71f07a98e0066740bde7",
+    ("input-free", 3, 8): "d95e5c325620a9ce6a07cd48faec906194c6b13d2e8c42dced631f86b5622e3b",
+    ("input-dependent", 2, 9): "3a8086d89a06fb6bdc5849e9c06cc67071a878c12f1318549514877c3547d54c",
+    ("input-dependent", 3, 8): "4808b1ef706b13c71dc6433cd645c33d881093872fb4dab24a310c9c7f233ab0",
+}
+
+
+@pytest.mark.parametrize("kind, n, m", list(PINNED_ORACLE_DIGESTS))
+def test_oracle_outputs_keep_their_pinned_bytes(kind, n, m):
+    rng = np.random.default_rng(1000 * n + m)
+    game = random_game(rng, n)
+    boxes = [MultipartiteXorBox(game, tuple(rng.uniform(-1, 1, size=1 << n))) for _ in range(m)]
+    if kind == "parity":
+        text = repr(simulate_parity(boxes[0], m))
+    elif kind == "input-free":
+        tables = [[t, t] for t in rng.integers(0, 2, size=(n, 1 << m))]
+        value, bias = simulate_nonadaptive_xor(boxes[0], tables, m)
+        text = repr((value, bias.tolist()))
+    else:
+        tables = [list(pair) for pair in rng.integers(0, 2, size=(n, 2, 1 << m))]
+        value, bias = simulate_nonadaptive_xor(boxes, tables, m)
+        text = repr((value, bias.tolist()))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_ORACLE_DIGESTS[kind, n, m], text
 
 
 def test_nonadaptive_oracle_matches_fourier_value_four_players():
