@@ -291,7 +291,7 @@ def _orbit_rows(rows, moved, flip_first: bool):
     return np.flatnonzero(hit)
 
 
-def _best_response_max(block, grid, exact_rows, scales, errs, orbit=lambda rows: rows) -> list:
+def _best_response_max(block, grid, exact_rows, scales, errs, orbit) -> list:
     """Exact class maximum and its smallest packed key per box of a stack, in two passes.
 
     Row r = a + b * first of grid = (seconds, first) fixes every player's
@@ -306,10 +306,11 @@ def _best_response_max(block, grid, exact_rows, scales, errs, orbit=lambda rows:
 
     Where seconds holds only orbit representatives, orbit(rows) gives the
     whole orbits of rows, ascending, under a group that fixes every row's
-    box and exact total. That is still exact: every exact maximiser has an
-    image on the grid with the same exact total, so within err of the float
-    maximum and a candidate; its orbit brings it back, and the exact pass
-    takes the same maximum and the same smallest key over the same set.
+    box and exact total; else orbit is the identity. That is still exact:
+    every exact maximiser has an image on the grid with the same exact
+    total, so within err of the float maximum and a candidate; its orbit
+    brings it back, and the exact pass takes the same maximum and the same
+    smallest key over the same set.
     """
     seconds, first = grid
     step = max(1, _CHUNK_ROWS // (first * len(scales)))
@@ -333,14 +334,6 @@ def _best_response_max(block, grid, exact_rows, scales, errs, orbit=lambda rows:
                 f"exact maximum {float(exact)!r} lies beyond {err:.3g} of the float maximum {t!r}"
             )
     return found
-
-
-def _resimulate_nonadaptive(box, proto: NonAdaptiveProtocol) -> float:
-    if isinstance(box, BipartiteBox):  # _copy_weights validated the box
-        out = wire_nonadaptive([box.p] * proto.m, proto)
-        message = "non-adaptive wiring produced an invalid box"
-        return float(chsh_values(require_valid_stack(out, message, VerificationFailed)))
-    return simulate_nonadaptive_xor(box, proto.tables, proto.m)[0]
 
 
 def _replayed(result: SearchResult, replay: float) -> SearchResult:
@@ -416,8 +409,12 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
         moved, reps = _copy_symmetry(m)
         orbit = lambda rows: _orbit_rows(rows, moved, input_dependent)  # noqa: E731
     [(exact, packed)] = _best_response_max(block, (reps, count), exact_rows, [scale], [err], orbit)
-    result = SearchResult(float(exact), packed, examined, class_name, n, m, exact)
-    return _replayed(result, _resimulate_nonadaptive(box, NonAdaptiveProtocol.decode(n, m, packed)))
+    proto = NonAdaptiveProtocol.decode(n, m, packed)
+    if isinstance(box, BipartiteBox):  # _copy_weights validated the box
+        replay = float(chsh_values(wire_nonadaptive([box.p] * m, proto)))
+    else:
+        replay = simulate_nonadaptive_xor(box, proto.tables, m)[0]
+    return _replayed(SearchResult(float(exact), packed, examined, class_name, n, m, exact), replay)
 
 
 # ------------------------------------------------------------------ adaptive
@@ -490,9 +487,8 @@ def adaptive_search_stack(p: np.ndarray) -> list:
     # the representatives of P_A ^ 54 are the pairs without bit 5, so no row is its own image
     orbit = lambda rows: np.sort(np.concatenate((rows, rows ^ (54 | 54 << 6))))  # noqa: E731
     found = _best_response_max(block, (np.arange(32), 64), exact_rows, scales, errs, orbit)
-    out = wire_adaptive(p, p, [AdaptiveTwoCopyProtocol.decode(packed) for _, packed in found])
-    message = "adaptive wiring produced an invalid box"
-    replays = chsh_values(require_valid_stack(out, message, VerificationFailed))
+    protos = [AdaptiveTwoCopyProtocol.decode(packed) for _, packed in found]
+    replays = chsh_values(wire_adaptive(p, p, protos))
     return [
         _replayed(SearchResult(float(exact), packed, 4096 * 4096, "adaptive2", 2, 2, exact), replay)
         for (exact, packed), replay in zip(found, replays.tolist())
@@ -825,10 +821,8 @@ def reproduce_tables(which: int, audit_adaptive: bool = False) -> TableReport:
     p = require_valid_stack(boxes_from_fields(fields), "input box fails validation")
     distilled = {}
     if "alpha" in columns:  # every row's box, wired by PARITY and by OR as one stack each
-        message = "non-adaptive wiring produced an invalid box"
         for column, proto in (("V_parity", parity_protocol(2, 2)), ("V_OR", or_protocol())):
-            out = wire_nonadaptive([p] * proto.m, proto)
-            distilled[column] = chsh_values(require_valid_stack(out, message, VerificationFailed))
+            distilled[column] = chsh_values(wire_nonadaptive([p] * proto.m, proto))
     if audit_adaptive:  # each distinct row box searched once, all in one stack
         first = [params.index(a) for a in params]
         distinct = sorted(set(first))

@@ -21,9 +21,11 @@ Application is by exact summation over every intermediate outcome, so the
 results are oracle-grade. Two kernels wire stacks p[..., 4, 4] of boxes in
 one pass: wire_nonadaptive sums all 4^m joint outcomes per input copy by
 copy, in O(m 2^m) operations, and wire_adaptive adds each output cell's 16
-products in a fixed order. apply_nonadaptive and apply_adaptive pass them a
-stack of one, validate each distinct input box, and raise VerificationFailed
-if the output fails box validation (local wirings cannot create signalling).
+products in a fixed order. Each kernel checks the stack it returns and raises
+VerificationFailed if a box fails validation (a local wiring of valid boxes
+cannot create signalling); its inputs are the caller's to check.
+apply_nonadaptive and apply_adaptive pass them a stack of one and validate
+each distinct input box first (InvalidBox).
 
 Two closed forms give protocol values on the symmetric family without
 wiring a box: or_value(alpha, beta, delta, eps) for the two-copy OR
@@ -43,6 +45,7 @@ from .boxes import (
     CorrelatorForm,
     make_named_box,
     require_valid,
+    require_valid_stack,
 )
 from .errors import ArityMismatch, FormatError, VerificationFailed
 from .xorboxes import _popcounts
@@ -177,10 +180,11 @@ def bs_wiring() -> AdaptiveTwoCopyProtocol:
 
 
 def wire_nonadaptive(ps: Sequence[np.ndarray], proto: NonAdaptiveProtocol) -> np.ndarray:
-    """The non-adaptive wiring of m stacks of boxes p_c[..., 4, 4], unvalidated.
+    """The non-adaptive wiring of m stacks of boxes p_c[..., 4, 4].
 
     Per input, each copy's 2x2 outcome matrix turns one of Bob's outcome bits
-    into Alice's; Alice's output indicator closes the sum, in O(m 2^m).
+    into Alice's; Alice's output indicator closes the sum, in O(m 2^m). The
+    inputs are not checked; an invalid output raises VerificationFailed.
     """
     # indicator[v, o, s] = 1 where the player's output on input v, string s is o;
     # integers, so the output takes the dtype of the boxes
@@ -194,7 +198,8 @@ def wire_nonadaptive(ps: Sequence[np.ndarray], proto: NonAdaptiveProtocol) -> np
         q = p.reshape(*p.shape[:-1], 2, 2)  # [..., xy, a_c, b_c]
         t = np.einsum("...nkbr,...nab->...nkra", t.reshape(*t.shape[:-2], 2, -1), q)
     out = np.einsum("nas,...nbs->...nab", ind_a[[0, 0, 1, 1]], t.reshape(*t.shape[:-2], -1))
-    return out.reshape(*out.shape[:-2], 4)
+    message = "non-adaptive wiring produced an invalid box"
+    return require_valid_stack(out.reshape(*out.shape[:-2], 4), message, VerificationFailed)
 
 
 def apply_nonadaptive(
@@ -213,11 +218,7 @@ def apply_nonadaptive(
         raise ArityMismatch(f"protocol expects {proto.m} boxes, got {len(box_list)}")
     for b in {id(b): b for b in box_list}.values():
         require_valid(b, "input box fails validation")
-    return require_valid(
-        BipartiteBox(wire_nonadaptive([b.p for b in box_list], proto)),
-        "non-adaptive wiring produced an invalid box",
-        VerificationFailed,
-    )
+    return BipartiteBox(wire_nonadaptive([b.p for b in box_list], proto))
 
 
 # wire_adaptive's 64 terms (xy, a1, b1, a2, b2) in summation order: the box-1
@@ -229,10 +230,11 @@ _MAPS = np.stack([_X * 2 + _A1, 4 + _X * 4 + _A1 * 2 + _A2,  # box2map_a, outmap
 
 
 def wire_adaptive(p1: np.ndarray, p2: np.ndarray, proto) -> np.ndarray:
-    """The adaptive wiring of two stacks p1, p2 of one shape [..., 4, 4], unvalidated.
+    """The adaptive wiring of two stacks p1, p2 of one shape [..., 4, 4].
 
     proto is one AdaptiveTwoCopyProtocol for every box, or a sequence of one
     per box. Each output cell adds its products p1 * p2 in (a1, b1, a2, b2) order.
+    The inputs are not checked; an invalid output raises VerificationFailed.
     """
     protos = [proto] if isinstance(proto, AdaptiveTwoCopyProtocol) else proto
     bits = np.array([q.box2map_a + q.outmap_a + q.box2map_b + q.outmap_b for q in protos])
@@ -242,7 +244,8 @@ def wire_adaptive(p1: np.ndarray, p2: np.ndarray, proto) -> np.ndarray:
     out = np.zeros_like(flat1)
     terms = flat1[:, _FIRST] * flat2[box, (u << 1 | v) * 4 + _SECOND]
     np.add.at(out, (box, _ROW * 4 + (f << 1 | g)), terms)
-    return out.reshape(p1.shape)
+    message = "adaptive wiring produced an invalid box"
+    return require_valid_stack(out.reshape(p1.shape), message, VerificationFailed)
 
 
 def apply_adaptive(
@@ -253,11 +256,7 @@ def apply_adaptive(
     """Wire two boxes adaptively, summing the 16 intermediate outcomes exactly."""
     for b in {id(b): b for b in (box1, box2)}.values():
         require_valid(b, "input box fails validation")
-    return require_valid(
-        BipartiteBox(wire_adaptive(box1.p, box2.p, proto)),
-        "adaptive wiring produced an invalid box",
-        VerificationFailed,
-    )
+    return BipartiteBox(wire_adaptive(box1.p, box2.p, proto))
 
 
 def bs_output_box(delta: float) -> BipartiteBox:

@@ -254,16 +254,17 @@ def simulate_nonadaptive_xor(
     """
     if m < 1:
         raise ValueError(f"copies m must be >= 1, got {m}")
-    if isinstance(boxes, MultipartiteXorBox):
-        box_list = [boxes] * m
-    else:
-        box_list = list(boxes)
-        if len(box_list) != m:
-            raise ArityMismatch(f"need {m} boxes, got {len(box_list)}")
+    # a single box stands for all m copies, so nothing is sized by m before
+    # the budget is checked
+    single = isinstance(boxes, MultipartiteXorBox)
+    box_list = [boxes] if single else list(boxes)
+    if not single and len(box_list) != m:
+        raise ArityMismatch(f"need {m} boxes, got {len(box_list)}")
     game = box_list[0].game
     if any(bx.game != game for bx in box_list):
         raise ArityMismatch("all copies must share the same game")
     n = game.n
+    _budget_check(n, m)
     if len(player_tables) != n:
         raise ArityMismatch(f"need output tables for {n} players, got {len(player_tables)}")
     for j, tables in enumerate(player_tables):
@@ -274,9 +275,9 @@ def simulate_nonadaptive_xor(
     if any(((t != 0) & (t != 1)).any() for pair in tables for t in pair):
         raise ValueError("output tables must hold bits")
     tables = [[t.astype(np.int64) for t in pair] for pair in tables]
-    _budget_check(n, m)
 
-    deltas = np.stack([bx.delta_array() for bx in box_list], axis=1)  # (2^n, m)
+    deltas = np.stack([bx.delta_array() for bx in box_list], axis=1)
+    deltas = np.repeat(deltas, m if single else 1, axis=1)  # (2^n, m)
     dist = _output_distribution(deltas, tables, n, m)
     out_parity = _popcounts(n) & 1
     even_bias = dist @ (1.0 - 2.0 * out_parity)

@@ -791,8 +791,8 @@ def test_equiv_factor_drift_exits_one(capsys, monkeypatch):
 def test_checks_survive_python_optimize(boxdir):
     # under -O a bare assert would vanish and the wrong value would print
     script = (
-        "import sys, nlbd.search as s\n"
-        "s._resimulate_nonadaptive = lambda box, proto: -1.0\n"
+        "import sys, numpy as np, nlbd.search as s\n"
+        "s.wire_nonadaptive = lambda ps, proto: np.full((4, 4), 0.25)\n"
         "from nlbd.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
@@ -805,7 +805,7 @@ def test_checks_survive_python_optimize(boxdir):
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr.startswith("nlbd: replay of the best protocol gives -1.0")
+    assert proc.stderr.startswith("nlbd: replay of the best protocol gives 0.0")
 
 
 def test_cli_import_starts_no_thread_pool_module():

@@ -279,21 +279,32 @@ def test_parity_distillate_at_twelve_copies():
     assert chsh_value_of_box(distilled) == pytest.approx(3 * delta**12 - eps**12, abs=1e-12)
 
 
-def test_apply_nonadaptive_validates_each_distinct_box_once(monkeypatch):
+def record_checks(monkeypatch):
+    """The checks the wirings module runs: an input box's id, an output stack's bytes."""
     calls = []
-    real = nlbd.wirings.require_valid
+    real_box, real_stack = nlbd.wirings.require_valid, nlbd.wirings.require_valid_stack
     monkeypatch.setattr(
         nlbd.wirings,
         "require_valid",
-        lambda b, *args, **kw: calls.append(id(b)) or real(b, *args, **kw),
+        lambda b, *args, **kw: calls.append(id(b)) or real_box(b, *args, **kw),
     )
+    monkeypatch.setattr(
+        nlbd.wirings,
+        "require_valid_stack",
+        lambda p, *args, **kw: calls.append(p.tobytes()) or real_stack(p, *args, **kw),
+    )
+    return calls
+
+
+def test_apply_nonadaptive_validates_each_distinct_box_once(monkeypatch):
+    calls = record_checks(monkeypatch)
     box = box_from_correlators(make_named_box("isotropic", delta=0.7))
     other = box_from_correlators(make_named_box("isotropic", delta=0.9))
     result = apply_nonadaptive(box, parity_protocol(2, 5))
-    assert calls == [id(box), id(result)]  # the output is checked once too
+    assert calls == [id(box), result.p.tobytes()]  # the output is checked once too
     calls.clear()
     result = apply_nonadaptive([box, other, box], parity_protocol(2, 3))
-    assert calls == [id(box), id(other), id(result)]
+    assert calls == [id(box), id(other), result.p.tobytes()]
     p = np.full((4, 4), 0.25)
     p[0] = [0.5, 0.5, 0.25, -0.25]
     with pytest.raises(InvalidBox, match="input box fails validation"):
@@ -481,20 +492,31 @@ def test_fields_kernel_matches_single_boxes():
 
 
 def test_apply_adaptive_validates_each_distinct_box_once(monkeypatch):
-    calls = []
-    real = nlbd.wirings.require_valid
-    monkeypatch.setattr(
-        nlbd.wirings,
-        "require_valid",
-        lambda b, *args, **kw: calls.append(id(b)) or real(b, *args, **kw),
-    )
+    calls = record_checks(monkeypatch)
     box = box_from_correlators(make_named_box("isotropic", delta=0.7))
     other = box_from_correlators(make_named_box("isotropic", delta=0.9))
     result = apply_adaptive(box, box, bs_wiring())
-    assert calls == [id(box), id(result)]
+    assert calls == [id(box), result.p.tobytes()]
     calls.clear()
     result = apply_adaptive(box, other, bs_wiring())
-    assert calls == [id(box), id(other), id(result)]
+    assert calls == [id(box), id(other), result.p.tobytes()]
+
+
+def test_each_kernel_checks_the_box_it_returns():
+    # row 00 sums to 1 + 9.6e-10, inside the tolerance; two copies take it past
+    p = np.array([[0.40000000024, 0.10000000024, 0.10000000024, 0.40000000024]]
+                 + [[0.4, 0.1, 0.1, 0.4]] * 2 + [[0.1, 0.4, 0.4, 0.1]])
+    assert validate_box(BipartiteBox(p)).valid
+    uniform = np.full((4, 4), 0.25)
+    for wire, kind in (
+        (lambda q: wire_nonadaptive([q, q], parity_protocol(2, 2)), "non-adaptive"),
+        (lambda q: wire_adaptive(q, q, bs_wiring()), "adaptive"),
+    ):
+        for q in (p, np.stack([uniform, p])):  # alone, and second in a stack
+            with pytest.raises(VerificationFailed) as raised:
+                wire(q)
+            message = f"{kind} wiring produced an invalid box: (('normalization', "
+            assert str(raised.value).startswith(message)
 
 
 # --------------------------------------------------------- reference boxes

@@ -137,6 +137,14 @@ def test_budget_enforced():
         simulate_parity(box, 13)  # 2*13 = 26 > 24
 
 
+def test_nonadaptive_xor_checks_the_budget_before_sizing_the_copies():
+    # a single box stands for m copies: at m = 10**5 the budget refuses
+    # before m copies or 2^m-bit table lengths are built, mis-sized tables or not
+    box = MultipartiteXorBox(CHSH, (1, 1, 1, 0))
+    with pytest.raises(BudgetExceeded, match=r"^enumeration needs 2\^200000 outcome tuples"):
+        simulate_nonadaptive_xor(box, [[[0, 1], [0, 1]]] * 2, 10**5)
+
+
 def test_bad_delta_length_rejected():
     with pytest.raises(ValueError):
         MultipartiteXorBox(CHSH, (1, 1, 1))
