@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocols",
         default="PARITY,OR",
         metavar="LABELS",
-        help="comma-separated from PARITY, OR, A (default: PARITY,OR)",
+        help="comma-separated: PARITY (6666), OR (eeee), A (adaptive 668669); default PARITY,OR",
     )
     p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--out", required=True, help="CSV path, or - for stdout")

@@ -55,10 +55,10 @@ the two-copy parity and OR values, the adaptive closed-form value, the
 winning label, and whether the best value crosses the collapse threshold
 4*sqrt(2/3) above which communication complexity becomes trivial. Values
 are evaluated even at invalid cells; the `valid` flag marks them. The
-closed forms come from wirings.or_value and wirings.adaptive_value, the
-latter with the free-parameter combination -2*alpha. A scan result has
-len(), column(name) and write_csv(stream), and computes cells only as
-they are read.
+labels are wirings: PARITY 6666, OR eeee (wirings.or_value) and A the
+adaptive 668669 (wirings.adaptive_value at (alpha - beta) - 2*beta). A scan
+result has len(), column(name) and write_csv(stream), and computes cells
+only as they are read.
 
 reproduce_tables recomputes the three reference tables this code base is
 checked against and diffs every computed column against the frozen printed
@@ -530,9 +530,9 @@ class RegionScanResult:
     a time, from the validated axes. Once per scan, write_csv formats each
     column that depends on only some axes over its own sub-grid: its
     broadcast shape on an open mesh of the axes (V and V_parity on
-    (delta, eps), V_A_fit with the default combination on (alpha, delta,
-    eps)). valid, winner and collapses_cc are code axes of those tables,
-    and adjacent fields share one table while it stays within SCAN_CHUNK
+    (delta, eps), V_A_fit on (alpha, delta, eps) if beta tracks alpha).
+    valid, winner and collapses_cc are code axes of those tables, and
+    adjacent fields share one table while it stays within SCAN_CHUNK
     cells. Each chunk is one % template: a row of %.12g (per-cell columns)
     and %s (table entries, gathered by index) fields, repeated once per
     cell. Memory is one chunk plus tables of at most SCAN_CHUNK cells.
@@ -582,7 +582,7 @@ class RegionScanResult:
         if name == "V_OR":
             return or_value(a, bt, d, e)
         if name == "V_A_fit":
-            return adaptive_value(d, e, -2 * a)
+            return adaptive_value(d, e, (a - bt) - 2 * bt)
         return {"alpha": a, "beta": bt, "delta": d, "eps": e}[name]
 
     def _chunk(self, lo: int, hi: int, names) -> tuple:
@@ -691,8 +691,8 @@ def region_scan(grid: dict, protocols: Sequence[str] = ("PARITY", "OR")) -> Regi
     (start, stop, step) range; omitting "beta" (or passing None) locks
     beta = alpha instead of forming a cross product. `protocols` lists the
     labels competing with the undistilled value for the winner column and
-    the collapse flag, in tie-break order after "none". V_A_fit takes the
-    adaptive closed form's free-parameter combination as -2*alpha.
+    the collapse flag, in tie-break order after "none": wirings PARITY 6666,
+    OR eeee and adaptive A 668669 (V_A_fit, combination (alpha - beta) - 2*beta).
 
     Labels, axis names, axes and the grid budget are checked here, the
     budget before any axis is built. The returned result offers len(),
@@ -800,7 +800,7 @@ def reproduce_tables(which: int, audit_adaptive: bool = False) -> TableReport:
     printed precision. Free closed-form parameters are reported per row as
     the fitted combination that reproduces the printed adaptive value; the
     computed adaptive value takes the combination b - a + 2 d from table 1's
-    printed a, b, d, and -2*alpha, as region_scan does, in tables 2 and 3. With
+    printed a, b, d, and -2*alpha (region_scan's at beta = alpha) in tables 2 and 3. With
     audit_adaptive=True, each row's box also gets an exact adaptive-class
     search, added to the computed rows as "V_search" (no printed
     counterpart).

@@ -20,13 +20,13 @@ Indexing convention: an input string ``x = x1 x2 ... xn`` is stored at
 integer index ``x1 * 2^(n-1) + ... + xn`` (first player's bit most
 significant). Output and outcome strings use the same convention.
 
-``simulate_parity`` (the oracle for the parity protocol's closed form) and
-``simulate_nonadaptive_xor`` count the ``2^(n m)`` outcome tuples exactly by
+``simulate_nonadaptive_xor`` counts the ``2^(n m)`` outcome tuples exactly by
 the copies' parity pattern and the players' joint output, on which a tuple's
-probability depends. The count is an XOR convolution, taken as a product of
-integer Walsh transforms in O(2^n m 2^m) work, not tuple by tuple; its int64
-sums stay below 2^(n m + m) <= 2^36. Neither oracle uses the delta^m
-shortcut; both are budgeted at ``n*m <= 24``.
+probability depends: an XOR convolution, taken as a product of integer Walsh
+transforms in O(2^n m 2^m) work, with int64 sums below 2^(n m + m) <= 2^36.
+``simulate_parity`` (the oracle for the parity protocol's closed form) is the
+same oracle run on the parity tables, plus its two soundness checks. Neither
+uses the delta^m shortcut; both are budgeted at ``n*max(m, 2) <= 24``.
 """
 
 from __future__ import annotations
@@ -181,56 +181,68 @@ def _output_distribution(
     return dist
 
 
-def _budget_check(n: int, m: int) -> None:
-    bits = n * m
-    if bits > PARITY_BUDGET_BITS:
-        raise BudgetExceeded(
-            f"enumeration needs 2^{bits} outcome tuples per input; budget is 2^{PARITY_BUDGET_BITS}"
-        )
+def _copies(boxes, m: int) -> tuple[XorGame, np.ndarray]:
+    """An oracle's checked copies: their shared game and ``deltas[x, c]``, shape (2^n, m).
 
-
-def simulate_parity(b: MultipartiteXorBox, m: int) -> MultipartiteXorBox:
-    """Distill by the parity protocol via exact counts of all outcome tuples.
-
-    For every input x, weighs all 2^(n m) joint outcome tuples (copies
-    independent, each copy distributed per the even-parity bias delta_x),
-    counted exactly by an XOR convolution with int64 sums below 2^36, and
-    groups their probabilities by the players' XOR outputs. The resulting
-    distribution is again of even-parity-bias form; its bias is returned as
-    the distilled box. Also checks, from the same counts, that every
-    player's output is unbiased and that the distribution is uniform within
-    each parity class (to 1e-12), which is what makes the return type sound.
-
-    Raises BudgetExceeded when n*m > 24 and VerificationFailed when a check
-    fails.
+    A single box stands for all m copies, so nothing is sized by m before the budget check.
     """
     if m < 1:
         raise ValueError(f"copies m must be >= 1, got {m}")
-    n = b.n
-    _budget_check(n, m)
+    single = isinstance(boxes, MultipartiteXorBox)
+    box_list = [boxes] if single else list(boxes)
+    if not single and len(box_list) != m:
+        raise ArityMismatch(f"need {m} boxes, got {len(box_list)}")
+    game = box_list[0].game
+    if any(bx.game != game for bx in box_list):
+        raise ArityMismatch("all copies must share the same game")
+    n = game.n
+    if n * max(m, 2) > PARITY_BUDGET_BITS:
+        raise BudgetExceeded(
+            f"enumeration needs 2^{n * m} outcome tuples per input and a 2^{2 * n}-entry "
+            f"output distribution; budget is 2^{PARITY_BUDGET_BITS} each"
+        )
+    deltas = np.stack([bx.delta_array() for bx in box_list], axis=1)
+    return game, np.repeat(deltas, m if single else 1, axis=1)
 
+
+def simulate_parity(b: MultipartiteXorBox, m: int) -> MultipartiteXorBox:
+    """Distill by the parity protocol: the general oracle run on the parity tables.
+
+    For every input x, weighs all 2^(n m) joint outcome tuples (copies
+    independent, each copy distributed per the even-parity bias delta_x),
+    counted exactly as in ``simulate_nonadaptive_xor``, and groups their
+    probabilities by the players' XOR outputs. The resulting distribution is
+    again of even-parity-bias form; its bias is returned as the distilled
+    box. Also checks that every player's output is unbiased and that the
+    distribution is uniform within each parity class (to 1e-12), which is
+    what makes the return type sound.
+
+    Raises BudgetExceeded when n*max(m, 2) > 24 and VerificationFailed when
+    a check fails.
+    """
+    game, deltas = _copies(b, m)
+    n = game.n
     parity_table = _popcounts(m) & 1
-    deltas = np.repeat(b.delta_array()[:, None], m, axis=1)
     dist = _output_distribution(deltas, [[parity_table] * 2] * n, n, m)
 
-    # Soundness of the return type: trivial marginals and uniformity within
-    # each parity class, both algebraic identities of the parity wiring.
+    # Soundness of the return type, both identities of the parity wiring: on the first
+    # failing input, every player's bias is checked before uniformity in each parity class.
     out_bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # [o, j]
     out_parity = _popcounts(n) & 1
-    for x in range(1 << n):
-        for j in range(n):
-            bias = float(dist[x] @ (1.0 - 2.0 * out_bits[:, j]))
-            if not abs(bias) < 1e-12:
-                raise VerificationFailed(f"parity distillate has biased player {j} on input {x}")
-        for parity in (0, 1):
-            cls = dist[x][out_parity == parity]
-            if not np.ptp(cls) < 1e-12:
-                raise VerificationFailed("parity distillate not uniform within a parity class")
+    biased = ~(np.abs(dist @ (1.0 - 2.0 * out_bits)) < 1e-12)  # [x, j]
+    uneven = [~(np.ptp(dist[:, out_parity == p], axis=1) < 1e-12) for p in (0, 1)]
+    failed = biased.any(axis=1) | uneven[0] | uneven[1]
+    if failed.any():
+        x = int(failed.argmax())
+        if biased[x].any():
+            j = int(biased[x].argmax())
+            raise VerificationFailed(f"parity distillate has biased player {j} on input {x}")
+        raise VerificationFailed("parity distillate not uniform within a parity class")
 
     new_delta = tuple(float(dist[x] @ (1.0 - 2.0 * out_parity)) for x in range(1 << n))
     # Guard against enumeration noise pushing a bias epsilon past 1.
     new_delta = tuple(min(1.0, max(-1.0, d)) for d in new_delta)
-    return MultipartiteXorBox(b.game, new_delta)
+    return MultipartiteXorBox(game, new_delta)
 
 
 def simulate_nonadaptive_xor(
@@ -252,19 +264,8 @@ def simulate_nonadaptive_xor(
     returns only what the game value needs: the distilled even-parity bias
     per input, plus the value sum_x (-1)^f(x) delta'_x.
     """
-    if m < 1:
-        raise ValueError(f"copies m must be >= 1, got {m}")
-    # a single box stands for all m copies, so nothing is sized by m before
-    # the budget is checked
-    single = isinstance(boxes, MultipartiteXorBox)
-    box_list = [boxes] if single else list(boxes)
-    if not single and len(box_list) != m:
-        raise ArityMismatch(f"need {m} boxes, got {len(box_list)}")
-    game = box_list[0].game
-    if any(bx.game != game for bx in box_list):
-        raise ArityMismatch("all copies must share the same game")
+    game, deltas = _copies(boxes, m)
     n = game.n
-    _budget_check(n, m)
     if len(player_tables) != n:
         raise ArityMismatch(f"need output tables for {n} players, got {len(player_tables)}")
     for j, tables in enumerate(player_tables):
@@ -276,8 +277,6 @@ def simulate_nonadaptive_xor(
         raise ValueError("output tables must hold bits")
     tables = [[t.astype(np.int64) for t in pair] for pair in tables]
 
-    deltas = np.stack([bx.delta_array() for bx in box_list], axis=1)
-    deltas = np.repeat(deltas, m if single else 1, axis=1)  # (2^n, m)
     dist = _output_distribution(deltas, tables, n, m)
     out_parity = _popcounts(n) & 1
     even_bias = dist @ (1.0 - 2.0 * out_parity)

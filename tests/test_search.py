@@ -328,9 +328,6 @@ def test_nonadaptive_value_grows_with_copies():
         assert free1 <= free2 <= free3 and dep1 <= dep2
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "with beta free, the scan credits A with V_A_fit 3.02836904335 on this valid box, "
-    "above its exact adaptive maximum 2.94008356384 (ROADMAP item 4)"))
 def test_scan_adaptive_label_stays_within_the_adaptive_class_with_beta_free():
     alpha, beta, delta, eps = (-0.45042068329104357, -0.34369555675784724,
                                0.8828544290515927, -0.2201095729648479)
@@ -341,6 +338,48 @@ def test_scan_adaptive_label_stays_within_the_adaptive_class_with_beta_free():
     assert exact == pytest.approx(2.94008356384, abs=1e-11)
     assert list(scan.column("winner")) == ["A"]
     assert scan.column("V_A_fit")[0] <= exact
+
+
+def _exact_symmetric_box(alpha, beta, delta, eps):
+    """p[xy, ab] of the symmetric family, in the arithmetic of its parameters."""
+    bias, corr = (alpha, beta), (delta, delta, delta, eps)
+    return np.array([
+        [(1 + sa * bias[xy >> 1] + sb * bias[xy & 1] + sa * sb * corr[xy]) / 4
+         for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        for xy in range(4)
+    ], dtype=object)
+
+
+def test_scan_labels_are_the_values_of_their_wirings():
+    """Each scan label's closed form is the value polynomial of the wiring it names.
+
+    PARITY is 6666, OR eeee and A the adaptive wiring 668669. Each wired value
+    and each closed form is a quadratic in (alpha, beta, delta, eps), so agreeing
+    exactly at 15 points unisolvent for quadratics (0, h e_i, 2h e_i and
+    h (e_i + e_j), h = 1/8) makes them one polynomial. The points are dyadic,
+    so the scan's float closed forms are exact there.
+    """
+    assert NonAdaptiveProtocol.decode(2, 2, 0x6666) == parity_protocol(2, 2)
+    assert NonAdaptiveProtocol.decode(2, 2, 0xEEEE) == or_protocol()
+    adaptive = AdaptiveTwoCopyProtocol.decode(0x668669)
+    wirings = {
+        "V_parity": lambda q: wire_nonadaptive([q, q], parity_protocol(2, 2)),
+        "V_OR": lambda q: wire_nonadaptive([q, q], or_protocol()),
+        "V_A_fit": lambda q: wire_adaptive(q, q, adaptive),
+    }
+    axes = range(4)
+    steps = [()] + [(i,) for i in axes] + [(i, i) for i in axes]
+    steps += list(itertools.combinations(axes, 2))
+    assert len(steps) == 15
+    for step in steps:
+        point = [Fraction(step.count(i), 8) for i in axes]
+        q = _exact_symmetric_box(*point)
+        floats = [float(v) for v in point]
+        assert np.array_equal(q.astype(float), box_from_correlators(symmetric_box(*floats)).p)
+        grid = dict(zip(("alpha", "beta", "delta", "eps"), floats))
+        scan = region_scan(grid, ("PARITY", "OR", "A"))
+        for column, wire in wirings.items():
+            assert _raw_chsh(wire(q)) == Fraction(scan.column(column)[0]), (column, point)
 
 
 def _special_boxes():
@@ -371,21 +410,23 @@ def test_stack_search_equals_one_box_searches():
         adaptive_search_stack(p[0])
 
 
+def _raw_chsh(q):
+    """CHSH value of a box p[xy, ab] from its raw entries, in their own arithmetic."""
+    return sum(s * (q[xy, 0] - q[xy, 1] - q[xy, 2] + q[xy, 3])
+               for xy, s in enumerate((1, 1, 1, -1)))
+
+
 def test_printed_protocol_replays_best_exact_on_fractions():
     """Wired on Fraction entries, the printed protocol's raw-entry CHSH value is best_exact."""
-    def raw_chsh(q):
-        return sum(s * (q[xy, 0] - q[xy, 1] - q[xy, 2] + q[xy, 3])
-                   for xy, s in enumerate((1, 1, 1, -1)))
-
     p = seeded_boxes(np.random.default_rng(2104), 40)
     for q, r in zip(p, adaptive_search_stack(p)):
         exact = np.array([[Fraction(v) for v in row] for row in q.tolist()], dtype=object)
         proto = AdaptiveTwoCopyProtocol.decode(r.best_protocol)
-        assert raw_chsh(wire_adaptive(exact, exact, proto)) == r.best_exact
+        assert _raw_chsh(wire_adaptive(exact, exact, proto)) == r.best_exact
         for m, dep in ((3, False), (2, True)):
             r = enumerate_nonadaptive_max(BipartiteBox(q), m, input_dependent=dep)
             proto = NonAdaptiveProtocol.decode(2, m, r.best_protocol)
-            assert raw_chsh(wire_nonadaptive([exact] * m, proto)) == r.best_exact
+            assert _raw_chsh(wire_nonadaptive([exact] * m, proto)) == r.best_exact
 
 
 def test_input_dependent_at_least_input_free():
@@ -769,14 +810,15 @@ FOUR_D_GRID = {
         (PLANE_GRID, ("PARITY", "OR"), 10251,
          "74d8a8276d94b2cfc31f1f2744649a6c790527f3a2ff0a6ae08c69b3acafaa33"),
         (CUBE_GRID, ("PARITY", "OR", "A"), 55566,
-         "1f9f2a5a3f1f90f5abb4e9d4524029e7410c878ff3869593934f100874e56ba2"),
+         "586080a4171b6ecc5e6b98758086327cfa3384158a18f8160c675fd4c16757f2"),
         (SIGNED_ZERO_GRID, ("A",), 25,
-         "8b3a8b9d188a05e42385e0202f8959407e4e4f8b8e1b18d8ed12b154e83db62b"),
+         "a846fa194d37a64814c63504ebd2853897b718d3464f714b086202cf0bb7c9db"),
         # SHA-256 of the CSV the per-chunk writer printed before the text tables
         (BENCH_PLANE_GRID, ("PARITY", "OR", "A"), 100701,
          "d308ee62408850a90f8551a69943b0cc9721be8af54be8e1653e216679b1161e"),
+        # SHA-256 of the CSV the row-wise writer printed
         (FOUR_D_GRID, ("A", "PARITY"), 10080,
-         "c2a1d29964967822525597a924f5a04cbe53acaae99a012580e856528a207b37"),
+         "18798db18509ed02fe220a27a4acfc3a653a50056c48cbea9da3f016d8351493"),
     ],
     ids=["plane", "cube", "signed-zero", "bench-plane", "4d"],
 )

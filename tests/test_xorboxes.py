@@ -135,6 +135,21 @@ def test_budget_enforced():
     box = MultipartiteXorBox(CHSH, (1, 1, 1, 0))
     with pytest.raises(BudgetExceeded):
         simulate_parity(box, 13)  # 2*13 = 26 > 24
+    # refused before the 2^m-entry parity table is built
+    with pytest.raises(BudgetExceeded, match=r"^enumeration needs 2\^2000000 outcome tuples"):
+        simulate_parity(box, 10**6)
+
+
+def test_budget_bounds_the_output_distribution():
+    # one copy of a 13-player box has only 2^13 outcome tuples per input, but
+    # dist[x, o] would hold 2^26 floats (512 MiB)
+    box = MultipartiteXorBox(XorGame.from_predicate(13, all), (0.0,) * (1 << 13))
+    message = r"2\^26-entry output distribution; budget is 2\^24"
+    for boxes in (box, [box]):
+        with pytest.raises(BudgetExceeded, match=message):
+            simulate_nonadaptive_xor(boxes, [[[0, 1], [0, 1]]] * 13, 1)
+    with pytest.raises(BudgetExceeded, match=message):
+        simulate_parity(box, 1)
 
 
 def test_nonadaptive_xor_checks_the_budget_before_sizing_the_copies():
