@@ -509,8 +509,10 @@ _LABEL_COLUMNS = {"PARITY": "V_parity", "OR": "V_OR", "A": "V_A_fit"}
 
 # Cells computed, formatted and written at a time, so memory is O(chunk)
 # whatever the grid; also the cap on each per-scan text table. On a
-# 10^6-cell scan, 1024-cell chunks were a third slower; 16384- and
-# 65536-cell chunks were no faster and raised peak RSS by 12 and 58 MB.
+# 10^6-cell plane (three labels, median of 5 processes of best of 3
+# writes, 2 shared vCPUs), 4096 took 0.59 s at 36 MB peak RSS; 1024-cell
+# chunks were a third slower or more, and 16384- and 65536-cell chunks
+# were slower too (0.66 and 0.71 s) and raised peak RSS by 13 and 63 MB.
 SCAN_CHUNK = 4096
 
 _CODE_FIELDS = ("valid", "winner", "collapses_cc")  # the code axes of a text table, in order
@@ -523,6 +525,91 @@ class _Field(NamedTuple):
     table: np.ndarray | None  # over the grid axes then the code axes; length 1 where constant
 
 
+def _quiet():
+    """The scan's value kernels run here: inf and nan are printed, not warned about."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+_G12_WIDTH = 20  # bytes per _g12 row: the longest %.12g, -1.23456789012e-308, is 19
+_FOUR = np.arange(10_000, dtype=np.int16)[:, None]  # int16 keeps the import's peak RSS low
+# "%04d" % i as one uint32 word of four ASCII bytes, and its trailing zeros (4 for 0)
+_DIGITS4 = (_FOUR // 10 ** np.arange(3, -1, -1, dtype=np.int16) % 10 + ord("0")).astype(np.uint8)
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+_ZEROS4 = (_FOUR % 10 ** np.arange(1, 5, dtype=np.int16) == 0).sum(axis=1)
+# bytes 12-15 of each source row, after the 12 digits: "." "0" "-" and NUL
+_G12_TAIL = np.frombuffer(b".0-\0", np.uint32)[0]
+
+
+def _g12_templates() -> np.ndarray:
+    """[2 * 16 * 12, _G12_WIDTH] source byte of each output byte, by (sign, e + 4, last digit).
+
+    %.12g of D * 10^(e - 11), 10^11 <= D < 10^12 and -4 <= e <= 11, is
+    fixed-point: digits 0..e, then "." and digits e+1..last if last > e;
+    for e < 0, "0." and -e-1 zeros before the digits 0..last.
+    """
+    sign, e, last, j = np.ix_(range(2), range(-4, 12), range(12), range(_G12_WIDTH))
+    p = j - sign  # position after the sign
+    point = np.where(e >= 0, e + 1, 1)
+    digit = p - (p > point) + np.minimum(e, 0)  # the digit at p, if it holds one
+    return np.select(
+        [p < 0, p == point, digit < 0, digit <= np.maximum(last, e)],
+        [14, np.where(last > e, 12, 15), 13, digit],
+        15,
+    ).reshape(-1, _G12_WIDTH)
+
+
+_G12_TEMPLATES = _g12_templates()
+_POW10 = 10.0 ** np.arange(16)  # each exact
+
+
+def _g12_fallback(v: float) -> bytes:
+    """"%.12g" of one value the fast path of _g12 does not take."""
+    return b"%.12g" % v
+
+
+def _g12(x) -> np.ndarray:
+    """b"%.12g" % v of every float of x, as NUL-padded rows of a uint8 [x.size, 20] matrix.
+
+    Fast path, for 1e-4 <= |v| < 1e12: e = floor(log10|v|) and y =
+    |v| * 10^(11 - e). The power of ten is exact, so y is one correctly
+    rounded product: y < 2^40, and |y - exact| <= 2^-14. If y >= 10^11,
+    y's fraction is more than 2^-12 from 1/2 and D = floor(y + 0.5) <
+    10^12, D is the exact value correctly rounded to 12 digits and %.12g
+    prints D's digits in fixed point at exponent e, trailing zeros cut.
+    (A log10 one too high passes y >= 10^11 only where y = 10^11 and the
+    value rounds up to 10^e, which is what the fast path prints.) Every
+    other value goes through _g12_fallback alone: +-0, |v| < 1e-4 or
+    >= 1e12, inf, nan, near-ties, a carry to 10^12 and a log10 off by
+    one. The digits are gathered four at a time from _DIGITS4, the cut
+    from _ZEROS4, and each row's layout from _G12_TEMPLATES.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    with _quiet():
+        a = np.abs(x)
+        fast = (a >= 1e-4) & (a < 1e12)
+        a = np.where(fast, a, 1.0)
+        e = np.floor(np.log10(a)).astype(np.intp).clip(-4, 11)
+        y = a * _POW10[11 - e]
+        d = np.floor(y + 0.5)
+        fast &= (y >= 1e11) & (d < 1e12) & (np.abs(y - np.floor(y) - 0.5) > 2.0**-12)
+        d = np.where(fast, d, 1e11).astype(np.int64)
+    top, low = np.divmod(d, 10_000)
+    top, mid = np.divmod(top, 10_000)
+    source = np.empty((x.size, 4), np.uint32)  # 12 digits, then _G12_TAIL
+    source[:, 0], source[:, 1], source[:, 2], source[:, 3] = (
+        _DIGITS4[top], _DIGITS4[mid], _DIGITS4[low], _G12_TAIL
+    )
+    zeros = np.where(low, _ZEROS4[low], 4 + np.where(mid, _ZEROS4[mid], 4 + _ZEROS4[top]))
+    index = _G12_TEMPLATES[(x < 0) * 192 + (e + 4) * 12 + 11 - zeros]
+    index += 16 * np.arange(x.size)[:, None]
+    out = source.view(np.uint8).ravel()[index]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [_g12_fallback(v) for v in x[slow].tolist()]
+        out[slow] = np.array(text, dtype=f"S{_G12_WIDTH}").view(np.uint8).reshape(-1, _G12_WIDTH)
+    return out
+
+
 class RegionScanResult:
     """Lazy scan result: len(), column(name) and write_csv(stream).
 
@@ -533,9 +620,12 @@ class RegionScanResult:
     (delta, eps), V_A_fit on (alpha, delta, eps) if beta tracks alpha).
     valid, winner and collapses_cc are code axes of those tables, and
     adjacent fields share one table while it stays within SCAN_CHUNK
-    cells. Each chunk is one % template: a row of %.12g (per-cell columns)
-    and %s (table entries, gathered by index) fields, repeated once per
-    cell. Memory is one chunk plus tables of at most SCAN_CHUNK cells.
+    cells. Each chunk is one uint8 matrix, a row per cell: the per-cell
+    columns' _g12 rows, each table's entries gathered as bytes by one flat
+    index, and comma and newline columns; its nonzero bytes are the
+    chunk's text. _g12 prints every float, tables included: vectorised
+    where a one-rounding bound proves its digits, %.12g value by value
+    elsewhere. Memory is one chunk plus tables of at most SCAN_CHUNK cells.
     column() computes one column chunk by chunk and keeps nothing.
     """
 
@@ -597,17 +687,18 @@ class RegionScanResult:
         codes = not names.isdisjoint(_CODE_FIELDS)
         if codes:
             names |= {"V", *(_LABEL_COLUMNS[lb] for lb in self._protocols)}
-        c = {name: self._value(name, *cells) for name in names.difference(_CODE_FIELDS)}
-        if codes:
-            entries = [  # the box entries times 4, each distinct one once
-                1 + 2 * a + d, 1 - d, 1 - 2 * a + d,
-                1 + a + bt + d, 1 + a - bt - d, 1 + bt - a - d, 1 - a - bt + d,
-                1 + 2 * bt + e, 1 - e, 1 - 2 * bt + e,
-            ]
-            c["valid"] = np.minimum.reduce(entries) / 4.0 >= -VALIDITY_TOL
-            stack = np.stack([c["V"]] + [c[_LABEL_COLUMNS[lb]] for lb in self._protocols])
-            c["winner"] = stack.argmax(axis=0).astype(np.uint8)
-            c["collapses_cc"] = c["valid"] & (stack.max(axis=0) > CC_COLLAPSE_THRESHOLD)
+        with _quiet():
+            c = {name: self._value(name, *cells) for name in names.difference(_CODE_FIELDS)}
+            if codes:
+                entries = [  # the box entries times 4, each distinct one once
+                    1 + 2 * a + d, 1 - d, 1 - 2 * a + d,
+                    1 + a + bt + d, 1 + a - bt - d, 1 + bt - a - d, 1 - a - bt + d,
+                    1 + 2 * bt + e, 1 - e, 1 - 2 * bt + e,
+                ]
+                c["valid"] = np.minimum.reduce(entries) / 4.0 >= -VALIDITY_TOL
+                stack = np.stack([c["V"]] + [c[_LABEL_COLUMNS[lb]] for lb in self._protocols])
+                c["winner"] = stack.argmax(axis=0).astype(np.uint8)
+                c["collapses_cc"] = c["valid"] & (stack.max(axis=0) > CC_COLLAPSE_THRESHOLD)
         return index, c
 
     def _text(self, name: str) -> np.ndarray | None:
@@ -621,12 +712,14 @@ class RegionScanResult:
         if name in _CODE_FIELDS:
             text = self._labels if name == "winner" else np.array(["false", "true"], dtype=object)
             return text.reshape((1,) * ndim + tuple(-1 if c == name else 1 for c in _CODE_FIELDS))
-        probe = self._value(name, *self._mesh([2] * ndim)).shape
-        sub = tuple(n if p > 1 else 1 for n, p in zip(self._shape, probe))
-        if math.prod(sub) >= self._len or math.prod(sub) > SCAN_CHUNK:
-            return None
-        values = self._value(name, *self._mesh(sub)).ravel().tolist()
-        return np.array([f"{v:.12g}" for v in values], dtype=object).reshape(sub + (1, 1, 1))
+        with _quiet():
+            probe = self._value(name, *self._mesh([2] * ndim)).shape
+            sub = tuple(n if p > 1 else 1 for n, p in zip(self._shape, probe))
+            if math.prod(sub) >= self._len or math.prod(sub) > SCAN_CHUNK:
+                return None
+            values = self._value(name, *self._mesh(sub))
+        text = _g12(values).view(f"S{_G12_WIDTH}").astype(str).astype(object)
+        return text.reshape(sub + (1, 1, 1))
 
     def _fields(self) -> list:
         """The CSV row as _Fields, adjacent tables joined while within SCAN_CHUNK cells."""
@@ -643,23 +736,33 @@ class RegionScanResult:
         return self._layout
 
     def write_csv(self, stream) -> None:
-        """Header, then one line per cell, written chunk after chunk by one template."""
+        """Header, then one line per cell, written chunk after chunk from one byte matrix."""
         fields = self._fields()
-        names = [f.names[0] for f in fields if f.table is None] + list(_CODE_FIELDS)
-        row = ",".join("%.12g" if f.table is None else "%s" for f in fields) + "\n"
+        per_cell = [f.names[0] for f in fields if f.table is None]
+        tables = [None if f.table is None else f.table.ravel().astype(bytes) for f in fields]
+        widths = [_G12_WIDTH if t is None else t.itemsize for t in tables]
+        ends = np.cumsum([w + 1 for w in widths])  # each field's separator column
+        buf = np.zeros((min(SCAN_CHUNK, self._len), ends[-1]), np.uint8)
+        buf[:, ends - 1] = ord(",")
+        buf[:, -1] = ord("\n")
         stream.write(CSV_HEADER + "\n")
         for lo, hi in self._bounds():
-            index, c = self._chunk(lo, hi, names)
+            index, c = self._chunk(lo, hi, per_cell + list(_CODE_FIELDS))
             coords = index + tuple(c[name].view(np.uint8) for name in _CODE_FIELDS)
-            zero = np.zeros_like(index[0])
-            flat = [None] * (len(fields) * (hi - lo))
-            for j, f in enumerate(fields):
-                if f.table is None:
-                    col = c[f.names[0]]
+            rows = buf[: hi - lo]
+            if per_cell:
+                floats = _g12(np.stack([c[name] for name in per_cell], axis=1))
+                floats = floats.reshape(hi - lo, len(per_cell), _G12_WIDTH)
+            k = 0
+            for f, t, w, end in zip(fields, tables, widths, ends):
+                if t is None:
+                    rows[:, end - 1 - w : end - 1] = floats[:, k]
+                    k += 1
                 else:  # a table's length-1 axes are read at 0
-                    col = f.table[tuple(i if n > 1 else zero for i, n in zip(coords, f.table.shape))]
-                flat[j :: len(fields)] = col.tolist()
-            stream.write(row * (hi - lo) % tuple(flat))
+                    shape = f.table.shape
+                    at = np.ravel_multi_index([i if n > 1 else 0 for i, n in zip(coords, shape)], shape)
+                    rows[:, end - 1 - w : end - 1] = t.view(np.uint8).reshape(t.size, w)[at]
+            stream.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
 def _axis_range(name: str, spec) -> tuple:

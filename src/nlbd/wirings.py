@@ -281,6 +281,10 @@ def or_value(alpha, beta, delta, eps):
     On each input the OR outputs' correlator is 4 q^2 - 2 m_A - 2 m_B + 1:
     q is one copy's probability of both outcomes 0, and m_A, m_B are each
     player's probability of output 0, her squared probability of outcome 0.
+    The input-1 squared marginal m1 (Bob's in e_01) cancels out of
+    e_00 + 2 e_01 - e_11: the two e_01 carry -4 m1 and -e_11 carries +4 m1.
+    It stays in the float arithmetic anyway, since dropping it changes the
+    rounding of the result and so the printed scan bytes.
     """
     # the squared marginals (1 + alpha) / 2 and (1 + beta) / 2
     m0, m1 = ((1 + alpha) / 2) ** 2, ((1 + beta) / 2) ** 2

@@ -11,6 +11,9 @@ import io
 import itertools
 import math
 import random
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1008,6 +1011,87 @@ def test_region_scan_keeps_no_array_above_scan_chunk_cells():
     assert scan.column("eps")[-1] == pytest.approx(1.0)
     scan.column("V_OR")
     assert max(a.size for a in _arrays(scan)) <= SCAN_CHUNK
+
+
+# ---------------------------------------------------------- the %.12g formatter
+
+
+def _printed(values) -> list:
+    """_g12 of values as one bytes object per value, NUL padding dropped."""
+    rows = search_module._g12(values)
+    assert rows.shape == (len(values), 20) and rows.dtype == np.uint8
+    return rows.view("S20").ravel().tolist()
+
+
+def _g12_cases() -> np.ndarray:
+    tens = 10.0 ** np.arange(-20, 25)
+    # exact binary halves of a 12th digit: q * 2^(e - 12) with q odd is
+    # q * 5^(11 - e) / 2 units of its 12th digit; q runs over decade e
+    halves = []
+    for e in range(-4, 12):
+        lo, hi = (math.ceil(Fraction(10) ** k * 2 ** (12 - e)) for k in (e, e + 1))
+        halves += [math.ldexp(q, e - 12) for q in range(lo | 1, hi, 2 * max(1, (hi - lo) // 500))]
+    # just below the next decade: rounds up to 10^(e+1) or stays at 12 nines
+    carries = [(10 - 5e-12) * 10.0**e for e in range(-6, 14)] + [9.9999999999995, 999999999999.5]
+    edges = [1e-4, 1e12, 0.0, math.inf, math.nan, 5e-324, 1e308, 1.23456789012e-308]
+    named = np.array([*tens, *halves, *carries, *edges])
+    named = np.concatenate([named, np.nextafter(named, 0), np.nextafter(named, math.inf)])
+    return np.concatenate([named, -named])
+
+
+def test_g12_prints_named_cases_as_percent_g():
+    values = _g12_cases()
+    assert _printed(values) == [b"%.12g" % v for v in values.tolist()]
+    assert _printed(np.array([-1.23456789012e-308])) == [b"-1.23456789012e-308"]  # 19 bytes
+    assert _printed(np.array([0.0, -0.0, -math.inf, math.nan])) == [b"0", b"-0", b"-inf", b"nan"]
+
+
+def test_g12_prints_a_million_seeded_floats_as_percent_g():
+    rng = np.random.default_rng(2901)
+    n = 1 << 18
+    blocks = [
+        rng.integers(-(2**63), 2**63 - 1, n).view(np.float64),  # any bit pattern
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 14, n),  # every decade of the fast path
+        rng.integers(10**12, 10**13, n) / 10.0 ** rng.integers(0, 18, n),  # 13-digit decimals
+        rng.uniform(-4, 4, n),  # scan-sized values
+    ]
+    for values in blocks:
+        for part in np.array_split(values, 8):
+            assert _printed(part) == [b"%.12g" % v for v in part.tolist()]
+
+
+def test_g12_falls_back_value_by_value_only_at_the_edges(monkeypatch):
+    # the fast path must carry the scan's per-cell floats: a formatter that
+    # sends them all through the per-value fallback would still print the
+    # right bytes, so the fallback's calls are counted
+    calls = []
+    fallback = search_module._g12_fallback
+    monkeypatch.setattr(search_module, "_g12_fallback", lambda v: calls.append(v) or fallback(v))
+    scan = region_scan(BENCH_PLANE_GRID, protocols=("PARITY", "OR", "A"))
+    for name in ("V_OR", "V_A_fit"):
+        values = scan.column(name)
+        assert _printed(values) == [b"%.12g" % v for v in values.tolist()]
+    assert len(calls) < 0.001 * 2 * len(scan)
+    calls.clear()  # and the patched helper is the one _g12 calls
+    _printed(np.array([0.0, 1e-5, 0.5, 1e12, math.inf]))
+    assert calls == [0.0, 1e-5, 1e12, math.inf]
+
+
+HUGE_AXES_ARGV = ["scan", "--alpha", "0:1e200:1e200", "--delta", "1e200", "--eps=-1e200", "--out", "-"]
+
+
+def test_scan_on_huge_finite_axes_prints_no_warnings():
+    # 1e200^2 overflows and inf - inf is nan: the CSV prints them, and
+    # numpy warns about none of them
+    scan = region_scan({"alpha": (0.0, 1e200, 1e200), "delta": 1e200, "eps": -1e200})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = to_csv(scan)
+    assert text == reference_csv(scan)
+    assert text.splitlines()[1] == "0,0,1e+200,-1e+200,false,4e+200,nan,nan,nan,PARITY,false"
+    proc = subprocess.run([sys.executable, "-m", "nlbd.cli", *HUGE_AXES_ARGV],
+                          capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
 
 
 def test_scan_cli_threads_print_same_bytes(capsys):

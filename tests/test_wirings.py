@@ -1,6 +1,8 @@
 """Tests for protocol application: exact enumeration, encodings, closed forms."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -543,6 +545,18 @@ def test_bs_output_box_endpoints():
 def test_closed_form_or_at_table_points():
     assert or_value(0.42, 0.42, 0.99, -0.16) == pytest.approx(3.268275, abs=1e-12)
     assert or_value(0.43, 0.44, 0.99, 0.28) == pytest.approx(2.864225, abs=1e-12)
+
+
+def test_or_value_is_free_of_bobs_input_one_marginal():
+    # m1 = ((1 + beta) / 2)^2 cancels: or_value equals the m1-free closed form exactly
+    rng = random.Random(2901)
+    for _ in range(200):
+        alpha, beta, delta, eps = (Fraction(rng.randint(-64, 64), rng.randint(1, 64)) for _ in range(4))
+        m0 = ((1 + alpha) / 2) ** 2
+        e_00 = 4 * ((1 + 2 * alpha + delta) / 4) ** 2 - 4 * m0 + 1
+        e_01 = 4 * ((1 + alpha + beta + delta) / 4) ** 2 - 2 * m0 + 1
+        e_11 = 4 * ((1 + 2 * beta + eps) / 4) ** 2 + 1
+        assert or_value(alpha, beta, delta, eps) == e_00 + 2 * e_01 - e_11
 
 
 def test_closed_form_adaptive_at_table_point():
