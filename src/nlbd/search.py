@@ -12,18 +12,36 @@ Three protocol classes are searched exactly (no heuristics, no sampling):
 
 Every search returns the exact class maximum (a Fraction, and its correctly
 rounded float) and the achieving protocol of smallest canonical encoding
-among all exact maximisers. One engine serves every class: with every
-player but the last (whose block holds the highest encoding bits) fixed,
-the value is linear in her +-1 output signs, so her best value on each
-input is sum_s |v_s|, reached by setting bit s exactly where v_s < 0, her
-smallest code (the infinity-to-one-norm step of Alon and Naor). A float
-pass totals the rows of the other players' tables at once, one slot s at
-a time; an exact pass evaluates again in integers only the rows within a
-rigorous rounding bound of the float maximum, and breaks ties on those
-exact values. _dyadic puts the box entries, binary floats, over one
-power-of-two denominator per box, and a search reads its float weights,
-its rounding bound and its integer width from those integers, once:
-int64 where their l1 bounds every partial sum below 2^62, Python ints
+among all exact maximisers. Exact is for the canonical box: an XOR box's
+biases as given, and a bipartite box's correlator form (_canonical:
+fields_from_boxes's eight fields summed exactly from the binary floats,
+each clipped to [-1, 1]) put back as p(ab|xy) = (1 +- A_x +- B_y +- E_xy)/4.
+Its rows sum to exactly 1 and it is exactly no-signalling. The other
+verbs read the same fields in floats (correlators_from_box); distill and
+the search's replay still wire the raw entries.
+
+Local boxes take a closed form. If no entry of the canonical box is below 0
+and it meets the eight CHSH inequalities |E_00 + E_01 + E_10 + E_11 -
+2 E_xy| <= 2, it is local by Fine's theorem (Fine, PRL 48, 291, 1982;
+Barrett et al., PRA 71, 022101, 2005). A wiring is local processing, so
+every wiring of a local box is local and scores at most 2, and the
+constant protocol, key 0, the smallest encoding of every class, scores 2.
+So every class maximum is exactly 2 with key 0, found with no enumeration
+and replayed as usual. A canonical box with an entry below 0 (validation
+allows -1e-9) is not a box, and is enumerated.
+
+One engine serves every other box: with every player but the last (whose
+block holds the highest encoding bits) fixed, the value is linear in her
++-1 output signs, so her best value on each input is sum_s |v_s|, reached
+by setting bit s exactly where v_s < 0, her smallest code (the
+infinity-to-one-norm step of Alon and Naor). A float pass totals the rows
+of the other players' tables at once, one slot s at a time; an exact pass
+evaluates again in integers only the rows within a rigorous rounding bound
+of the float maximum, and breaks ties on those exact values. The canonical
+box's entries are integers over one power-of-two denominator per box, and
+a search reads its float weights (their correctly rounded quotients), its
+rounding bound and its integer width from those integers, once: int64
+where their l1 bounds every partial sum below 2^62, Python ints
 otherwise. The non-adaptive copy weights are products over class strings,
 one copy's output (bipartite) or its parity (XOR) per copy, gathered onto
 the outcome tuples. Everything runs on the calling thread, one block after another.
@@ -38,9 +56,9 @@ candidate is expanded to its whole orbit before the exact pass. These
 symmetries fix every row's exact total, so the result, key included, is
 that of the full enumeration (see _best_response_max).
 
-adaptive_search_stack searches a stack of boxes p[n, 4, 4] in one pass of
-each kind, every row carrying its box; each result is the one that box
-alone gives, and adaptive_search_max is the stack of one.
+adaptive_search_stack searches the nonlocal boxes of a stack p[n, 4, 4] in
+one pass of each kind, every row carrying its box; each result is the one
+that box alone gives, and adaptive_search_max is the stack of one.
 
 Supported sizes: m <= 3 copies throughout (the protocol count doubles per
 outcome bit; beyond three copies enumeration is out of scope), n in {2, 3}
@@ -116,9 +134,10 @@ _CHSH_SIGNS = (1, 1, 1, -1)
 class SearchResult:
     """Exact maximum of a protocol-class search.
 
-    best_exact is the class maximum and best_value its correctly rounded
-    float. best_protocol is the canonical packed encoding, the smallest
-    among all exact maximisers; decode it with
+    best_exact is the class maximum on the canonical box (see the module
+    docstring) and best_value its correctly rounded float. best_protocol
+    is the canonical packed encoding, the smallest among all exact
+    maximisers; decode it with
     NonAdaptiveProtocol.decode(n, m, enc) or AdaptiveTwoCopyProtocol.decode(enc)
     according to class_name.
     """
@@ -132,11 +151,14 @@ class SearchResult:
     best_exact: Fraction
 
 
+@functools.cache
 def _sign_matrix(m: int) -> np.ndarray:
     """S[g, s] = (-1)^(bit s of g): all 2^(2^m) boolean tables as integer sign rows."""
     size = 1 << m
     g = np.arange(1 << size, dtype=np.int64)[:, None]
-    return 1 - 2 * ((g >> np.arange(size)) & 1)
+    signs = 1 - 2 * ((g >> np.arange(size)) & 1)
+    signs.flags.writeable = False  # the cache shares it
+    return signs
 
 
 def _dyadic(x: np.ndarray) -> tuple:
@@ -152,6 +174,42 @@ def _dyadic(x: np.ndarray) -> tuple:
     top = np.maximum(k.reshape(len(x), -1).max(1), 0)
     odd = (nums >> np.maximum(zeros, 0)).astype(object)
     return odd << (top.reshape((-1,) + (1,) * (x.ndim - 1)) - k), [1 << int(t) for t in top]
+
+
+# S[f, 4 xy + ab] with p(ab|xy) = (1 + sum_f S[f, 4 xy + ab] * field_f) / 4: the signs
+# (-1)^a on A_x, (-1)^b on B_y and (-1)^(a xor b) on E_xy
+_ENTRY_SIGNS = (4 * boxes_from_fields(np.eye(8)) - 1).astype(np.int64).reshape(8, 16)
+# entries q over den to fields over 2 den: a marginal sums over the other player's input
+_FIELD_SIGNS = (_ENTRY_SIGNS * np.array([1, 1, 1, 1, 2, 2, 2, 2])[:, None]).T
+
+
+def _canonical(p: np.ndarray) -> tuple:
+    """(ints, dens, local): the canonical box of each box of a valid stack p[n, 4, 4], exactly.
+
+    The canonical box is boxes_from_fields(fields_from_boxes(p)) in exact
+    arithmetic on p's binary floats: the eight fields, the marginals as
+    means over the other player's input, each clipped to [-1, 1], put back
+    as p(ab|xy) = (1 +- A_x +- B_y +- E_xy) / 4. Exact sums, unlike
+    left-to-right float ones, commute with swapping the players and with
+    flipping both outputs. ints[k] / dens[k] is box k in Python ints, over
+    the smallest power of two. Every row sums to exactly 1 and the box is
+    exactly no-signalling. local[k]: no entry of box k is below 0 and
+    |E_00 + E_01 + E_10 + E_11 - 2 E_xy| <= 2 on every xy, the eight CHSH
+    inequalities, so box k is local (Fine's theorem). The sums run in int64
+    while den < 2^58, which keeps them below 2^62 for entries within 1e-9
+    of [0, 1], else in Python ints.
+    """
+    q, dens = _dyadic(p)
+    dtype = np.int64 if max(dens) < 1 << 58 else object
+    two = 2 * np.array(dens, dtype=dtype)[:, None]
+    fields = q.reshape(-1, 16).astype(dtype) @ _FIELD_SIGNS.astype(dtype)  # over 2 * den
+    fields = np.minimum(np.maximum(fields, -two), two)
+    ints = (two + fields @ _ENTRY_SIGNS.astype(dtype)).reshape(-1, 4, 4).astype(object)
+    e = fields[:, 4:]
+    local = (ints >= 0).all((1, 2)) & (np.abs(e.sum(1)[:, None] - 2 * e) <= 2 * two).all(1)
+    common = [math.gcd(*box.flat) for box in ints]  # a power of two
+    ints //= np.array(common, dtype=object)[:, None, None]
+    return ints, [(d << 3) // c for d, c in zip(dens, common)], local
 
 
 @functools.cache
@@ -170,19 +228,23 @@ def _class_index(n: int, m: int, k: int) -> np.ndarray:
 def _copy_weights(box, m: int):
     """(floats, ints, index, scale, l1): per input x, s_x * W_x on one copy's class strings.
 
-    One copy's row has a weight per output class: p(ab|xy) per output (k = 4)
-    for a bipartite box, (1 +- delta_x)/2^n per output parity (k = 2) for an
-    XOR box; s_x is the game sign. W_x is its m-fold Kronecker power on the
-    k^m class strings (first copy most significant), W_x[index] per outcome
-    tuple. From one copy's integer rows over den, the smallest power of two,
-    come the floats, their correctly rounded quotients, l1, the sum of all
-    |W_x[index]| times scale = den^m, and the integers: int64 if l1 < 2^62,
-    which bounds every partial sum an exact pass forms, else Python ints.
+    One copy's row has a weight per output class: p(ab|xy) of the canonical
+    box per output (k = 4) for a bipartite box, (1 +- delta_x)/2^n per
+    output parity (k = 2) for an XOR box; s_x is the game sign. W_x is its
+    m-fold Kronecker power on the k^m class strings (first copy most
+    significant), W_x[index] per outcome tuple. From one copy's integer
+    rows over den, a power of two (_canonical's, or the smallest for an XOR
+    box), come the floats, their correctly rounded quotients, l1, the sum
+    of all |W_x[index]| times scale = den^m, and the integers: int64 if
+    l1 < 2^62, which bounds every partial sum an exact pass forms, else
+    Python ints. None for a bipartite box whose canonical box is local.
     """
     if isinstance(box, BipartiteBox):
         require_valid(box, "search input fails validation")
         n, k, signs = 2, 4, _CHSH_SIGNS
-        (rows,), (den,) = _dyadic(box.p[None])
+        (rows,), (den,), (local,) = _canonical(box.p[None])
+        if local:
+            return None
     elif isinstance(box, MultipartiteXorBox):
         n, k, signs = box.n, 2, [1 - 2 * f for f in box.game.f]
         (ds,), (den,) = _dyadic(box.delta_array()[None])
@@ -350,7 +412,8 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
 
     `box` is a BipartiteBox (CHSH-style objective) or a MultipartiteXorBox
     (its game's objective); all m copies are identical. Ties are broken on
-    exact values, by the smallest canonical protocol encoding.
+    exact values of the canonical box, by the smallest canonical protocol
+    encoding; a local bipartite box takes the closed form (2, key 0).
     """
     # m is checked before it sizes anything: 1 << (1 << m) fails for m < 0
     # and grows doubly exponentially
@@ -365,7 +428,21 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
         raise BudgetExceeded(f"enumeration for n={n} players is out of scope")
     examined = (1 << (1 << m)) ** (2 * n if input_dependent else n)
     class_name = "nonadaptive-input-dep" if input_dependent else "nonadaptive-input-free"
-    floats, ints, index, scale, l1 = _copy_weights(box, m)
+    weights = _copy_weights(box, m)
+    if weights is None:  # a local box: every wiring of it is local, and key 0 reaches 2
+        exact, packed = Fraction(2), 0
+    else:
+        exact, packed = _nonadaptive_max(n, m, input_dependent, *weights)
+    proto = NonAdaptiveProtocol.decode(n, m, packed)
+    if isinstance(box, BipartiteBox):  # _copy_weights validated the box
+        replay = float(chsh_values(wire_nonadaptive([box.p] * m, proto)))
+    else:
+        replay = simulate_nonadaptive_xor(box, proto.tables, m)[0]
+    return _replayed(SearchResult(float(exact), packed, examined, class_name, n, m, exact), replay)
+
+
+def _nonadaptive_max(n: int, m: int, input_dependent: bool, floats, ints, index, scale, l1):
+    """(exact maximum, smallest key) of a non-adaptive class on _copy_weights' weights."""
     size = 1 << m
     count = 1 << size
     smat = _sign_matrix(m)
@@ -408,13 +485,8 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
         # representatives under copy permutation and complement
         moved, reps = _copy_symmetry(m)
         orbit = lambda rows: _orbit_rows(rows, moved, input_dependent)  # noqa: E731
-    [(exact, packed)] = _best_response_max(block, (reps, count), exact_rows, [scale], [err], orbit)
-    proto = NonAdaptiveProtocol.decode(n, m, packed)
-    if isinstance(box, BipartiteBox):  # _copy_weights validated the box
-        replay = float(chsh_values(wire_nonadaptive([box.p] * m, proto)))
-    else:
-        replay = simulate_nonadaptive_xor(box, proto.tables, m)[0]
-    return _replayed(SearchResult(float(exact), packed, examined, class_name, n, m, exact), replay)
+    [found] = _best_response_max(block, (reps, count), exact_rows, [scale], [err], orbit)
+    return found
 
 
 # ------------------------------------------------------------------ adaptive
@@ -448,7 +520,8 @@ def adaptive_search_stack(p: np.ndarray) -> list:
     sum of her codes on the disjoint bits {0,1,4-7} (input 0) and
     {2,3,8-11} (input 1). The search enumerates player A's 64^2 branch
     pairs; player B answers each in closed form, so the 4096^2 class costs
-    4096 rows. Ties are broken on exact values, by the smallest encoding.
+    4096 rows. Ties are broken on exact values of the canonical box, by the
+    smallest encoding; a local box takes the closed form (2, key 0).
     The float pass takes A's input-1 pair only up to P_A ^ 54, her final
     output complemented on both branches: with it complemented on both
     inputs, B's best response complements too, so every row's exact total
@@ -460,13 +533,32 @@ def adaptive_search_stack(p: np.ndarray) -> list:
     if not len(p):
         return []
     require_valid_stack(p, "search input fails validation")
-    ints, dens = _dyadic(p)
+    ints, dens, local = _canonical(p)
+    # a local box: every wiring of it is local, and key 0 reaches 2
+    found = [(Fraction(2), 0)] * len(p)
+    nonlocal_boxes = np.flatnonzero(~local)
+    if len(nonlocal_boxes):
+        searched = _adaptive_max(ints[nonlocal_boxes], [dens[k] for k in nonlocal_boxes])
+        for k, best in zip(nonlocal_boxes, searched):
+            found[k] = best
+    protos = [AdaptiveTwoCopyProtocol.decode(packed) for _, packed in found]
+    replays = chsh_values(wire_adaptive(p, p, protos))
+    return [
+        _replayed(SearchResult(float(exact), packed, 4096 * 4096, "adaptive2", 2, 2, exact), replay)
+        for (exact, packed), replay in zip(found, replays.tolist())
+    ]
+
+
+def _adaptive_max(ints: np.ndarray, dens: list) -> list:
+    """(exact maximum, smallest key) of the adaptive class per canonical box ints[k] / dens[k]."""
+    p = (ints / np.array(dens, dtype=object)[:, None, None]).astype(float)
     scales = [d * d for d in dens]
     # per row, 16 products p1*p2 on each of the four branches: with L = sum |ints|
-    # and R the largest row's, L * R bounds them and every partial sum over scale
+    # and R the largest row's, L * R bounds them and every partial sum over scale;
+    # each product's two entries and its two operations add a rounding each
     row_l1 = np.abs(ints).sum(2)
     bounds = row_l1.sum(1) * row_l1.max(1)
-    errs = _rounding_bound(64, 2, np.array([b / d for b, d in zip(bounds, scales)]))
+    errs = _rounding_bound(64, 4, np.array([b / d for b, d in zip(bounds, scales)]))
     if max(bounds) < 1 << 62:
         ints = ints.astype(np.int64)
     kf = _adaptive_kernels(p, np.arange(128 * len(p))).reshape(-1, 2, 64, 4, 2, 2)
@@ -486,13 +578,7 @@ def adaptive_search_stack(p: np.ndarray) -> list:
 
     # the representatives of P_A ^ 54 are the pairs without bit 5, so no row is its own image
     orbit = lambda rows: np.sort(np.concatenate((rows, rows ^ (54 | 54 << 6))))  # noqa: E731
-    found = _best_response_max(block, (np.arange(32), 64), exact_rows, scales, errs, orbit)
-    protos = [AdaptiveTwoCopyProtocol.decode(packed) for _, packed in found]
-    replays = chsh_values(wire_adaptive(p, p, protos))
-    return [
-        _replayed(SearchResult(float(exact), packed, 4096 * 4096, "adaptive2", 2, 2, exact), replay)
-        for (exact, packed), replay in zip(found, replays.tolist())
-    ]
+    return _best_response_max(block, (np.arange(32), 64), exact_rows, scales, errs, orbit)
 
 
 def adaptive_search_max(box: BipartiteBox) -> SearchResult:

@@ -301,13 +301,6 @@ NEAR_LOCAL_TEXT = (
 )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="validate accepts the near-local box, but the search weighs its raw entries "
-    "(E00 = 1 + 1e-9) while the replay reads the clipped correlators (E00 = 1), so "
-    "search exits 1 with VerificationFailed (ROADMAP item 2)",
-)
 def test_near_local_box_searches_in_every_class(boxdir, capsys):
     path = boxdir / "near_local.box"
     path.write_text(NEAR_LOCAL_TEXT, encoding="utf-8")
@@ -328,9 +321,10 @@ GROWING_ROW_SUM_TEXT = (
     strict=True,
     raises=AssertionError,
     reason="validate accepts the box (row 00 sums to 1 + 9.6e-10), but two copies "
-    "multiply that row sum past the same 1e-9 tolerance, so two-copy distill and "
-    "every two-copy search exit 1 with 'wiring produced an invalid box: "
-    "(('normalization', 1.92e-09), ...)' (ROADMAP item 2)",
+    "multiply that row sum past the same 1e-9 tolerance. The search weighs the "
+    "canonical box, but distill and the search's replay still wire the raw entries, "
+    "so two-copy distill and every two-copy search exit 1 with 'wiring produced an "
+    "invalid box: (('normalization', 1.92e-09), ...)' (ROADMAP item 2, every verb)",
 )
 def test_box_within_tolerance_wires_in_every_two_copy_class(boxdir, capsys):
     path = boxdir / "growing_row_sum.box"

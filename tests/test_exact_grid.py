@@ -1,7 +1,8 @@
 """Exact reference grid: the searches against a brute force in integers.
 
 The brute force evaluates every protocol of a class in Python integers on
-the box's binary floats, all scaled to one power-of-two denominator, and
+the canonical box (canonical_fractions), scaled to one power-of-two
+denominator, and
 keeps the smallest canonical encoding among the exact maximisers. Each
 table choice's value is a full contraction of the joint weights with the
 players' signs, so nothing in it relies on a best-response argument.
@@ -25,10 +26,31 @@ from nlbd.wirings import (
 from nlbd.xorboxes import MultipartiteXorBox, XorGame
 
 
+def canonical_fractions(p):
+    """The canonical box of p[4, 4] in Fractions: the box of its correlator form.
+
+    The fields are summed exactly from p's binary floats, the marginals as
+    means over the other player's input, each clipped to [-1, 1]; then
+    p(ab|xy) = (1 + (-1)^a A_x + (-1)^b B_y + (-1)^(a xor b) E_xy) / 4.
+    """
+    q = [[Fraction(float(v)) for v in row] for row in p]
+    clip = lambda v: min(max(v, Fraction(-1)), Fraction(1))  # noqa: E731
+    ea = [r[0] + r[1] - r[2] - r[3] for r in q]
+    eb = [r[0] - r[1] + r[2] - r[3] for r in q]
+    alice = [clip((ea[2 * x] + ea[2 * x + 1]) / 2) for x in (0, 1)]
+    bob = [clip((eb[y] + eb[2 + y]) / 2) for y in (0, 1)]
+    corr = [clip(r[0] - r[1] - r[2] + r[3]) for r in q]
+    return np.array([
+        [(1 + sa * alice[xy >> 1] + sb * bob[xy & 1] + sa * sb * corr[xy]) / 4
+         for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        for xy in range(4)
+    ], dtype=object)
+
+
 def _copies(box):
     """Game signs and one copy's weights per input, as Fractions over joint outcomes."""
     if isinstance(box, BipartiteBox):
-        return [1, 1, 1, -1], [[Fraction(float(v)) for v in row] for row in box.p]
+        return [1, 1, 1, -1], canonical_fractions(box.p).tolist()
     n = box.n
     parity = [bin(a).count("1") % 2 for a in range(1 << n)]
     weights = [
@@ -224,7 +246,7 @@ def test_integer_width_on_either_side_of_the_line(monkeypatch):
         wide = l1 >= 1 << 62
         assert wide == (k not in (29, 19))
         assert all(w.dtype == (object if wide else np.int64) for w in ints)
-        exact = np.array([[Fraction(v) for v in row] for row in box.p.tolist()], dtype=object)
+        exact = canonical_fractions(box.p)
         for dep in (False, True):
             r = enumerate_nonadaptive_max(box, m, input_dependent=dep)
             if m == 2:
@@ -250,7 +272,7 @@ def test_integer_width_on_either_side_of_the_line(monkeypatch):
         (r,) = search.adaptive_search_stack(box.p[None])
         # the float pass's kernels, then the exact pass's
         assert set(widths) == {np.dtype(float), np.dtype(np.int64 if k == 29 else object)}
-        exact = np.array([[Fraction(v) for v in row] for row in box.p.tolist()], dtype=object)
+        exact = canonical_fractions(box.p)
         proto = AdaptiveTwoCopyProtocol.decode(r.best_protocol)
         if r.best_exact != _raw_chsh(wire_adaptive(exact, exact, proto)):
             mismatches.append(("adaptive", k, r.best_protocol))

@@ -61,6 +61,7 @@ from nlbd.wirings import (
     wire_nonadaptive,
 )
 from nlbd.xorboxes import MultipartiteXorBox, XorGame, simulate_nonadaptive_xor
+from test_exact_grid import canonical_fractions
 
 
 def random_symmetric_params(rng):
@@ -322,10 +323,6 @@ def test_nonadaptive_invariant_sweep():
         assert free1 <= dep1 and free2 <= dep2
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a float box's rows need not sum to exactly 1, so a copy a protocol ignores "
-    "scales its exact value by that row sum: m-copy <= (m+1)-copy fails on 60 of "
-    "the sweep's 360 adjacent pairs, on 22 of its 120 boxes (ROADMAP item 2)"))
 def test_nonadaptive_value_grows_with_copies():
     for (free1, free2, free3, dep1, dep2), _, _ in nonadaptive_sweep():
         assert free1 <= free2 <= free3 and dep1 <= dep2
@@ -413,6 +410,73 @@ def test_stack_search_equals_one_box_searches():
         adaptive_search_stack(p[0])
 
 
+def local_boxes(count):
+    """count seeded valid boxes p[count, 4, 4] whose canonical box is local.
+
+    Half are mixtures of the 24 no-signalling vertices (PR boxes included,
+    so some lie near the CHSH bound); half are symmetric boxes on the 1/8
+    grid, where entries reach 0 and the bound is met exactly.
+    """
+    rng = np.random.default_rng(3001)
+    mixtures = vertex_mixtures(rng, 4 * count)
+    grid = rng.integers(-8, 9, (8 * count, 4)) / 8
+    grid = boxes_from_fields(grid[:, [0, 1, 0, 1, 2, 2, 2, 3]])
+    grid = grid[grid.min((1, 2)) >= 0]
+    half = [q[search_module._canonical(q)[2]][: count // 2] for q in (mixtures, grid)]
+    assert [len(q) for q in half] == [count // 2] * 2
+    return np.concatenate(half)
+
+
+def test_local_boxes_take_the_closed_form(monkeypatch):
+    """On a local canonical box every class maximum is exactly 2, with key 0.
+
+    No wiring of a local box is nonlocal, and the constant protocol, key 0,
+    reaches 2 (Fine's theorem gives locality from the CHSH inequalities).
+    The closed form equals the enumeration, run with the locality test
+    off, on 200 seeded local boxes per class at m <= 2 and in the adaptive
+    class, and on 50 at m = 3.
+    """
+    p = local_boxes(200)
+    calls = [(m, dep, p if m < 3 else p[::4]) for m in (1, 2, 3) for dep in (False, True)]
+
+    def search():
+        return adaptive_search_stack(p) + [
+            enumerate_nonadaptive_max(BipartiteBox(q), m, dep) for m, dep, qs in calls for q in qs
+        ]
+
+    closed = search()
+    assert len(closed) == 200 * 5 + 50 * 2
+    assert {(r.best_value, r.best_protocol, r.best_exact) for r in closed} == {(2.0, 0, 2)}
+    _enumerate_local_boxes(monkeypatch)
+    assert search() == closed
+
+
+def test_only_nonlocal_boxes_reach_the_engine(monkeypatch):
+    # a stack hands the engine its nonlocal boxes, in one call, and each
+    # result is the one its box gives alone
+    searched = []
+    real = search_module._best_response_max
+
+    def spy(block, grid, exact_rows, scales, errs, orbit):
+        searched.append(len(scales))
+        return real(block, grid, exact_rows, scales, errs, orbit)
+
+    monkeypatch.setattr(search_module, "_best_response_max", spy)
+    local = local_boxes(4)
+    nonlocal_ = _special_boxes()[:2]  # the kept box and a PR box
+    mixed = np.stack([local[0], nonlocal_[0], local[1], local[2], nonlocal_[1], local[3]])
+    results = adaptive_search_stack(mixed)
+    assert searched == [2]
+    assert results == [adaptive_search_max(BipartiteBox(q)) for q in mixed]
+    assert searched == [2, 1, 1]  # the one-box calls: only the nonlocal two
+    searched.clear()
+    assert adaptive_search_stack(local) == [adaptive_search_max(BipartiteBox(q)) for q in local]
+    for q in np.concatenate([local, nonlocal_]):
+        for m, dep in ((1, False), (2, True), (3, False)):
+            enumerate_nonadaptive_max(BipartiteBox(q), m, dep)
+    assert searched == [1] * 3 * len(nonlocal_)
+
+
 def _raw_chsh(q):
     """CHSH value of a box p[xy, ab] from its raw entries, in their own arithmetic."""
     return sum(s * (q[xy, 0] - q[xy, 1] - q[xy, 2] + q[xy, 3])
@@ -420,10 +484,10 @@ def _raw_chsh(q):
 
 
 def test_printed_protocol_replays_best_exact_on_fractions():
-    """Wired on Fraction entries, the printed protocol's raw-entry CHSH value is best_exact."""
+    """Wired on the canonical box in Fractions, the printed protocol's CHSH value is best_exact."""
     p = seeded_boxes(np.random.default_rng(2104), 40)
     for q, r in zip(p, adaptive_search_stack(p)):
-        exact = np.array([[Fraction(v) for v in row] for row in q.tolist()], dtype=object)
+        exact = canonical_fractions(q)
         proto = AdaptiveTwoCopyProtocol.decode(r.best_protocol)
         assert _raw_chsh(wire_adaptive(exact, exact, proto)) == r.best_exact
         for m, dep in ((3, False), (2, True)):
@@ -517,12 +581,16 @@ def _fraction_weights(rows, signs, n: int, m: int):
 def _weight_cases():
     rng = np.random.default_rng(83)
     tiny = 2.0**-1000
-    for _ in range(3):
+    bipartite = []
+    while len(bipartite) < 3:  # nonlocal boxes: a local one takes the closed form
         box = random_valid_box(rng)
-        yield box, [[Fraction(float(v)) for v in row] for row in box.p], (1, 1, 1, -1)
+        if chsh_value_of_box(box) > 2:
+            bipartite.append(box)
+    # PR boxes; with tiny entries, the canonical box has entries 2 * tiny
     for row in ([0.5, 0.0, 0.0, 0.5], [0.5, tiny, 3 * tiny, 0.5]):
-        box = BipartiteBox(np.array([row] * 4))
-        yield box, [[Fraction(float(v)) for v in r] for r in box.p], (1, 1, 1, -1)
+        bipartite.append(BipartiteBox(np.array([row] * 3 + [row[1::-1] + row[:1:-1]])))
+    for box in bipartite:
+        yield box, canonical_fractions(box.p).tolist(), (1, 1, 1, -1)
     chsh = XorGame.chsh()
     game3 = XorGame.from_predicate(3, lambda x: (x[0] & x[1]) ^ x[2])
     for game, delta in [
@@ -578,6 +646,15 @@ def test_class_index_maps_each_outcome_tuple_to_its_class_string():
                     output = sum(((i >> shift) & 1) << (n - 1 - j) for j, i in enumerate(idx))
                     string = string * k + (output if k > 2 else bin(output).count("1") & 1)
                 assert index[idx] == string
+
+
+def test_sign_matrix_is_cached_read_only():
+    for m in (1, 2, 3):
+        smat = search_module._sign_matrix(m)
+        assert smat is search_module._sign_matrix(m)  # cached, so shared
+        assert not smat.flags.writeable
+        assert smat.tolist() == [[(-1) ** (g >> s & 1) for s in range(1 << m)]
+                                 for g in range(1 << (1 << m))]
 
 
 def test_dyadic_parts_equal_the_fraction_construction():
@@ -1193,7 +1270,7 @@ def _pinned_results():
 
 
 # best_value.hex() and best_protocol of every case: the correctly rounded
-# exact maximum and the smallest exact maximiser
+# exact maximum and the smallest exact maximiser, on the canonical box
 PINNED_RESULTS = {
     "free-seeded0-m1": ("0x1.0000000000000p+1", 0x0),
     "dep-seeded0-m1": ("0x1.0000000000000p+1", 0x0),
@@ -1206,8 +1283,8 @@ PINNED_RESULTS = {
     "dep-seeded1-m1": ("0x1.6f8437315c57fp+1", 0x55),
     "free-seeded1-m2": ("0x1.6f8437315c57fp+1", 0x3333),
     "dep-seeded1-m2": ("0x1.6f8437315c57fp+1", 0x3333),
-    "free-seeded1-m3": ("0x1.6f8437315c580p+1", 0xf0f0f0f),
-    "adaptive-seeded1": ("0x1.6f8437315c580p+1", 0x33033f),
+    "free-seeded1-m3": ("0x1.6f8437315c57fp+1", 0xf0f0f0f),
+    "adaptive-seeded1": ("0x1.6f8437315c57fp+1", 0x330330),
     "free-chsh-m1": ("0x1.999999999999ap+1", 0x55),
     "dep-chsh-m1": ("0x1.999999999999ap+1", 0x55),
     "free-chsh-m2": ("0x1.999999999999ap+1", 0x3333),
@@ -1226,7 +1303,7 @@ PINNED_RESULTS = {
     "free-kept-m2": ("0x1.3999999999999p+1", 0x3333),
     "dep-kept-m2": ("0x1.3999999999999p+1", 0x3333),
     "free-kept-m3": ("0x1.3999999999999p+1", 0xf0f0f0f),
-    "adaptive-kept": ("0x1.399999999999ap+1", 0x33f33f),
+    "adaptive-kept": ("0x1.3999999999999p+1", 0x330330),
     "free-xor3-m1": ("0x1.1152cae186f28p+1", 0x555),
     "free-xor3-m2": ("0x1.1152cae186f28p+1", 0x333333),
     "free-xor3-m3": ("0x1.1152cae186f28p+1", 0xf0f0f0f0f0f),
@@ -1241,10 +1318,9 @@ def test_search_results_pinned():
     assert _pinned_results() == PINNED_RESULTS
 
 
-def _adaptive_value_exact(box, packed):
-    """CHSH value of an adaptive wiring on two copies of box, in Fractions."""
+def _adaptive_value_exact(p, packed):
+    """CHSH value of an adaptive wiring on two copies of box p[xy][ab], in Fractions."""
     proto = AdaptiveTwoCopyProtocol.decode(packed)
-    p = [[Fraction(float(v)) for v in row] for row in box.p]
     total = Fraction(0)
     for x, y, a1, b1, a2, b2 in itertools.product((0, 1), repeat=6):
         u, w = proto.box2map_a[2 * x + a1], proto.box2map_b[2 * y + b1]
@@ -1256,23 +1332,30 @@ def _adaptive_value_exact(box, packed):
 
 
 def test_adaptive_pins_are_exact_maximisers():
-    # the pinned protocols replay to the exact maximum; 0x330330 comes
-    # within an ulp of it in floats but falls short of it exactly
+    # the pinned protocols replay to the exact maximum on the canonical box, where
+    # 0x33033f and 0x33f33f tie with them exactly; on the raw entries, whose rows
+    # need not sum to 1, the three differ
     rng = np.random.default_rng(12)
     seeded1 = [random_valid_box(rng) for _ in range(2)][1]
     kept = box_from_correlators(symmetric_box(0.4, 0.35, 0.75, -0.2))
     for box, pinned in ((seeded1, PINNED_RESULTS["adaptive-seeded1"][1]),
                         (kept, PINNED_RESULTS["adaptive-kept"][1])):
         r = adaptive_search_max(box)
-        assert r.best_protocol == pinned
-        assert _adaptive_value_exact(box, pinned) == r.best_exact
-        assert _adaptive_value_exact(box, 0x330330) < r.best_exact
+        assert r.best_protocol == pinned == 0x330330
+        canonical, raw = canonical_fractions(box.p), [[Fraction(v) for v in row] for row in box.p]
+        for key in (pinned, 0x33033F, 0x33F33F):
+            assert _adaptive_value_exact(canonical, key) == r.best_exact
+        assert len({_adaptive_value_exact(raw, key) for key in (0x330330, 0x33033F, 0x33F33F)}) > 1
 
 
 def _float_and_exact_stages(call, monkeypatch):
-    """The two passes, the scale and the rounding bound a search call hands its engine."""
+    """The two passes, the scale and the rounding bound a search call hands its engine.
+
+    The locality test is off, so a local box reaches the engine too.
+    """
     seen = {}
     real = search_module._best_response_max
+    _enumerate_local_boxes(monkeypatch)
 
     def spy(block, grid, exact_rows, scales, errs, *orbit):
         [scale], [err] = scales, errs  # every call searches a stack of one box
@@ -1321,6 +1404,13 @@ def test_every_row_float_total_within_rounding_bound(call, monkeypatch):
     gap = max(abs(Fraction(a) - Fraction(int(t), stage["scale"]))
               for a, t in zip(approx.tolist(), totals.tolist()))
     assert gap <= stage["err"] < 1e-12
+
+
+def _enumerate_local_boxes(monkeypatch):
+    """Switch off the search's locality test: every box goes through the enumeration."""
+    real = search_module._canonical
+    monkeypatch.setattr(search_module, "_canonical",
+                        lambda p: real(p)[:2] + (np.zeros(len(p), dtype=bool),))
 
 
 def _moved(table, order):
