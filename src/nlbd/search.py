@@ -16,9 +16,10 @@ among all exact maximisers. Exact is for the canonical box: an XOR box's
 biases as given, and a bipartite box's correlator form (_canonical:
 fields_from_boxes's eight fields summed exactly from the binary floats,
 each clipped to [-1, 1]) put back as p(ab|xy) = (1 +- A_x +- B_y +- E_xy)/4.
-Its rows sum to exactly 1 and it is exactly no-signalling. The other
-verbs read the same fields in floats (correlators_from_box); distill and
-the search's replay still wire the raw entries.
+Its rows sum to exactly 1 and it is exactly no-signalling. The search's
+replay wires the canonical box's floats, the correctly rounded quotients
+of its integers. The other verbs read the same fields in floats
+(correlators_from_box); distill still wires the raw entries.
 
 Local boxes take a closed form. If no entry of the canonical box is below 0
 and it meets the eight CHSH inequalities |E_00 + E_01 + E_10 + E_11 -
@@ -195,21 +196,23 @@ def _canonical(p: np.ndarray) -> tuple:
     the smallest power of two. Every row sums to exactly 1 and the box is
     exactly no-signalling. local[k]: no entry of box k is below 0 and
     |E_00 + E_01 + E_10 + E_11 - 2 E_xy| <= 2 on every xy, the eight CHSH
-    inequalities, so box k is local (Fine's theorem). The sums run in int64
-    while den < 2^58, which keeps them below 2^62 for entries within 1e-9
-    of [0, 1], else in Python ints.
+    inequalities, so box k is local (Fine's theorem).
     """
     q, dens = _dyadic(p)
-    dtype = np.int64 if max(dens) < 1 << 58 else object
-    two = 2 * np.array(dens, dtype=dtype)[:, None]
-    fields = q.reshape(-1, 16).astype(dtype) @ _FIELD_SIGNS.astype(dtype)  # over 2 * den
+    two = 2 * np.array(dens, dtype=object)[:, None]
+    fields = q.reshape(-1, 16) @ _FIELD_SIGNS.astype(object)  # over 2 * den
     fields = np.minimum(np.maximum(fields, -two), two)
-    ints = (two + fields @ _ENTRY_SIGNS.astype(dtype)).reshape(-1, 4, 4).astype(object)
+    ints = (two + fields @ _ENTRY_SIGNS.astype(object)).reshape(-1, 4, 4)
     e = fields[:, 4:]
     local = (ints >= 0).all((1, 2)) & (np.abs(e.sum(1)[:, None] - 2 * e) <= 2 * two).all(1)
     common = [math.gcd(*box.flat) for box in ints]  # a power of two
     ints //= np.array(common, dtype=object)[:, None, None]
     return ints, [(d << 3) // c for d, c in zip(dens, common)], local
+
+
+def _floats(ints, dens):
+    """ints / dens as floats, each entry the correctly rounded quotient."""
+    return (ints / np.asarray(dens, dtype=object)[..., None, None]).astype(float)
 
 
 @functools.cache
@@ -225,7 +228,7 @@ def _class_index(n: int, m: int, k: int) -> np.ndarray:
     return index
 
 
-def _copy_weights(box, m: int):
+def _copy_weights(box, m: int, canonical=None):
     """(floats, ints, index, scale, l1): per input x, s_x * W_x on one copy's class strings.
 
     One copy's row has a weight per output class: p(ab|xy) of the canonical
@@ -237,14 +240,16 @@ def _copy_weights(box, m: int):
     box), come the floats, their correctly rounded quotients, l1, the sum
     of all |W_x[index]| times scale = den^m, and the integers: int64 if
     l1 < 2^62, which bounds every partial sum an exact pass forms, else
-    Python ints. None for a bipartite box whose canonical box is local.
+    Python ints. canonical is a valid bipartite box's (rows, den), if
+    _canonical has already given them.
     """
     if isinstance(box, BipartiteBox):
-        require_valid(box, "search input fails validation")
         n, k, signs = 2, 4, _CHSH_SIGNS
-        (rows,), (den,), (local,) = _canonical(box.p[None])
-        if local:
-            return None
+        if canonical is None:
+            require_valid(box, "search input fails validation")
+            (rows,), (den,), _ = _canonical(box.p[None])
+        else:
+            rows, den = canonical
     elif isinstance(box, MultipartiteXorBox):
         n, k, signs = box.n, 2, [1 - 2 * f for f in box.game.f]
         (ds,), (den,) = _dyadic(box.delta_array()[None])
@@ -428,15 +433,19 @@ def enumerate_nonadaptive_max(box, m: int, input_dependent: bool = False) -> Sea
         raise BudgetExceeded(f"enumeration for n={n} players is out of scope")
     examined = (1 << (1 << m)) ** (2 * n if input_dependent else n)
     class_name = "nonadaptive-input-dep" if input_dependent else "nonadaptive-input-free"
-    weights = _copy_weights(box, m)
-    if weights is None:  # a local box: every wiring of it is local, and key 0 reaches 2
-        exact, packed = Fraction(2), 0
+    if isinstance(box, BipartiteBox):
+        require_valid(box, "search input fails validation")
+        (rows,), (den,), (local,) = _canonical(box.p[None])
+        if local:  # every wiring of it is local, and key 0 reaches 2
+            exact, packed = Fraction(2), 0
+        else:
+            weights = _copy_weights(box, m, (rows, den))
+            exact, packed = _nonadaptive_max(n, m, input_dependent, *weights)
+        proto = NonAdaptiveProtocol.decode(n, m, packed)
+        replay = float(chsh_values(wire_nonadaptive([_floats(rows, den)] * m, proto)))
     else:
-        exact, packed = _nonadaptive_max(n, m, input_dependent, *weights)
-    proto = NonAdaptiveProtocol.decode(n, m, packed)
-    if isinstance(box, BipartiteBox):  # _copy_weights validated the box
-        replay = float(chsh_values(wire_nonadaptive([box.p] * m, proto)))
-    else:
+        exact, packed = _nonadaptive_max(n, m, input_dependent, *_copy_weights(box, m))
+        proto = NonAdaptiveProtocol.decode(n, m, packed)
         replay = simulate_nonadaptive_xor(box, proto.tables, m)[0]
     return _replayed(SearchResult(float(exact), packed, examined, class_name, n, m, exact), replay)
 
@@ -534,24 +543,29 @@ def adaptive_search_stack(p: np.ndarray) -> list:
         return []
     require_valid_stack(p, "search input fails validation")
     ints, dens, local = _canonical(p)
+    canon = _floats(ints, dens)
     # a local box: every wiring of it is local, and key 0 reaches 2
     found = [(Fraction(2), 0)] * len(p)
     nonlocal_boxes = np.flatnonzero(~local)
     if len(nonlocal_boxes):
-        searched = _adaptive_max(ints[nonlocal_boxes], [dens[k] for k in nonlocal_boxes])
+        searched = _adaptive_max(
+            canon[nonlocal_boxes], ints[nonlocal_boxes], [dens[k] for k in nonlocal_boxes]
+        )
         for k, best in zip(nonlocal_boxes, searched):
             found[k] = best
     protos = [AdaptiveTwoCopyProtocol.decode(packed) for _, packed in found]
-    replays = chsh_values(wire_adaptive(p, p, protos))
+    replays = chsh_values(wire_adaptive(canon, canon, protos))
     return [
         _replayed(SearchResult(float(exact), packed, 4096 * 4096, "adaptive2", 2, 2, exact), replay)
         for (exact, packed), replay in zip(found, replays.tolist())
     ]
 
 
-def _adaptive_max(ints: np.ndarray, dens: list) -> list:
-    """(exact maximum, smallest key) of the adaptive class per canonical box ints[k] / dens[k]."""
-    p = (ints / np.array(dens, dtype=object)[:, None, None]).astype(float)
+def _adaptive_max(p: np.ndarray, ints: np.ndarray, dens: list) -> list:
+    """(exact maximum, smallest key) of the adaptive class per canonical box ints[k] / dens[k].
+
+    p holds the canonical boxes' floats, _floats(ints, dens).
+    """
     scales = [d * d for d in dens]
     # per row, 16 products p1*p2 on each of the four branches: with L = sum |ints|
     # and R the largest row's, L * R bounds them and every partial sum over scale;

@@ -301,14 +301,36 @@ NEAR_LOCAL_TEXT = (
 )
 
 
-def test_near_local_box_searches_in_every_class(boxdir, capsys):
+# rows 00 and 01 sum to 1 - 9.6e-10 and Bob's marginal drifts by 4.8e-10, both
+# within tolerance; the canonical box is the uniform box, so the replay must
+# wire it, not the short raw rows (they replay to 2 - 1.92e-9)
+SHORT_ROWS_TEXT = (
+    "kind=matrix\nrow00=0.24999999976,0.24999999976,0.24999999976,0.24999999976\n"
+    "row01=0.24999999976,0.24999999976,0.24999999976,0.24999999976\n"
+    "row10=0.25,0.25,0.25,0.25\nrow11=0.25,0.25,0.25,0.25\n"
+)
+
+
+@pytest.mark.parametrize(
+    ("text", "chsh"), [(NEAR_LOCAL_TEXT, 2), (SHORT_ROWS_TEXT, 0)], ids=["near", "short"]
+)
+def test_near_local_box_searches_in_every_class(boxdir, capsys, text, chsh):
     path = boxdir / "near_local.box"
-    path.write_text(NEAR_LOCAL_TEXT, encoding="utf-8")
-    assert run(capsys, "validate", path) == (0, "valid box: CHSH value 2\n", "")
-    for argv in (("--class", "nonadaptive", "--m", 1), ("--class", "adaptive")):
-        code, out, err = run(capsys, "search", *argv, path)
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "validate", path) == (0, f"valid box: CHSH value {chsh}\n", "")
+    for argv in (
+        ("--class", "nonadaptive", "--m", 1),
+        ("--class", "nonadaptive", "--m", 2),
+        ("--class", "nonadaptive", "--m", 3),
+        ("--class", "nonadaptive", "--m", 1, "--input-dependent"),
+        ("--class", "nonadaptive", "--m", 2, "--input-dependent"),
+        ("--class", "nonadaptive", "--m", 3, "--input-dependent"),
+        ("--class", "adaptive"),
+    ):
+        code, out, err = run(capsys, "search", *argv, "--exact", path)
         assert (code, err) == (0, "")
         assert "best_value=2" in out.splitlines()
+        assert out.splitlines()[-1] == "best_exact=2"
 
 
 GROWING_ROW_SUM_TEXT = (
@@ -321,10 +343,10 @@ GROWING_ROW_SUM_TEXT = (
     strict=True,
     raises=AssertionError,
     reason="validate accepts the box (row 00 sums to 1 + 9.6e-10), but two copies "
-    "multiply that row sum past the same 1e-9 tolerance. The search weighs the "
-    "canonical box, but distill and the search's replay still wire the raw entries, "
-    "so two-copy distill and every two-copy search exit 1 with 'wiring produced an "
-    "invalid box: (('normalization', 1.92e-09), ...)' (ROADMAP item 2, every verb)",
+    "multiply that row sum past the same 1e-9 tolerance. The search weighs and "
+    "replays the canonical box, but distill still wires the raw entries, so "
+    "two-copy distill exits 1 with 'wiring produced an invalid box: "
+    "(('normalization', 1.92e-09), ...)' (ROADMAP item 2, every verb)",
 )
 def test_box_within_tolerance_wires_in_every_two_copy_class(boxdir, capsys):
     path = boxdir / "growing_row_sum.box"
@@ -340,6 +362,22 @@ def test_box_within_tolerance_wires_in_every_two_copy_class(boxdir, capsys):
     ):
         code, out, err = run(capsys, *argv, path)
         assert (code, err) == (0, ""), argv
+
+
+def test_box_within_tolerance_searches_in_every_class(boxdir, capsys):
+    # the search weighs and replays the canonical box, whose rows sum to 1
+    path = boxdir / "growing_row_sum.box"
+    path.write_text(GROWING_ROW_SUM_TEXT, encoding="utf-8")
+    for argv in (
+        ("--class", "nonadaptive", "--m", 2),
+        ("--class", "nonadaptive", "--m", 3),
+        ("--class", "nonadaptive", "--m", 2, "--input-dependent"),
+        ("--class", "nonadaptive", "--m", 3, "--input-dependent"),
+        ("--class", "adaptive"),
+    ):
+        code, out, err = run(capsys, "search", *argv, path)
+        assert (code, err) == (0, ""), argv
+        assert "best_value=2.4" in out.splitlines()
 
 
 def test_search_thread_count_never_changes_output(boxdir, capsys, monkeypatch):
@@ -742,8 +780,8 @@ def test_exact_oracle_disagreement_exits_one(boxdir, capsys, monkeypatch):
     # far more than the rounding bound allows
     real_weights = nlbd.search._copy_weights
 
-    def off_weights(box, m):
-        floats, ints, index, scale, l1 = real_weights(box, m)
+    def off_weights(*args):
+        floats, ints, index, scale, l1 = real_weights(*args)
         return [1.5 * w for w in floats], ints, index, scale, l1
 
     monkeypatch.setattr(nlbd.search, "_copy_weights", off_weights)
